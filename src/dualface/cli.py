@@ -243,6 +243,10 @@ def cmd_eval(args, resolved: dict) -> int:
 
 
 def cmd_animate(args, resolved: dict) -> int:
+    if args.obj_every is not None and args.obj_every < 1:
+        raise ConfigError(f"--obj-every must be >= 1, got {args.obj_every}")
+    if args.obj_every is not None and not args.template:
+        raise ConfigError("--obj-every needs --template to resolve vertex positions")
     params = load_checkpoint(args.checkpoint)
     features = load_features(args.features)
     if args.frames is not None:
@@ -254,9 +258,7 @@ def cmd_animate(args, resolved: dict) -> int:
     save_motion(motion_path, motion)
     files = [motion_path]
     if args.obj_every is not None:
-        template = load_template(args.template) if args.template else None
-        if template is None:
-            raise ConfigError("--obj-every needs --template to resolve vertex positions")
+        template = load_template(args.template)
         for t in range(0, motion.frames, args.obj_every):
             obj_path = out / f"frame{t:04d}.obj"
             export_obj(obj_path, template, motion, t)

@@ -166,6 +166,8 @@ class SyntheticSpec:
             raise ValueError("vertex_count must be >= 12 so the region sets are non-empty and disjoint")
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

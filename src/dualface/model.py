@@ -10,7 +10,8 @@ motion-derived rows), as single Parameter objects, not copies.
 
 Attention is causally masked in both the history self-attention and the
 fusion cross-attention, so frame t never sees history rows beyond t; that is
-what makes step-by-step generation reproduce the teacher-forced pass.
+what lets generation decode one row per frame against cached keys and values
+and still reproduce the teacher-forced pass.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from dataclasses import dataclass, asdict
 from pathlib import Path
+from typing import Callable
 
 from . import diffcore as dc
 from .data import (
@@ -144,9 +146,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> dc.Parameter:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def t(self, name: str) -> dc.Tensor:
         return self._params[name].value
 
@@ -182,12 +181,20 @@ class ForwardOutputs:
     audio_latent: dc.Tensor    # (T, d) encoded audio
     motion_latent: dc.Tensor   # (T, d) encoded ground-truth motion
 
-    def prediction_motion(self, vertex_count: int, fps: float = SYNTH_FPS) -> MotionSequence:
-        t = self.prediction.data.shape[0]
-        return MotionSequence(self.prediction.data.reshape(t, vertex_count, 3).copy(), fps)
 
-    def prediction_features(self) -> FeatureSequence:
-        return FeatureSequence(self.prediction.data.copy())
+class KVCache:
+    """One attention head's keys and values of the rows decoded so far, in
+    preallocated (T, dk) arrays. Each row is written once from a checked
+    primitive output; the views handed out are tape leaves (generation only)."""
+
+    def __init__(self, frames: int, dk: int):
+        self.keys, self.values, self.rows = np.empty((frames, dk)), np.empty((frames, dk)), 0
+
+    def extend(self, k: dc.Tensor, v: dc.Tensor) -> tuple[dc.Tensor, dc.Tensor]:
+        """Store the newest row's key and value; returns every row so far."""
+        self.keys[self.rows], self.values[self.rows] = k.data[0], v.data[0]
+        self.rows += 1
+        return dc.Tensor(self.keys[: self.rows], checked=False), dc.Tensor(self.values[: self.rows], checked=False)
 
 
 # ---------------------------------------------------------------------------
@@ -214,37 +221,26 @@ def concat_rows(top: dc.Tensor, bottom: dc.Tensor) -> dc.Tensor:
     return dc.transpose_last_two(dc.concat_last(dc.transpose_last_two(top), dc.transpose_last_two(bottom)))
 
 
-def attention_heads(q_src, kv_src, q_weights, k_weights, v_weights, mask) -> list[dc.Tensor]:
-    """Per-head scaled-dot-product contexts (pre output projection)."""
-    dk = q_weights[0].data.shape[1]
-    scale = 1.0 / np.sqrt(dk)
+def attention_heads(q_src, kv_src, q_weights, k_weights, v_weights, cache: list[KVCache] | None = None) -> list[dc.Tensor]:
+    """Per-head scaled-dot-product contexts (pre output projection). Query
+    row t attends kv rows 0..t: through a causal mask or, with per-head
+    caches, as the one newest row over the cached rows and its own."""
+    if cache is not None and q_src.data.shape[0] != 1:
+        raise dc.ShapeMismatchError("cached attention decodes one row per call")
+    mask = None if cache is not None else _causal_mask(q_src.data.shape[0])
+    scale = 1.0 / np.sqrt(q_weights[0].data.shape[1])
     heads = []
-    for qw, kw, vw in zip(q_weights, k_weights, v_weights):
+    for h, (qw, kw, vw) in enumerate(zip(q_weights, k_weights, v_weights)):
         q = dc.matmul(q_src, qw)
         k = dc.matmul(kv_src, kw)
         v = dc.matmul(kv_src, vw)
+        if cache is not None:
+            k, v = cache[h].extend(k, v)
         logits = dc.scalar_multiply(dc.matmul(q, dc.transpose_last_two(k)), scale)
         if mask is not None:
             logits = dc.add(logits, mask)
         heads.append(dc.matmul(dc.softmax_rows(logits), v))
     return heads
-
-
-def _as_tensor(x, expect_cols: int, what: str) -> dc.Tensor:
-    if isinstance(x, dc.Tensor):
-        arr_cols = x.data.shape[1] if x.data.ndim == 2 else -1
-    elif isinstance(x, FeatureSequence):
-        x = dc.Tensor(x.values)
-        arr_cols = x.data.shape[1]
-    elif isinstance(x, MotionSequence):
-        t = x.frames
-        x = dc.Tensor(x.displacements.reshape(t, 3 * x.vertex_count))
-        arr_cols = x.data.shape[1]
-    else:
-        raise TypeError(f"{what}: unsupported input type {type(x).__name__}")
-    if arr_cols != expect_cols:
-        raise dc.ShapeMismatchError(f"{what}: expected {expect_cols} columns, got {arr_cols}")
-    return x
 
 
 def _check_frames(params: ModelParams, t: int, what: str):
@@ -254,22 +250,37 @@ def _check_frames(params: ModelParams, t: int, what: str):
         raise ValueError(f"{what}: {t} frames exceeds max_frames={params.config.max_frames}")
 
 
-def encode_audio(params: ModelParams, features) -> dc.Tensor:
-    """Affine band-feature encoding plus learned positional rows, (T, d)."""
-    x = _as_tensor(features, params.config.audio_dim, "encode_audio")
+def _encode(params: ModelParams, x, modality: str, start: int) -> dc.Tensor:
+    what, c = f"encode_{modality}", params.config
+    if isinstance(x, FeatureSequence):
+        x = dc.Tensor(x.values)
+    elif isinstance(x, MotionSequence):
+        x = dc.Tensor(x.displacements.reshape(x.frames, 3 * x.vertex_count))
+    elif not isinstance(x, dc.Tensor):
+        raise TypeError(f"{what}: unsupported input type {type(x).__name__}")
+    cols = x.data.shape[1] if x.data.ndim == 2 else -1
+    width = c.audio_dim if modality == "audio" else 3 * c.vertex_count
+    if cols != width:
+        raise dc.ShapeMismatchError(f"{what}: expected {width} columns, got {cols}")
     t = x.data.shape[0]
-    _check_frames(params, t, "encode_audio")
-    pos = dc.slice_axis(params.t("positional_table"), 0, 0, t)
-    return dc.add(_affine(x, params.t("audio_encoder.weight"), params.t("audio_encoder.bias")), pos)
+    _check_frames(params, start + t, what)
+    pos = dc.slice_axis(params.t("positional_table"), 0, start, start + t)
+    return dc.add(_affine(x, params.t(f"{modality}_encoder.weight"), params.t(f"{modality}_encoder.bias")), pos)
 
 
-def encode_motion(params: ModelParams, motion) -> dc.Tensor:
-    """Affine flattened-displacement encoding plus positional rows, (T, d)."""
-    x = _as_tensor(motion, 3 * params.config.vertex_count, "encode_motion")
-    t = x.data.shape[0]
-    _check_frames(params, t, "encode_motion")
-    pos = dc.slice_axis(params.t("positional_table"), 0, 0, t)
-    return dc.add(_affine(x, params.t("motion_encoder.weight"), params.t("motion_encoder.bias")), pos)
+def encode_audio(params: ModelParams, features, start: int = 0) -> dc.Tensor:
+    """Affine band-feature encoding plus positional rows from `start`, (T, d)."""
+    return _encode(params, features, "audio", start)
+
+
+def encode_motion(params: ModelParams, motion, start: int = 0) -> dc.Tensor:
+    """Affine flattened-displacement encoding plus positional rows from `start`, (T, d)."""
+    return _encode(params, motion, "motion", start)
+
+
+def _encoder(modality: str):
+    # Resolved per call, so wrappers installed on this module see every call.
+    return encode_audio if modality == "audio" else encode_motion
 
 
 def style_embed(params: ModelParams, speaker: int) -> dc.Tensor:
@@ -280,31 +291,56 @@ def style_embed(params: ModelParams, speaker: int) -> dc.Tensor:
     return dc.slice_axis(params.t("style_table"), 0, speaker, speaker + 1)
 
 
-def _direction_stream(direction: str) -> str:
-    if direction == "primal":
-        return "motion"
-    if direction == "dual":
-        return "audio"
-    raise ValueError(f"direction must be 'primal' or 'dual', got {direction!r}")
+def _decode_motion(params: ModelParams, fused: dc.Tensor) -> dc.Tensor:
+    """(T, d) fused rows to (T, 3V) flattened displacements."""
+    return _affine(fused, params.motion_decoder_weight(), params.t("motion_decoder.bias"))
 
 
-def self_attend(params: ModelParams, stream: dc.Tensor, direction: str) -> dc.Tensor:
-    """Causally masked multi-head self-attention with post-norm residual."""
-    name = _direction_stream(direction)
-    t = stream.data.shape[0]
-    _check_frames(params, t, "self_attend")
-    hs = params.config.self_heads
-    qw = [params.t(f"self_attn.{name}.h{h}.q") for h in range(hs)]
-    kw = [params.t(f"self_attn.{name}.h{h}.k") for h in range(hs)]
-    vw = [params.t(f"self_attn.{name}.h{h}.v") for h in range(hs)]
-    heads = attention_heads(stream, stream, qw, kw, vw, _causal_mask(t))
+def _decode_audio(params: ModelParams, fused: dc.Tensor) -> dc.Tensor:
+    """(T, d) fused rows to (T, audio_dim) features through a relu layer."""
+    hidden = dc.relu(_affine(fused, params.t("audio_decoder.hidden.weight"), params.t("audio_decoder.hidden.bias")))
+    return _affine(hidden, params.audio_decoder_out_weight(), params.t("audio_decoder.out.bias"))
+
+
+@dataclass(frozen=True)
+class Direction:
+    """What tells the two directions apart; one forward and one generator
+    serve both. The target names the start token and the self-attention and
+    speaker-gate stream; shared fusion projections are named by the modality
+    they project (source rows query, history rows key)."""
+
+    name: str    # "primal" or "dual"; prefixes its own fusion.{name}.* parameters
+    source: str  # modality of the conditioning input, encoded in full
+    target: str  # modality predicted and fed back as history
+    decode: Callable[[ModelParams, dc.Tensor], dc.Tensor]
+
+
+DIRECTIONS = {
+    "primal": Direction("primal", "audio", "motion", _decode_motion),
+    "dual": Direction("dual", "motion", "audio", _decode_audio),
+}
+
+
+def _direction(name: str) -> Direction:
+    if name not in DIRECTIONS:
+        raise ValueError(f"direction must be 'primal' or 'dual', got {name!r}")
+    return DIRECTIONS[name]
+
+
+def self_attend(params: ModelParams, stream: dc.Tensor, direction: str, cache: list[KVCache] | None = None) -> dc.Tensor:
+    """Causally masked multi-head self-attention with post-norm residual;
+    with a per-head cache, `stream` is the one newest history row."""
+    name = _direction(direction).target
+    _check_frames(params, stream.data.shape[0], "self_attend")
+    qw, kw, vw = ([params.t(f"self_attn.{name}.h{h}.{p}") for h in range(params.config.self_heads)] for p in "qkv")
+    heads = attention_heads(stream, stream, qw, kw, vw, cache)
     ctx = dc.matmul(dc.concat_last(*heads), params.t(f"self_attn.{name}.out"))
     return dc.layer_norm_rows(dc.add(stream, ctx))
 
 
 def speaker_modulate(params: ModelParams, stream: dc.Tensor, style: dc.Tensor, direction: str) -> dc.Tensor:
     """Sigmoid gates from MLP(concat(style, frame)) applied to the stream."""
-    name = _direction_stream(direction)
+    name = _direction(direction).target
     t = stream.data.shape[0]
     joint = dc.concat_last(dc.broadcast_row(style, t), stream)
     hidden = dc.relu(_affine(joint, params.t(f"speaker_gate.{name}.fc1.weight"), params.t(f"speaker_gate.{name}.fc1.bias")))
@@ -312,34 +348,23 @@ def speaker_modulate(params: ModelParams, stream: dc.Tensor, style: dc.Tensor, d
     return dc.multiply(gate, stream)
 
 
-def cross_attend(params: ModelParams, queries: dc.Tensor, kv: dc.Tensor, direction: str) -> dc.Tensor:
+def cross_attend(params: ModelParams, queries: dc.Tensor, kv: dc.Tensor, direction: str,
+                 cache: list[KVCache] | None = None) -> dc.Tensor:
     """Fusion attention between modalities, then position-wise feed-forward.
-
     Projections are shared across directions per modality of the projected
-    rows. The mask keeps query row t from attending history rows beyond t,
-    which generation relies on.
-    """
-    if direction not in ("primal", "dual"):
-        raise ValueError(f"direction must be 'primal' or 'dual', got {direction!r}")
+    rows; query row t sees history rows 0..t only."""
+    d = _direction(direction)
     tq, tk = queries.data.shape[0], kv.data.shape[0]
     if tq != tk:
         raise dc.ShapeMismatchError(f"cross_attend expects equal lengths, got {tq} and {tk}")
-    h = params.config.fusion_heads
-    if direction == "primal":
-        qw = [params.t(f"fusion.qk_audio.h{i}") for i in range(h)]
-        kw = [params.t(f"fusion.qk_motion.h{i}") for i in range(h)]
-    else:
-        qw = [params.t(f"fusion.qk_motion.h{i}") for i in range(h)]
-        kw = [params.t(f"fusion.qk_audio.h{i}") for i in range(h)]
-    vw = [params.t(f"fusion.{direction}.v.h{i}") for i in range(h)]
-    heads = attention_heads(queries, kv, qw, kw, vw, _causal_mask(tq))
-    ctx = dc.matmul(dc.concat_last(*heads), params.t(f"fusion.{direction}.out"))
+    own = f"fusion.{d.name}"
+    roles = (f"fusion.qk_{d.source}", f"fusion.qk_{d.target}", f"{own}.v")
+    qw, kw, vw = ([params.t(f"{role}.h{h}") for h in range(params.config.fusion_heads)] for role in roles)
+    heads = attention_heads(queries, kv, qw, kw, vw, cache)
+    ctx = dc.matmul(dc.concat_last(*heads), params.t(f"{own}.out"))
     x = dc.layer_norm_rows(dc.add(queries, ctx))
-    ff = _affine(
-        dc.relu(_affine(x, params.t(f"fusion.{direction}.ff1.weight"), params.t(f"fusion.{direction}.ff1.bias"))),
-        params.t(f"fusion.{direction}.ff2.weight"),
-        params.t(f"fusion.{direction}.ff2.bias"),
-    )
+    hidden = dc.relu(_affine(x, params.t(f"{own}.ff1.weight"), params.t(f"{own}.ff1.bias")))
+    ff = _affine(hidden, params.t(f"{own}.ff2.weight"), params.t(f"{own}.ff2.bias"))
     return dc.layer_norm_rows(dc.add(x, ff))
 
 
@@ -352,89 +377,62 @@ def _shifted_history(params: ModelParams, encoded: dc.Tensor, start_name: str) -
     return concat_rows(start, dc.slice_axis(encoded, 0, 0, t - 1))
 
 
+def _forward(params: ModelParams, d: Direction, source, speaker: int, target) -> ForwardOutputs:
+    latents = {d.source: _encoder(d.source)(params, source), d.target: _encoder(d.target)(params, target)}
+    t, t_gt = (latents[m].data.shape[0] for m in (d.source, d.target))
+    if t != t_gt:
+        raise dc.ShapeMismatchError(f"forward_{d.name}: {d.source} has {t} frames but {d.target} has {t_gt}")
+    history = _shifted_history(params, latents[d.target], f"start_token.{d.target}")
+    ctx = self_attend(params, history, d.name)
+    gated = speaker_modulate(params, ctx, style_embed(params, speaker), d.name)
+    fused = cross_attend(params, latents[d.source], gated, d.name)
+    return ForwardOutputs(d.name, d.decode(params, fused), fused, latents["audio"], latents["motion"])
+
+
+def _generate(params: ModelParams, d: Direction, source, speaker: int) -> np.ndarray:
+    """Decodes one row per frame: the source is encoded once, then frame t
+    sends one history row (the start token, or frame t-1 encoded at position
+    t-1) through every block, attending over per-head K/V caches. Only
+    attention mixes rows, and the caches hold exactly the rows frame t may
+    see, so frame t equals row t of teacher forcing on the output."""
+    c = params.config
+    source_latent = _encoder(d.source)(params, source)
+    frames = source_latent.data.shape[0]
+    style = style_embed(params, speaker)
+    self_cache = [KVCache(frames, c.d // c.self_heads) for _ in range(c.self_heads)]
+    fusion_cache = [KVCache(frames, c.d // c.fusion_heads) for _ in range(c.fusion_heads)]
+    out, history = [], params.t(f"start_token.{d.target}")
+    for t in range(frames):
+        ctx = self_attend(params, history, d.name, self_cache)
+        gated = speaker_modulate(params, ctx, style, d.name)
+        fused = cross_attend(params, dc.slice_axis(source_latent, 0, t, t + 1), gated, d.name, fusion_cache)
+        pred = d.decode(params, fused)
+        out.append(pred.data)
+        if t + 1 < frames:
+            history = _encoder(d.target)(params, pred, start=t)
+    return np.concatenate(out)
+
+
 def forward_primal(params: ModelParams, features, speaker: int, gt_motion) -> ForwardOutputs:
     """Teacher-forced audio-to-motion pass; the last gt frame is never read."""
-    c = params.config
-    feats = _as_tensor(features, c.audio_dim, "forward_primal")
-    gt = _as_tensor(gt_motion, 3 * c.vertex_count, "forward_primal")
-    t = feats.data.shape[0]
-    if gt.data.shape[0] != t:
-        raise dc.ShapeMismatchError(
-            f"forward_primal: audio has {t} frames but motion has {gt.data.shape[0]}"
-        )
-    _check_frames(params, t, "forward_primal")
-    audio_latent = encode_audio(params, feats)
-    motion_latent = encode_motion(params, gt)
-    history = _shifted_history(params, motion_latent, "start_token.motion")
-    ctx = self_attend(params, history, "primal")
-    gated = speaker_modulate(params, ctx, style_embed(params, speaker), "primal")
-    fused = cross_attend(params, audio_latent, gated, "primal")
-    pred = dc.add(
-        dc.matmul(fused, params.motion_decoder_weight()),
-        dc.broadcast_row(params.t("motion_decoder.bias"), t),
-    )
-    return ForwardOutputs("primal", pred, fused, audio_latent, motion_latent)
+    return _forward(params, DIRECTIONS["primal"], features, speaker, gt_motion)
 
 
 def forward_dual(params: ModelParams, motion, speaker: int, gt_features) -> ForwardOutputs:
     """Teacher-forced motion-to-audio pass (lip reading)."""
-    c = params.config
-    mot = _as_tensor(motion, 3 * c.vertex_count, "forward_dual")
-    gt = _as_tensor(gt_features, c.audio_dim, "forward_dual")
-    t = mot.data.shape[0]
-    if gt.data.shape[0] != t:
-        raise dc.ShapeMismatchError(
-            f"forward_dual: motion has {t} frames but audio has {gt.data.shape[0]}"
-        )
-    _check_frames(params, t, "forward_dual")
-    motion_latent = encode_motion(params, mot)
-    audio_latent = encode_audio(params, gt)
-    history = _shifted_history(params, audio_latent, "start_token.audio")
-    ctx = self_attend(params, history, "dual")
-    gated = speaker_modulate(params, ctx, style_embed(params, speaker), "dual")
-    fused = cross_attend(params, motion_latent, gated, "dual")
-    hidden = dc.relu(_affine(fused, params.t("audio_decoder.hidden.weight"), params.t("audio_decoder.hidden.bias")))
-    pred = dc.add(
-        dc.matmul(hidden, params.audio_decoder_out_weight()),
-        dc.broadcast_row(params.t("audio_decoder.out.bias"), t),
-    )
-    return ForwardOutputs("dual", pred, fused, audio_latent, motion_latent)
+    return _forward(params, DIRECTIONS["dual"], motion, speaker, gt_features)
 
 
-def generate_motion(params: ModelParams, features: FeatureSequence, speaker: int, fps: float = SYNTH_FPS) -> MotionSequence:
+def generate_motion(params: ModelParams, features, speaker: int, fps: float = SYNTH_FPS) -> MotionSequence:
     """Strict autoregressive decoding: frame t is predicted from audio rows
-    0..t and the frames generated so far, then appended.
-
-    Each step runs the teacher-forced pass on the prefix with a zero dummy
-    last frame (which the shift drops), so generation and teacher forcing
-    share one code path.
-    """
-    c = params.config
-    t_total = features.frames
-    _check_frames(params, t_total, "generate_motion")
-    width = 3 * c.vertex_count
-    generated = np.zeros((0, width))
-    for t in range(t_total):
-        prefix = dc.Tensor(features.values[: t + 1])
-        stub = dc.Tensor(np.vstack([generated, np.zeros((1, width))]))
-        out = forward_primal(params, prefix, speaker, stub)
-        generated = np.vstack([generated, out.prediction.data[t : t + 1]])
-    return MotionSequence(generated.reshape(t_total, c.vertex_count, 3), fps)
+    0..t and the frames generated before it."""
+    out = _generate(params, DIRECTIONS["primal"], features, speaker)
+    return MotionSequence(out.reshape(out.shape[0], params.config.vertex_count, 3), fps)
 
 
-def generate_audio(params: ModelParams, motion: MotionSequence, speaker: int) -> FeatureSequence:
+def generate_audio(params: ModelParams, motion, speaker: int) -> FeatureSequence:
     """Autoregressive feature decoding, mirror of generate_motion."""
-    c = params.config
-    t_total = motion.frames
-    _check_frames(params, t_total, "generate_audio")
-    flat = motion.displacements.reshape(t_total, 3 * c.vertex_count)
-    generated = np.zeros((0, c.audio_dim))
-    for t in range(t_total):
-        prefix = dc.Tensor(flat[: t + 1])
-        stub = dc.Tensor(np.vstack([generated, np.zeros((1, c.audio_dim))]))
-        out = forward_dual(params, prefix, speaker, stub)
-        generated = np.vstack([generated, out.prediction.data[t : t + 1]])
-    return FeatureSequence(generated)
+    return FeatureSequence(_generate(params, DIRECTIONS["dual"], motion, speaker))
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +495,8 @@ def load_checkpoint(path) -> ModelParams:
         if offset + nbytes > len(data):
             raise TruncatedFileError(f"{path}: values truncated for {name!r}")
         values = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+        if not np.isfinite(values).all():
+            raise FileFormatError(f"{path}: parameter {name!r} holds non-finite values")
         offset += nbytes
         p.value.data[...] = values.astype(np.float64).reshape(p.value.data.shape)
     if offset != len(data):

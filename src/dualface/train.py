@@ -69,6 +69,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.val_every < 1:
             raise ValueError("val_every must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.grad_clip is not None and not self.grad_clip > 0:
             raise ValueError("grad_clip must be positive when given")
         self.ccrl.validate()

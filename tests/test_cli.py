@@ -89,6 +89,24 @@ def test_missing_data_exits_3(tmp_path):
                 "--out", tmp_path / "e"]) == 3
 
 
+_ANIMATE = ["animate", "--checkpoint", "no.ckpt", "--features", "no.bin", "--template", "no.bin", "--out", "out"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_ANIMATE, "--obj-every", "0"],
+    [*_ANIMATE, "--obj-every", "-2"],
+    ["synth", "--out", "out", "--seed", "-1"],
+    ["train", "--data", "no.json", "--out", "out", "--seed", "-1"],
+    ["train", "--data", "no.json", "--out", "out", "--set", "train.seed=-1"],
+])
+def test_bad_arguments_exit_2(tmp_path, monkeypatch, argv):
+    """Bad command-line values are configuration errors, caught before any
+    file is read or written."""
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_model_dims_exit_2(tmp_path):
     manifest = make_dataset(tmp_path)
     rc = run(["train", "--data", manifest, "--out", tmp_path / "run",

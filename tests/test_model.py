@@ -106,16 +106,13 @@ def test_forward_shapes_and_latents():
     motion = MotionSequence(0.1 * rng.standard_normal((t, 6, 3)), 25.0)
     primal = dm.forward_primal(params, feats, 1, motion)
     assert primal.direction == "primal"
-    assert primal.prediction.shape == (t, 18)
+    assert primal.prediction.data.shape == (t, 18)
     assert primal.fused.shape == (t, 8)
     assert primal.audio_latent.shape == (t, 8)
     assert primal.motion_latent.shape == (t, 8)
-    out_motion = primal.prediction_motion(6, 25.0)
-    assert out_motion.displacements.shape == (t, 6, 3)
     dual = dm.forward_dual(params, motion, 1, feats)
     assert dual.direction == "dual"
-    assert dual.prediction.shape == (t, 5)
-    assert dual.prediction_features().values.shape == (t, 5)
+    assert dual.prediction.data.shape == (t, 5)
     with pytest.raises(ValueError):
         dm.forward_primal(params, feats, 1, MotionSequence(np.zeros((t + 1, 6, 3)), 25.0))
 
@@ -175,6 +172,49 @@ def test_generation_matches_teacher_forcing():
         gen_a = dm.generate_audio(params, motion, trial % 3)
         tf_a = dm.forward_dual(params, motion, trial % 3, gen_a)
         assert_close(tf_a.prediction.data, gen_a.values, 1e-12, "dual consistency")
+
+
+def test_generation_matches_teacher_forcing_at_240_frames():
+    t = 240
+    params = dm.ModelParams(small_config(max_frames=t), np.random.default_rng(610))
+    rng = np.random.default_rng(710)
+    feats = FeatureSequence(rng.standard_normal((t, 5)))
+    gen = dm.generate_motion(params, feats, 1)
+    tf = dm.forward_primal(params, feats, 1, gen)
+    assert_close(tf.prediction.data.reshape(t, 6, 3), gen.displacements, 1e-9, "primal consistency at T=240")
+    motion = MotionSequence(0.1 * rng.standard_normal((t, 6, 3)), 25.0)
+    gen_a = dm.generate_audio(params, motion, 2)
+    tf_a = dm.forward_dual(params, motion, 2, gen_a)
+    assert_close(tf_a.prediction.data, gen_a.values, 1e-9, "dual consistency at T=240")
+
+
+def test_generation_work_per_frame_is_flat(monkeypatch):
+    """Rows output by primitives for each frame beyond the first are the
+    same at T=30 and T=120: no frame re-runs the prefix before it."""
+    params = dm.ModelParams(small_config(max_frames=120), np.random.default_rng(620))
+    rng = np.random.default_rng(720)
+    real = dc.evaluate
+    rows = [0]
+
+    def counted(kind, inputs, **attrs):
+        out = real(kind, inputs, **attrs)
+        rows[0] += out.data.shape[0]
+        return out
+
+    monkeypatch.setattr(dc, "evaluate", counted)
+
+    def rows_for(generate, source):
+        rows[0] = 0
+        generate(params, source, 0)
+        return rows[0]
+
+    for generate, make in (
+        (dm.generate_motion, lambda t: FeatureSequence(rng.standard_normal((t, 5)))),
+        (dm.generate_audio, lambda t: MotionSequence(0.1 * rng.standard_normal((t, 6, 3)), 25.0)),
+    ):
+        one = rows_for(generate, make(1))
+        per_frame = [(rows_for(generate, make(t)) - one) / (t - 1) for t in (30, 120)]
+        assert per_frame[0] == per_frame[1], f"{generate.__name__}: rows per frame {per_frame}"
 
 
 def test_speaker_conditioning_changes_output():
@@ -251,6 +291,18 @@ def test_checkpoint_rejects_corruption(tmp_path):
     path.write_bytes(bytes(bad))
     with pytest.raises(FileFormatError):
         dm.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_nonfinite_values(tmp_path):
+    from dualface.data import FileFormatError
+
+    for bad in (np.nan, np.inf):
+        params = dm.ModelParams(small_config(), np.random.default_rng(22))
+        params["fusion.primal.out"].value.data[1, 2] = bad
+        path = tmp_path / "bad.ckpt"
+        dm.save_checkpoint(path, params)
+        with pytest.raises(FileFormatError, match="fusion.primal.out"):
+            dm.load_checkpoint(path)
 
 
 def test_checkpoint_roundtrip_with_tied_codec(tmp_path):
