@@ -75,6 +75,7 @@ def default_config() -> dict:
             "squeeze_ratio": 16,
             "ff_dim": 128,
             "max_frames": None,
+            "share_transpose_codec": False,
         },
         "train": asdict(TrainConfig()),
     }
@@ -177,7 +178,7 @@ def _train_config(section: dict) -> TrainConfig:
     return cfg
 
 
-def _model_config(section: dict, dataset, share_codec: bool) -> ModelConfig:
+def _model_config(section: dict, dataset) -> ModelConfig:
     try:
         cfg = ModelConfig(
             d=section["d"],
@@ -189,7 +190,7 @@ def _model_config(section: dict, dataset, share_codec: bool) -> ModelConfig:
             self_heads=section["self_heads"],
             squeeze_ratio=section["squeeze_ratio"],
             ff_dim=section["ff_dim"],
-            share_transpose_codec=share_codec,
+            share_transpose_codec=section["share_transpose_codec"],
         )
         cfg.validate()
     except (TypeError, ValueError) as e:
@@ -218,7 +219,7 @@ def cmd_synth(args, resolved: dict) -> int:
 def cmd_train(args, resolved: dict) -> int:
     train_cfg = _train_config(resolved["train"])
     dataset = load_dataset(args.data)
-    model_cfg = _model_config(resolved["model"], dataset, train_cfg.share_transpose_codec)
+    model_cfg = _model_config(resolved["model"], dataset)
     out = Path(args.out)
     result = train(dataset, model_cfg, train_cfg, out)
     _write_run_manifest(out, "train", resolved, train_cfg.seed, [Path(result.checkpoint), Path(result.log_path)])
@@ -242,12 +243,27 @@ def cmd_eval(args, resolved: dict) -> int:
     return 0
 
 
+def _checkpoint_for_speaker(args) -> ModelParams:
+    """Loads --checkpoint, rejecting a --speaker it has no style row for;
+    a negative one is rejected before the file is read."""
+    if args.speaker < 0:
+        raise ConfigError(f"--speaker must be >= 0, got {args.speaker}")
+    params = load_checkpoint(args.checkpoint)
+    if args.speaker >= params.config.n_speakers:
+        raise ConfigError(f"--speaker {args.speaker} out of range: the checkpoint has {params.config.n_speakers} speakers")
+    return params
+
+
 def cmd_animate(args, resolved: dict) -> int:
     if args.obj_every is not None and args.obj_every < 1:
         raise ConfigError(f"--obj-every must be >= 1, got {args.obj_every}")
     if args.obj_every is not None and not args.template:
         raise ConfigError("--obj-every needs --template to resolve vertex positions")
-    params = load_checkpoint(args.checkpoint)
+    if args.frames is not None and args.frames < 2:
+        raise ConfigError(f"--frames must be >= 2, got {args.frames}")
+    if not (args.fps > 0 and np.isfinite(args.fps)):
+        raise ConfigError(f"--fps must be positive and finite, got {args.fps}")
+    params = _checkpoint_for_speaker(args)
     features = load_features(args.features)
     if args.frames is not None:
         features = resample_features(features, args.frames)
@@ -269,7 +285,7 @@ def cmd_animate(args, resolved: dict) -> int:
 
 
 def cmd_lipread(args, resolved: dict) -> int:
-    params = load_checkpoint(args.checkpoint)
+    params = _checkpoint_for_speaker(args)
     motion = load_motion(args.motion)
     features = generate_audio(params, motion, args.speaker)
     out = Path(args.out)
@@ -284,7 +300,7 @@ def cmd_lipread(args, resolved: dict) -> int:
 def cmd_ablate(args, resolved: dict) -> int:
     train_cfg = _train_config(resolved["train"])
     dataset = load_dataset(args.data)
-    model_cfg = _model_config(resolved["model"], dataset, False)
+    model_cfg = _model_config(resolved["model"], dataset)
     seeds = [train_cfg.seed + i for i in range(args.seeds)]
     out = Path(args.out)
     result = ablate(dataset, model_cfg, train_cfg, seeds, out)

@@ -9,11 +9,12 @@ save_* functions for the exact layouts.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 MOTION_MAGIC = b"DTMO"
@@ -42,6 +43,29 @@ class VersionMismatchError(FileFormatError):
 
 class TruncatedFileError(FileFormatError):
     pass
+
+
+# What a file's decoded values can raise when a container, a config or the
+# JSON parser rejects them; loaders report these as a FileFormatError.
+_DECODE_ERRORS = (TypeError, ValueError, RecursionError)
+
+
+def _holds(value, kind: str) -> bool:
+    if kind == "list[int]":
+        return isinstance(value, list) and all(_holds(v, "int") for v in value)
+    if kind == "int":
+        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    want = {"bool": bool, "str": str}.get(kind)
+    return want is None or isinstance(value, want)  # floats are range-checked by validate()
+
+
+def check_field_types(obj):
+    """Raise TypeError unless every int, bool, str and list[int] field of a
+    dataclass holds exactly that type: neither a bool nor a float is an int."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not _holds(value, f.type):
+            raise TypeError(f"{type(obj).__name__}.{f.name} must be {f.type}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +181,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self):
+        check_field_types(self)
         for name in ("n_speakers", "n_sequences", "frames", "vertex_count", "bands", "latent_dim", "smooth_window"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.smooth_window % 2 != 1:
             raise ValueError("smooth_window must be odd")
@@ -187,6 +212,9 @@ class DatasetManifest:
     upper_indices: list[int]
 
     def validate(self):
+        check_field_types(self)
+        for e in self.entries:
+            check_field_types(e)
         if self.speakers < 1:
             raise ValueError("manifest needs at least one speaker")
         if not self.entries:
@@ -226,54 +254,65 @@ def save_manifest(path, manifest: DatasetManifest):
 
 
 def load_manifest(path) -> DatasetManifest:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    known = {"template", "speakers", "entries", "lip_indices", "upper_indices"}
-    unknown = set(raw) - known
-    if unknown:
-        raise FileFormatError(f"manifest has unknown keys: {sorted(unknown)}")
-    missing = known - set(raw)
-    if missing:
-        raise FileFormatError(f"manifest is missing keys: {sorted(missing)}")
-    entries = []
-    for e in raw["entries"]:
-        if set(e) != {"speaker", "features", "motion", "split"}:
-            raise FileFormatError(f"malformed manifest entry: {sorted(e)}")
-        entries.append(ManifestEntry(int(e["speaker"]), e["features"], e["motion"], e["split"]))
-    m = DatasetManifest(
-        template=raw["template"],
-        speakers=int(raw["speakers"]),
-        entries=entries,
-        lip_indices=[int(i) for i in raw["lip_indices"]],
-        upper_indices=[int(i) for i in raw["upper_indices"]],
-    )
-    m.validate()
+    raw = Path(path).read_bytes()
+    try:
+        m = DatasetManifest(**json.loads(raw))
+        m.entries = [ManifestEntry(**e) for e in m.entries]
+        m.validate()
+    except _DECODE_ERRORS as e:
+        raise FileFormatError(f"{path}: malformed manifest: {e}") from e
     return m
 
 
 # ---------------------------------------------------------------------------
 # binary formats
 
-def _read_exact(data: bytes, offset: int, n: int, path) -> bytes:
-    if offset + n > len(data):
-        raise TruncatedFileError(f"{path}: expected {offset + n} bytes, file has {len(data)}")
-    return data[offset:offset + n]
+class Reader:
+    """Bounded little-endian decoder over one whole file (DTMO, DTPL, DTFT,
+    DTCK). Each read checks that its bytes are present before it decodes or
+    allocates. As a context manager it calls close() on a normal exit and
+    reports _DECODE_ERRORS raised in the block as a FileFormatError."""
 
+    def __init__(self, path, magic: bytes, version: int = FORMAT_VERSION):
+        self.path, self.data, self.offset = path, Path(path).read_bytes(), 0
+        got = self.take(4)
+        if got != magic:
+            raise BadMagicError(f"{path}: bad magic {got!r}, expected {magic!r}")
+        (found,) = self.unpack("<I")
+        if found != version:
+            raise VersionMismatchError(f"{path}: version {found}, expected {version}")
 
-def _check_header(data: bytes, magic: bytes, path):
-    got = _read_exact(data, 0, 4, path)
-    if got != magic:
-        raise BadMagicError(f"{path}: bad magic {got!r}, expected {magic!r}")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, expected {FORMAT_VERSION}")
+    def take(self, n: int) -> bytes:
+        end = self.offset + n
+        if end > len(self.data):
+            raise TruncatedFileError(f"{self.path}: expected {end} bytes, file has {len(self.data)}")
+        chunk, self.offset = self.data[self.offset:end], end
+        return chunk
 
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-def _check_payload(data: bytes, header: int, count: int, path):
-    expected = header + 4 * count
-    if len(data) < expected:
-        raise TruncatedFileError(f"{path}: expected {expected} bytes, file has {len(data)}")
-    if len(data) > expected:
-        raise FileFormatError(f"{path}: {len(data) - expected} trailing bytes")
+    def array(self, dtype, shape: tuple[int, ...]) -> np.ndarray:
+        """The next prod(shape) values of `dtype`, as a float64 array;
+        callers check finiteness, so a stored NaN converts silently."""
+        dtype = np.dtype(dtype)
+        raw = self.take(math.prod(shape) * dtype.itemsize)
+        with np.errstate(invalid="ignore"):
+            return np.frombuffer(raw, dtype=dtype).astype(np.float64).reshape(shape)
+
+    def close(self):
+        if self.offset != len(self.data):
+            raise FileFormatError(f"{self.path}: {len(self.data) - self.offset} trailing bytes")
+
+    def __enter__(self) -> Reader:
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc is None:
+            self.close()
+        elif isinstance(exc, _DECODE_ERRORS) and not isinstance(exc, FileFormatError):
+            raise FileFormatError(f"{self.path}: {exc}") from exc
+        return False
 
 
 def save_motion(path, motion: MotionSequence):
@@ -286,14 +325,9 @@ def save_motion(path, motion: MotionSequence):
 
 
 def load_motion(path) -> MotionSequence:
-    data = Path(path).read_bytes()
-    _check_header(data, MOTION_MAGIC, path)
-    if len(data) < 20:
-        raise TruncatedFileError(f"{path}: header truncated")
-    _, _, t, v, fps = struct.unpack_from("<4sIIIf", data, 0)
-    _check_payload(data, 20, t * v * 3, path)
-    values = np.frombuffer(data, dtype=_F4, count=t * v * 3, offset=20)
-    return MotionSequence(values.astype(np.float64).reshape(t, v, 3), float(fps))
+    with Reader(path, MOTION_MAGIC) as r:
+        t, v, fps = r.unpack("<IIf")
+        return MotionSequence(r.array(_F4, (t, v, 3)), fps)
 
 
 def save_template(path, template: NeutralTemplate):
@@ -304,14 +338,9 @@ def save_template(path, template: NeutralTemplate):
 
 
 def load_template(path) -> NeutralTemplate:
-    data = Path(path).read_bytes()
-    _check_header(data, TEMPLATE_MAGIC, path)
-    if len(data) < 12:
-        raise TruncatedFileError(f"{path}: header truncated")
-    _, _, v = struct.unpack_from("<4sII", data, 0)
-    _check_payload(data, 12, v * 3, path)
-    values = np.frombuffer(data, dtype=_F4, count=v * 3, offset=12)
-    return NeutralTemplate(values.astype(np.float64).reshape(v, 3))
+    with Reader(path, TEMPLATE_MAGIC) as r:
+        (v,) = r.unpack("<I")
+        return NeutralTemplate(r.array(_F4, (v, 3)))
 
 
 def save_features(path, features: FeatureSequence):
@@ -322,14 +351,9 @@ def save_features(path, features: FeatureSequence):
 
 
 def load_features(path) -> FeatureSequence:
-    data = Path(path).read_bytes()
-    _check_header(data, FEATURE_MAGIC, path)
-    if len(data) < 16:
-        raise TruncatedFileError(f"{path}: header truncated")
-    _, _, frames, dim = struct.unpack_from("<4sIII", data, 0)
-    _check_payload(data, 16, frames * dim, path)
-    values = np.frombuffer(data, dtype=_F4, count=frames * dim, offset=16)
-    return FeatureSequence(values.astype(np.float64).reshape(frames, dim))
+    with Reader(path, FEATURE_MAGIC) as r:
+        frames, dim = r.unpack("<II")
+        return FeatureSequence(r.array(_F4, (frames, dim)))
 
 
 def export_obj(path, template: NeutralTemplate, motion: MotionSequence, frame: int, faces=None):

@@ -83,19 +83,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 
-    # Operator sugar over the same closed catalog.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __mul__(self, other):
-        return multiply(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Parameter:
     """Trainable tensor with an accumulated gradient and a stable name."""
@@ -132,13 +119,13 @@ class Tape:
     """Append-only record of primitive applications.
 
     Node ids are assigned per tape; a tensor first seen as an input becomes a
-    leaf. Records hold references to their tensors, so ids stay unique for
-    the tape's lifetime.
+    leaf. A record registers its inputs before its output gets an id, so the
+    records are topologically closed by construction. Records hold references
+    to their tensors, so ids stay unique for the tape's lifetime.
     """
 
     def __init__(self):
         self.records: list[TapeRecord] = []
-        self.leaves: dict[int, Tensor] = {}
         self.param_leaves: dict[int, Parameter] = {}
         self._ids: dict[int, int] = {}
         self._next = 0
@@ -165,7 +152,6 @@ class Tape:
         nid = self._ids.get(id(t))
         if nid is None:
             nid = self._assign(t)
-            self.leaves[nid] = t
             if t.owner is not None:
                 self.param_leaves[nid] = t.owner
         return nid
@@ -174,27 +160,6 @@ class Tape:
         input_ids = tuple(self._register_input(t) for t in inputs)
         output_id = self._assign(output)
         self.records.append(TapeRecord(kind, tuple(inputs), input_ids, output, output_id, attrs, saved))
-
-    def validate(self):
-        """Raise DanglingNodeError unless records are topologically closed."""
-        known = set(self.leaves)
-        for r in self.records:
-            for nid in r.input_ids:
-                if nid not in known:
-                    raise DanglingNodeError(f"record for {r.kind.value} references unknown node {nid}")
-            known.add(r.output_id)
-
-    def replay(self) -> list[np.ndarray]:
-        """Recompute every record from the leaves; returns outputs in order."""
-        self.validate()
-        values = {nid: t.data for nid, t in self.leaves.items()}
-        outputs = []
-        for r in self.records:
-            arrays = [values[nid] for nid in r.input_ids]
-            out, _ = _FORWARD[r.kind](arrays, r.attrs)
-            values[r.output_id] = out
-            outputs.append(out)
-        return outputs
 
 
 _TAPE_STACK: list[Tape] = []
@@ -610,7 +575,6 @@ def backpropagate(tape: Tape, output: Tensor, seed) -> None:
     out_id = tape.node_id(output)
     if out_id is None:
         raise DanglingNodeError("output tensor was not recorded on this tape")
-    tape.validate()
     seed_arr = np.array(getattr(seed, "data", seed), dtype=np.float64)
     if seed_arr.shape != output.data.shape:
         raise ShapeMismatchError(f"seed shape {seed_arr.shape} != output shape {output.data.shape}")

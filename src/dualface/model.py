@@ -22,22 +22,14 @@ import struct
 import numpy as np
 
 from dataclasses import dataclass, asdict
-from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import diffcore as dc
-from .data import (
-    BadMagicError,
-    FeatureSequence,
-    FileFormatError,
-    MotionSequence,
-    SYNTH_FPS,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from .data import FeatureSequence, FileFormatError, MotionSequence, Reader, SYNTH_FPS, check_field_types
 
 CHECKPOINT_MAGIC = b"DTCK"
 CHECKPOINT_VERSION = 1
+_CHECKPOINT_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
 # Additive mask value for blocked attention positions: large enough that
 # exp underflows to exactly 0 after max subtraction, while staying finite.
@@ -58,9 +50,10 @@ class ModelConfig:
     share_transpose_codec: bool = False
 
     def validate(self):
+        check_field_types(self)
         for name in ("d", "audio_dim", "vertex_count", "n_speakers", "max_frames",
                      "fusion_heads", "self_heads", "squeeze_ratio", "ff_dim"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ValueError(f"ModelConfig.{name} must be >= 1")
         if self.d % self.fusion_heads != 0:
             raise ValueError("d must be divisible by fusion_heads")
@@ -68,6 +61,64 @@ class ModelConfig:
             raise ValueError("d must be divisible by self_heads")
         if (2 * self.d) % self.squeeze_ratio != 0:
             raise ValueError("2*d must be divisible by squeeze_ratio")
+
+
+def _layout(c: ModelConfig) -> Iterator[tuple[str, tuple[int, int], Callable[[np.random.Generator], np.ndarray]]]:
+    """Every parameter in registration order, which is also the checkpoint
+    order: name, shape and seeded initialiser. Biases draw nothing, so the
+    draw order is that of the weights and tables. A generator, so a loader
+    walking it meets a missing record before the next shape is even made."""
+    c.validate()
+    dk_self = c.d // c.self_heads
+    dk_fuse = c.d // c.fusion_heads
+    hidden = (2 * c.d) // c.squeeze_ratio
+
+    def w(name, shape, fan_in):
+        return name, shape, lambda rng: rng.standard_normal(shape) / np.sqrt(fan_in)
+
+    def b(name, width):
+        return name, (1, width), lambda rng: np.zeros((1, width))
+
+    def table(name, shape):
+        return name, shape, lambda rng: 0.1 * rng.standard_normal(shape)
+
+    yield w("audio_encoder.weight", (c.audio_dim, c.d), c.audio_dim)
+    yield b("audio_encoder.bias", c.d)
+    yield w("motion_encoder.weight", (3 * c.vertex_count, c.d), 3 * c.vertex_count)
+    yield b("motion_encoder.bias", c.d)
+    yield table("style_table", (c.n_speakers, c.d))
+    yield table("positional_table", (c.max_frames, c.d))
+    yield table("start_token.motion", (1, c.d))
+    yield table("start_token.audio", (1, c.d))
+    for stream in ("motion", "audio"):
+        for h in range(c.self_heads):
+            for proj in ("q", "k", "v"):
+                yield w(f"self_attn.{stream}.h{h}.{proj}", (c.d, dk_self), c.d)
+        yield w(f"self_attn.{stream}.out", (c.d, c.d), c.d)
+        yield w(f"speaker_gate.{stream}.fc1.weight", (2 * c.d, hidden), 2 * c.d)
+        yield b(f"speaker_gate.{stream}.fc1.bias", hidden)
+        yield w(f"speaker_gate.{stream}.fc2.weight", (hidden, c.d), hidden)
+        yield b(f"speaker_gate.{stream}.fc2.bias", c.d)
+    for h in range(c.fusion_heads):
+        yield w(f"fusion.qk_audio.h{h}", (c.d, dk_fuse), c.d)
+    for h in range(c.fusion_heads):
+        yield w(f"fusion.qk_motion.h{h}", (c.d, dk_fuse), c.d)
+    for direction in ("primal", "dual"):
+        for h in range(c.fusion_heads):
+            yield w(f"fusion.{direction}.v.h{h}", (c.d, dk_fuse), c.d)
+        yield w(f"fusion.{direction}.out", (c.d, c.d), c.d)
+        yield w(f"fusion.{direction}.ff1.weight", (c.d, c.ff_dim), c.d)
+        yield b(f"fusion.{direction}.ff1.bias", c.ff_dim)
+        yield w(f"fusion.{direction}.ff2.weight", (c.ff_dim, c.d), c.ff_dim)
+        yield b(f"fusion.{direction}.ff2.bias", c.d)
+    if not c.share_transpose_codec:
+        yield w("motion_decoder.weight", (c.d, 3 * c.vertex_count), c.d)
+    yield b("motion_decoder.bias", 3 * c.vertex_count)
+    yield w("audio_decoder.hidden.weight", (c.d, c.d), c.d)
+    yield b("audio_decoder.hidden.bias", c.d)
+    if not c.share_transpose_codec:
+        yield w("audio_decoder.out.weight", (c.d, c.audio_dim), c.d)
+    yield b("audio_decoder.out.bias", c.audio_dim)
 
 
 class ModelParams:
@@ -78,70 +129,18 @@ class ModelParams:
     everywhere they are used.
     """
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None):
-        config.validate()
+    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+        """Seeded initialisation, drawing from rng in registration order."""
         self.config = config
-        self._params: dict[str, dc.Parameter] = {}
-        c = config
-        dk_self = c.d // c.self_heads
-        dk_fuse = c.d // c.fusion_heads
-        hidden = (2 * c.d) // c.squeeze_ratio
+        self._params = {name: dc.Parameter(name, init(rng)) for name, _, init in _layout(config)}
 
-        def w(name, shape, fan_in):
-            values = np.zeros(shape) if rng is None else rng.standard_normal(shape) / np.sqrt(fan_in)
-            return self._register(name, values)
-
-        def b(name, width):
-            return self._register(name, np.zeros((1, width)))
-
-        def table(name, shape):
-            values = np.zeros(shape) if rng is None else 0.1 * rng.standard_normal(shape)
-            return self._register(name, values)
-
-        w("audio_encoder.weight", (c.audio_dim, c.d), c.audio_dim)
-        b("audio_encoder.bias", c.d)
-        w("motion_encoder.weight", (3 * c.vertex_count, c.d), 3 * c.vertex_count)
-        b("motion_encoder.bias", c.d)
-        table("style_table", (c.n_speakers, c.d))
-        table("positional_table", (c.max_frames, c.d))
-        table("start_token.motion", (1, c.d))
-        table("start_token.audio", (1, c.d))
-        for stream in ("motion", "audio"):
-            for h in range(c.self_heads):
-                for proj in ("q", "k", "v"):
-                    w(f"self_attn.{stream}.h{h}.{proj}", (c.d, dk_self), c.d)
-            w(f"self_attn.{stream}.out", (c.d, c.d), c.d)
-            w(f"speaker_gate.{stream}.fc1.weight", (2 * c.d, hidden), 2 * c.d)
-            b(f"speaker_gate.{stream}.fc1.bias", hidden)
-            w(f"speaker_gate.{stream}.fc2.weight", (hidden, c.d), hidden)
-            b(f"speaker_gate.{stream}.fc2.bias", c.d)
-        for h in range(c.fusion_heads):
-            w(f"fusion.qk_audio.h{h}", (c.d, dk_fuse), c.d)
-        for h in range(c.fusion_heads):
-            w(f"fusion.qk_motion.h{h}", (c.d, dk_fuse), c.d)
-        for direction in ("primal", "dual"):
-            for h in range(c.fusion_heads):
-                w(f"fusion.{direction}.v.h{h}", (c.d, dk_fuse), c.d)
-            w(f"fusion.{direction}.out", (c.d, c.d), c.d)
-            w(f"fusion.{direction}.ff1.weight", (c.d, c.ff_dim), c.d)
-            b(f"fusion.{direction}.ff1.bias", c.ff_dim)
-            w(f"fusion.{direction}.ff2.weight", (c.ff_dim, c.d), c.ff_dim)
-            b(f"fusion.{direction}.ff2.bias", c.d)
-        if not c.share_transpose_codec:
-            w("motion_decoder.weight", (c.d, 3 * c.vertex_count), c.d)
-        b("motion_decoder.bias", 3 * c.vertex_count)
-        w("audio_decoder.hidden.weight", (c.d, c.d), c.d)
-        b("audio_decoder.hidden.bias", c.d)
-        if not c.share_transpose_codec:
-            w("audio_decoder.out.weight", (c.d, c.audio_dim), c.d)
-        b("audio_decoder.out.bias", c.audio_dim)
-
-    def _register(self, name: str, values) -> dc.Parameter:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        p = dc.Parameter(name, values)
-        self._params[name] = p
-        return p
+    @classmethod
+    def from_values(cls, config: ModelConfig, values: dict[str, np.ndarray]) -> ModelParams:
+        """Parameters holding values already read, in registration order."""
+        params = cls.__new__(cls)
+        params.config = config
+        params._params = {name: dc.Parameter(name, v) for name, v in values.items()}
+        return params
 
     def __getitem__(self, name: str) -> dc.Parameter:
         return self._params[name]
@@ -444,7 +443,7 @@ def save_checkpoint(path, params: ModelParams, single_precision: bool = False):
     little-endian values (f64, or f32 when single_precision)."""
     header = {"config": asdict(params.config), "dtype": "f32" if single_precision else "f64"}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    dtype = np.dtype("<f4") if single_precision else np.dtype("<f8")
+    dtype = _CHECKPOINT_DTYPES[header["dtype"]]
     with open(path, "wb") as f:
         f.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob)))
         f.write(blob)
@@ -459,46 +458,28 @@ def save_checkpoint(path, params: ModelParams, single_precision: bool = False):
 
 
 def load_checkpoint(path) -> ModelParams:
-    data = Path(path).read_bytes()
-    if len(data) < 12:
-        raise TruncatedFileError(f"{path}: header truncated")
-    magic, version, blob_len = struct.unpack_from("<4sII", data, 0)
-    if magic != CHECKPOINT_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    if version != CHECKPOINT_VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, expected {CHECKPOINT_VERSION}")
-    offset = 12
-    if offset + blob_len > len(data):
-        raise TruncatedFileError(f"{path}: config block truncated")
-    header = json.loads(data[offset : offset + blob_len].decode("utf-8"))
-    offset += blob_len
-    dtype = np.dtype("<f4") if header.get("dtype") == "f32" else np.dtype("<f8")
-    config = ModelConfig(**header["config"])
-    params = ModelParams(config, rng=None)
-    for name, p in params.named_parameters():
-        if offset + 4 > len(data):
-            raise TruncatedFileError(f"{path}: truncated before parameter {name!r}")
-        (name_len,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        got = data[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        if got != name:
-            raise FileFormatError(f"{path}: expected parameter {name!r}, found {got!r}")
-        (rank,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{rank}I", data, offset)
-        offset += 4 * rank
-        if tuple(shape) != p.value.data.shape:
-            raise FileFormatError(f"{path}: {name!r} has shape {shape}, expected {p.value.data.shape}")
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * dtype.itemsize
-        if offset + nbytes > len(data):
-            raise TruncatedFileError(f"{path}: values truncated for {name!r}")
-        values = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-        if not np.isfinite(values).all():
-            raise FileFormatError(f"{path}: parameter {name!r} holds non-finite values")
-        offset += nbytes
-        p.value.data[...] = values.astype(np.float64).reshape(p.value.data.shape)
-    if offset != len(data):
-        raise FileFormatError(f"{path}: {len(data) - offset} trailing bytes")
-    return params
+    """Reads the header, then walks the parameter layout it implies: each
+    record's name, rank and shape are checked against the layout before its
+    values are read, so memory stays bounded by the file's own size."""
+    with Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as r:
+        (blob_len,) = r.unpack("<I")
+        header = json.loads(r.take(blob_len))
+        if not isinstance(header, dict) or set(header) != {"config", "dtype"}:
+            raise FileFormatError(f"{path}: header must hold exactly 'config' and 'dtype'")
+        dtype = _CHECKPOINT_DTYPES.get(header["dtype"])
+        if dtype is None:
+            raise FileFormatError(f"{path}: unknown dtype {header['dtype']!r}")
+        config = ModelConfig(**header["config"])
+        values = {}
+        for name, shape, _ in _layout(config):
+            (name_len,) = r.unpack("<I")
+            got = r.take(name_len)
+            if got != name.encode("utf-8"):
+                raise FileFormatError(f"{path}: expected parameter {name!r}, found {got!r}")
+            (rank,) = r.unpack("<I")
+            if rank != len(shape) or r.unpack(f"<{rank}I") != shape:
+                raise FileFormatError(f"{path}: {name!r} is not stored with shape {shape}")
+            values[name] = r.array(dtype, shape)
+            if not np.isfinite(values[name]).all():
+                raise FileFormatError(f"{path}: parameter {name!r} holds non-finite values")
+        return ModelParams.from_values(config, values)

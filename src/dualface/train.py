@@ -13,11 +13,11 @@ import json
 
 import numpy as np
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 from . import diffcore as dc
-from .data import LoadedDataset, SequenceRecord
+from .data import LoadedDataset, SequenceRecord, check_field_types
 from .losses import CCRLConfig, LossBundle, LossWeights, total_loss
 from .metrics import MetricReport, RegionSet, SequenceMetrics, build_report, fdd, lip_distance, lip_vertex_error
 from .model import (
@@ -54,11 +54,9 @@ class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     ccrl: CCRLConfig = field(default_factory=CCRLConfig)
     disable_dual: bool = False
-    disable_ccrl: bool = False
-    disable_dr: bool = False
-    share_transpose_codec: bool = False
 
     def validate(self):
+        check_field_types(self)
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
@@ -79,10 +77,6 @@ class TrainConfig:
         w = LossWeights(self.weights.primal, self.weights.dual, self.weights.dr, self.weights.ccrl)
         if self.disable_dual:
             w.dual = w.dr = w.ccrl = 0.0
-        if self.disable_ccrl:
-            w.ccrl = 0.0
-        if self.disable_dr:
-            w.dr = 0.0
         return w
 
 
@@ -174,17 +168,11 @@ def evaluate_params(
     return build_report(per_seq)
 
 
-def evaluate(checkpoint_path, dataset: LoadedDataset, split: str = "test", predict_gt: bool = False) -> MetricReport:
-    params = load_checkpoint(checkpoint_path)
-    return evaluate_params(params, dataset, split, predict_gt=predict_gt)
-
-
 @dataclass
 class TrainResult:
     checkpoint: str
     log_path: str
     state: TrainState
-    history: list[LossBundle] = field(default_factory=list)
 
 
 def _bundle_line(step: int, bundle: LossBundle) -> str:
@@ -216,13 +204,11 @@ def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_
     val_rows = dataset.split("val")
     ckpt_path = out / "best.ckpt"
     log_path = out / "train_log.jsonl"
-    history: list[LossBundle] = []
     with open(log_path, "w", encoding="utf-8") as log:
         for epoch in range(cfg.epochs):
             order = rng.permutation(len(train_rows))
             for idx in order:
                 bundle = train_step(params, train_rows[idx], cfg, state)
-                history.append(bundle)
                 log.write(_bundle_line(state.step, bundle) + "\n")
             if val_rows and ((epoch + 1) % cfg.val_every == 0 or epoch + 1 == cfg.epochs):
                 report = evaluate_params(params, dataset, "val")
@@ -233,7 +219,7 @@ def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_
     if state.best_checkpoint is None:
         save_checkpoint(ckpt_path, params)
         state.best_checkpoint = str(ckpt_path)
-    return TrainResult(str(ckpt_path), str(log_path), state, history)
+    return TrainResult(str(ckpt_path), str(log_path), state)
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +251,16 @@ class AblationResult:
 
 
 def _variant_configs(model_cfg: ModelConfig, cfg: TrainConfig, variant: str) -> tuple[ModelConfig, TrainConfig]:
-    m = ModelConfig(**asdict(model_cfg))
-    t = TrainConfig(**{**asdict(cfg), "weights": LossWeights(**asdict(cfg.weights)), "ccrl": CCRLConfig(**asdict(cfg.ccrl))})
+    """Configs of one variant; every variant but share_transpose_codec
+    trains the untied model."""
+    if variant not in ABLATION_VARIANTS:
+        raise ValueError(f"unknown ablation variant {variant!r}")
+    m = replace(model_cfg, share_transpose_codec=variant == "share_transpose_codec")
+    t = replace(cfg, weights=replace(cfg.weights), ccrl=replace(cfg.ccrl))
     if variant == "disable_dual":
         t.disable_dual = True
     elif variant == "disable_ccrl":
-        t.disable_ccrl = True
-    elif variant == "share_transpose_codec":
-        t.share_transpose_codec = True
-        m.share_transpose_codec = True
-    elif variant != "full":
-        raise ValueError(f"unknown ablation variant {variant!r}")
+        t.weights.ccrl = 0.0
     return m, t
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from dualface import cli
 from dualface.data import load_features, load_motion
+from dualface.model import load_checkpoint
 from dualface.train import file_sha256
 
 
@@ -36,6 +37,8 @@ def test_default_config_keys():
     assert set(cfg) == {"synthetic", "model", "train"}
     assert cfg["train"]["weights"]["primal"] == 1.0
     assert cfg["model"]["d"] == 32
+    assert cfg["model"]["share_transpose_codec"] is False
+    assert "share_transpose_codec" not in cfg["train"]
 
 
 def test_set_parsing_and_unknown_keys():
@@ -98,6 +101,15 @@ _ANIMATE = ["animate", "--checkpoint", "no.ckpt", "--features", "no.bin", "--tem
     ["synth", "--out", "out", "--seed", "-1"],
     ["train", "--data", "no.json", "--out", "out", "--seed", "-1"],
     ["train", "--data", "no.json", "--out", "out", "--set", "train.seed=-1"],
+    ["train", "--data", "no.json", "--out", "out", "--set", "train.val_every=true"],
+    ["train", "--data", "no.json", "--out", "out", "--set", "train.epochs=2.5"],
+    ["synth", "--out", "out", "--set", "synthetic.frames=2.5"],
+    [*_ANIMATE, "--speaker", "-1"],
+    [*_ANIMATE, "--frames", "0"],
+    [*_ANIMATE, "--frames", "1"],
+    [*_ANIMATE, "--fps", "0"],
+    [*_ANIMATE, "--fps", "nan"],
+    ["lipread", "--checkpoint", "no.ckpt", "--motion", "no.bin", "--out", "out", "--speaker", "-1"],
 ])
 def test_bad_arguments_exit_2(tmp_path, monkeypatch, argv):
     """Bad command-line values are configuration errors, caught before any
@@ -112,6 +124,36 @@ def test_invalid_model_dims_exit_2(tmp_path):
     rc = run(["train", "--data", manifest, "--out", tmp_path / "run",
               "--set", "model.d=30"])  # 30 % 4 heads != 0
     assert rc == 2
+    assert run(["train", "--data", manifest, "--out", tmp_path / "run", "--set", "model.max_frames=2.5"]) == 2
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A small dataset (2 speakers) and a checkpoint trained on it."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    manifest = make_dataset(tmp_path)
+    assert run(["train", "--data", manifest, "--out", tmp_path / "run", "--set", "train.epochs=1", *SMALL_MODEL]) == 0
+    return manifest, tmp_path / "run" / "best.ckpt"
+
+
+def test_speaker_outside_checkpoint_exits_2(trained, tmp_path):
+    manifest, ckpt = trained
+    assert run(["animate", "--checkpoint", ckpt, "--features", manifest.parent / "seq000_features.bin",
+                "--speaker", 2, "--out", tmp_path / "anim"]) == 2
+    assert run(["lipread", "--checkpoint", ckpt, "--motion", manifest.parent / "seq000_motion.bin",
+                "--speaker", 99, "--out", tmp_path / "lips"]) == 2
+    assert not (tmp_path / "anim").exists() and not (tmp_path / "lips").exists()
+
+
+def test_cut_checkpoint_exits_3(trained, tmp_path, capsys):
+    manifest, ckpt = trained
+    raw = ckpt.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for n in (6, 100, len(raw) // 2, len(raw) - 1):
+        cut.write_bytes(raw[:n])
+        assert run(["lipread", "--checkpoint", cut, "--motion", manifest.parent / "seq000_motion.bin",
+                    "--out", tmp_path / "lips"]) == 3
+    assert "i/o error" in capsys.readouterr().err
 
 
 def test_synth_writes_manifest_and_inventory(tmp_path, capsys):
@@ -166,6 +208,15 @@ def test_full_pipeline(tmp_path, capsys):
     assert rc == 0
     feats = load_features(tmp_path / "lips" / "features.bin")
     assert feats.frames == 10 and feats.dim == 6
+
+
+def test_tied_codec_set_in_model_section(tmp_path):
+    manifest = make_dataset(tmp_path)
+    assert run(["train", "--data", manifest, "--out", tmp_path / "run", "--set", "train.epochs=1",
+                "--set", "model.share_transpose_codec=true", *SMALL_MODEL]) == 0
+    assert load_checkpoint(tmp_path / "run" / "best.ckpt").config.share_transpose_codec
+    assert run(["train", "--data", manifest, "--out", tmp_path / "old",
+                "--set", "train.share_transpose_codec=true"]) == 2
 
 
 def test_animate_frames_resample(tmp_path):

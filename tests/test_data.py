@@ -121,6 +121,37 @@ def test_manifest_roundtrip_and_validation(tmp_path):
         bad2.validate()
 
 
+_ENTRY = {"speaker": 0, "features": "f.bin", "motion": "m.bin", "split": "train"}
+_MANIFEST = {"template": "t.bin", "speakers": 2, "entries": [_ENTRY], "lip_indices": [0, 1], "upper_indices": [2, 3]}
+
+
+@pytest.mark.parametrize("blob", [
+    3,
+    [],
+    {**_MANIFEST, "entries": [3]},
+    {**_MANIFEST, "entries": {"speaker": 0}},
+    {**_MANIFEST, "entries": [{**_ENTRY, "extra": 1}]},
+    {**_MANIFEST, "entries": [{**_ENTRY, "features": 5}]},
+    {**_MANIFEST, "template": ["t.bin"]},
+    {**_MANIFEST, "entries": [{**_ENTRY, "speaker": "0"}]},
+    {**_MANIFEST, "entries": [{**_ENTRY, "speaker": 0.0}]},
+    {**_MANIFEST, "entries": [{**_ENTRY, "speaker": True}]},
+    {**_MANIFEST, "speakers": 2.0},
+    {**_MANIFEST, "lip_indices": [0.5]},
+    {**_MANIFEST, "upper_indices": ["2"]},
+    {**_MANIFEST, "lip_indices": 3},
+    b"{broken",
+    b"\xff\xfe",
+])
+def test_malformed_manifest_rejected(tmp_path, blob):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(blob if isinstance(blob, bytes) else json.dumps(blob).encode())
+    with pytest.raises(dd.FileFormatError):
+        dd.load_manifest(path)
+    path.write_text(json.dumps(_MANIFEST))
+    assert dd.load_manifest(path).entries == [dd.ManifestEntry(**_ENTRY)]
+
+
 def test_synthetic_spec_validation():
     with pytest.raises(ValueError):
         dd.SyntheticSpec(vertex_count=8).validate()
@@ -128,6 +159,10 @@ def test_synthetic_spec_validation():
         dd.SyntheticSpec(smooth_window=4).validate()
     with pytest.raises(ValueError):
         dd.SyntheticSpec(n_sequences=0).validate()
+    with pytest.raises(TypeError):
+        dd.SyntheticSpec(frames=2.5).validate()
+    with pytest.raises(TypeError):
+        dd.SyntheticSpec(seed=True).validate()
     dd.SyntheticSpec().validate()
 
 

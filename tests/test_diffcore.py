@@ -105,20 +105,6 @@ def test_nonfinite_outputs_rejected():
         dc.log(dc.Tensor(np.zeros((1, 1))))
 
 
-def test_tape_records_and_replay():
-    w = dc.Parameter("w", np.arange(6, dtype=np.float64).reshape(2, 3))
-    with dc.Tape() as tape:
-        y = dc.relu(dc.matmul(w.value, dc.transpose_last_two(w.value)))
-        z = dc.mean_all(y)
-    assert len(tape.records) == 4
-    replayed = tape.replay()
-    assert_close(replayed[-1], z.data, 0.0, "replay")
-    # replay after an in-place leaf change picks the new value up
-    w.value.data[0, 0] = 10.0
-    replayed2 = tape.replay()
-    assert replayed2[-1][0] != z.data[0]
-
-
 def test_backprop_rejects_foreign_output():
     with dc.Tape():
         pass
@@ -128,6 +114,11 @@ def test_backprop_rejects_foreign_output():
     with pytest.raises(dc.DanglingNodeError):
         dc.backpropagate(tape, stray, np.ones(1))
     dc.backpropagate(tape, a, np.ones(1))  # fine
+    w = dc.Parameter("w", np.arange(6, dtype=np.float64).reshape(2, 3))
+    with dc.Tape() as tape:
+        z = dc.mean_all(dc.relu(dc.matmul(w.value, dc.transpose_last_two(w.value))))
+    assert len(tape.records) == 4  # one record per primitive, leaves none
+    dc.backpropagate(tape, z, np.ones(1))
 
 
 def test_backprop_seed_shape_checked():
@@ -249,6 +240,5 @@ def test_many_tensors_keep_distinct_ids():
         for _ in range(200):
             acc = dc.add(acc, dc.Tensor(np.ones((1, 1))))
         out = dc.sum_all(acc)
-    tape.validate()
     dc.backpropagate(tape, out, np.ones(1))
     assert p.gradient.data[0, 0] == 1.0

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from dualface import train as dt
 from dualface.data import SyntheticSpec, generate_synthetic, load_dataset
 from dualface.diffcore import Parameter
-from dualface.losses import LossBundle
+from dualface.losses import LossBundle, LossWeights
 from dualface.model import ModelConfig, ModelParams, load_checkpoint
 
 from oracles import assert_close
@@ -41,6 +42,12 @@ def test_train_config_validation():
         dt.TrainConfig(epochs=0).validate()
     with pytest.raises(ValueError):
         dt.TrainConfig(grad_clip=0.0).validate()
+    with pytest.raises(TypeError):
+        dt.TrainConfig(val_every=True).validate()
+    with pytest.raises(TypeError):
+        dt.TrainConfig(epochs=2.0).validate()
+    with pytest.raises(TypeError):
+        dt.TrainConfig(disable_dual=1).validate()
     dt.TrainConfig().validate()
 
 
@@ -48,11 +55,8 @@ def test_effective_weights_respect_switches():
     cfg = dt.TrainConfig(disable_dual=True)
     w = cfg.effective_weights()
     assert w.dual == 0.0 and w.dr == 0.0 and w.ccrl == 0.0
-    cfg2 = dt.TrainConfig(disable_ccrl=True)
-    w2 = cfg2.effective_weights()
-    assert w2.ccrl == 0.0 and w2.dual != 0.0
-    cfg3 = dt.TrainConfig(disable_dr=True)
-    assert cfg3.effective_weights().dr == 0.0
+    w2 = dt.TrainConfig(weights=LossWeights(ccrl=0.0, dr=0.0)).effective_weights()
+    assert w2.ccrl == 0.0 and w2.dr == 0.0 and w2.dual != 0.0
 
 
 def test_adam_step_matches_hand_formula():
@@ -186,10 +190,14 @@ def test_variant_configs():
     m, t = dt._variant_configs(model_cfg, cfg, "disable_dual")
     assert t.disable_dual and not cfg.disable_dual
     assert not m.share_transpose_codec
+    m1, t1 = dt._variant_configs(model_cfg, cfg, "disable_ccrl")
+    assert t1.weights.ccrl == 0.0 and cfg.weights.ccrl != 0.0
     m2, t2 = dt._variant_configs(model_cfg, cfg, "share_transpose_codec")
-    assert m2.share_transpose_codec and t2.share_transpose_codec
+    assert m2.share_transpose_codec and t2 == cfg
     m3, t3 = dt._variant_configs(model_cfg, cfg, "full")
     assert m3 == model_cfg and t3 == cfg
+    tied = ModelConfig(**{**asdict(model_cfg), "share_transpose_codec": True})
+    assert not dt._variant_configs(tied, cfg, "full")[0].share_transpose_codec  # the base stays untied
     with pytest.raises(ValueError):
         dt._variant_configs(model_cfg, cfg, "bogus")
 
