@@ -23,11 +23,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from . import diffcore as dc
 from .data import (
-    FeatureSequence,
     FileFormatError,
-    MotionSequence,
     SyntheticSpec,
     export_obj,
     generate_synthetic,
@@ -39,23 +36,10 @@ from .data import (
     save_features,
     save_motion,
 )
-from .losses import CCRLConfig, LossWeights, ccrl_direction, ccrl_total, duality_regularizer, mse, smooth_l1, total_loss
-from .model import (
-    ModelConfig,
-    ModelParams,
-    cross_attend,
-    encode_audio,
-    encode_motion,
-    forward_dual,
-    forward_primal,
-    generate_audio,
-    generate_motion,
-    load_checkpoint,
-    self_attend,
-    speaker_modulate,
-    style_embed,
-)
+from .losses import CCRLConfig, LossWeights
+from .model import ModelConfig, ModelParams, generate_audio, generate_motion, load_checkpoint
 from .train import NonFiniteLossError, TrainConfig, ablate, evaluate_params, file_sha256, train
+from .verify import run_gradcheck
 
 
 class ConfigError(ValueError):
@@ -298,6 +282,8 @@ def cmd_lipread(args, resolved: dict) -> int:
 
 
 def cmd_ablate(args, resolved: dict) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     train_cfg = _train_config(resolved["train"])
     dataset = load_dataset(args.data)
     model_cfg = _model_config(resolved["model"], dataset)
@@ -314,196 +300,11 @@ def cmd_ablate(args, resolved: dict) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# gradcheck suites
-
-def _proj_scalar(out: dc.Tensor, proj: np.ndarray) -> dc.Tensor:
-    return dc.mean_all(dc.multiply(out, dc.Tensor(proj)))
-
-
-def _op_checks(rng: np.random.Generator):
-    def p(name, values):
-        return dc.Parameter(name, values)
-
-    checks = []
-
-    def simple(name, build, *parameters):
-        checks.append((f"op {name}", list(parameters), build))
-
-    a = p("a", rng.standard_normal((3, 4)))
-    b = p("b", rng.standard_normal((4, 2)))
-    r_ab = rng.standard_normal((3, 2))
-    simple("matmul", lambda: _proj_scalar(dc.matmul(a.value, b.value), r_ab), a, b)
-
-    c = p("c", rng.standard_normal((3, 4)))
-    d_ = p("d", rng.standard_normal((3, 4)))
-    r_cd = rng.standard_normal((3, 4))
-    simple("add", lambda: _proj_scalar(dc.add(c.value, d_.value), r_cd), c, d_)
-    simple("subtract", lambda: _proj_scalar(dc.subtract(c.value, d_.value), r_cd), c, d_)
-    simple("elementwise-multiply", lambda: _proj_scalar(dc.multiply(c.value, d_.value), r_cd), c, d_)
-    simple("scalar-multiply", lambda: _proj_scalar(dc.scalar_multiply(c.value, 1.7), r_cd), c)
-
-    # Keep relu inputs clear of the kink at 0.
-    e = p("e", np.where(rng.standard_normal((3, 4)) > 0, 1.0, -1.0) * rng.uniform(0.2, 1.5, (3, 4)))
-    simple("relu", lambda: _proj_scalar(dc.relu(e.value), r_cd), e)
-    simple("sigmoid", lambda: _proj_scalar(dc.sigmoid(c.value), r_cd), c)
-    simple("tanh", lambda: _proj_scalar(dc.tanh(c.value), r_cd), c)
-    simple("exp", lambda: _proj_scalar(dc.exp(c.value), r_cd), c)
-
-    f = p("f", rng.uniform(0.5, 2.0, (3, 4)))
-    simple("log", lambda: _proj_scalar(dc.log(f.value), r_cd), f)
-
-    g = p("g", rng.standard_normal((3, 5)))
-    r_g = rng.standard_normal((3, 5))
-    simple("softmax-per-row", lambda: _proj_scalar(dc.softmax_rows(g.value), r_g), g)
-    simple("layer-normalize-per-row", lambda: _proj_scalar(dc.layer_norm_rows(g.value), r_g), g)
-
-    h1 = p("h1", rng.standard_normal((3, 2)))
-    h2 = p("h2", rng.standard_normal((3, 3)))
-    r_h = rng.standard_normal((3, 5))
-    simple("concat-last-axis", lambda: _proj_scalar(dc.concat_last(h1.value, h2.value), r_h), h1, h2)
-
-    k = p("k", rng.standard_normal((4, 5)))
-    r_k = rng.standard_normal((2, 5))
-    simple("slice", lambda: _proj_scalar(dc.slice_axis(k.value, 0, 1, 3), r_k), k)
-    r_kt = rng.standard_normal((5, 4))
-    simple("transpose-last-two", lambda: _proj_scalar(dc.transpose_last_two(k.value), r_kt), k)
-    r_sum = rng.standard_normal((4, 5))
-    simple("sum", lambda: dc.sum_all(dc.multiply(k.value, dc.Tensor(r_sum))), k)
-    simple("mean", lambda: dc.mean_all(k.value), k)
-
-    m = p("m", rng.standard_normal((1, 4)))
-    r_m = rng.standard_normal((5, 4))
-    simple("broadcast-row", lambda: _proj_scalar(dc.broadcast_row(m.value, 5), r_m), m)
-    return checks
-
-
-def _small_model(rng: np.random.Generator) -> ModelParams:
-    cfg = ModelConfig(
-        d=8, audio_dim=5, vertex_count=4, n_speakers=2, max_frames=4,
-        fusion_heads=2, self_heads=2, squeeze_ratio=4, ff_dim=12,
-    )
-    return ModelParams(cfg, rng)
-
-
-def _named(params: ModelParams, *prefixes) -> list[dc.Parameter]:
-    return [p for name, p in params.named_parameters() if name.startswith(prefixes)]
-
-
-def _block_checks(rng: np.random.Generator):
-    params = _small_model(rng)
-    t = 3
-    stream = dc.Parameter("stream", rng.standard_normal((t, 8)))
-    queries = dc.Parameter("queries", rng.standard_normal((t, 8)))
-    audio_in = dc.Parameter("audio_in", rng.standard_normal((t, 5)))
-    motion_in = dc.Parameter("motion_in", rng.standard_normal((t, 12)))
-    r_d = rng.standard_normal((t, 8))
-    checks = [
-        (
-            "block encode_audio",
-            [audio_in, *_named(params, "audio_encoder", "positional_table")],
-            lambda: _proj_scalar(encode_audio(params, audio_in.value), r_d),
-        ),
-        (
-            "block encode_motion",
-            [motion_in, *_named(params, "motion_encoder", "positional_table")],
-            lambda: _proj_scalar(encode_motion(params, motion_in.value), r_d),
-        ),
-        (
-            "block self_attend primal",
-            [stream, *_named(params, "self_attn.motion")],
-            lambda: _proj_scalar(self_attend(params, stream.value, "primal"), r_d),
-        ),
-        (
-            "block self_attend dual",
-            [stream, *_named(params, "self_attn.audio")],
-            lambda: _proj_scalar(self_attend(params, stream.value, "dual"), r_d),
-        ),
-        (
-            "block speaker_modulate primal",
-            [stream, *_named(params, "speaker_gate.motion", "style_table")],
-            lambda: _proj_scalar(speaker_modulate(params, stream.value, style_embed(params, 1), "primal"), r_d),
-        ),
-        (
-            "block cross_attend primal",
-            [queries, stream, *_named(params, "fusion.qk_", "fusion.primal")],
-            lambda: _proj_scalar(cross_attend(params, queries.value, stream.value, "primal"), r_d),
-        ),
-        (
-            "block cross_attend dual",
-            [queries, stream, *_named(params, "fusion.qk_", "fusion.dual")],
-            lambda: _proj_scalar(cross_attend(params, queries.value, stream.value, "dual"), r_d),
-        ),
-    ]
-    return checks
-
-
-def _full_checks(rng: np.random.Generator):
-    t = 3
-    # Loss-level builders over parameter-backed feature matrices.
-    p1 = dc.Parameter("p1", rng.standard_normal((t, 6)))
-    p2 = dc.Parameter("p2", rng.standard_normal((t, 6)))
-    p3 = dc.Parameter("p3", rng.standard_normal((t, 6)))
-    p4 = dc.Parameter("p4", rng.standard_normal((t, 6)))
-    motion = MotionSequence(rng.standard_normal((t, 4, 3)), 25.0)
-    ccrl_cfg = CCRLConfig()
-    checks = [
-        ("loss mse", [p1, p2], lambda: mse(p1.value, p2.value)),
-        ("loss smooth_l1", [p1, p2], lambda: smooth_l1(p1.value, p2.value)),
-        (
-            "loss duality_regularizer",
-            [p1, p2, p3, p4],
-            lambda: duality_regularizer(p1.value, p2.value, p3.value, p4.value),
-        ),
-        ("loss ccrl_direction", [p1, p2], lambda: ccrl_direction(p1.value, p2.value, motion, ccrl_cfg)),
-        (
-            "loss ccrl_total",
-            [p1, p2, p3, p4],
-            lambda: ccrl_total(p1.value, p2.value, p3.value, p4.value, motion, ccrl_cfg),
-        ),
-    ]
-
-    params = _small_model(rng)
-    feats = FeatureSequence(rng.standard_normal((t, 5)))
-    gt_motion = MotionSequence(0.1 * rng.standard_normal((t, 4, 3)), 25.0)
-    # Unit weights: the production lambdas scale some gradients down to ~1e-8
-    # where the relative-error formula amplifies finite-difference noise;
-    # derivative correctness does not depend on the weights.
-    unit = LossWeights(1.0, 1.0, 1.0, 1.0)
-
-    def build_total():
-        primal = forward_primal(params, feats, 1, gt_motion)
-        dual = forward_dual(params, gt_motion, 1, feats)
-        _, total = total_loss(primal, dual, gt_motion, feats, unit, ccrl_cfg)
-        return total
-
-    checks.append(("full model + all losses", params.parameters(), build_total))
-    return checks
-
-
-def run_gradcheck(scope: str, tolerance: float, step: float) -> tuple[bool, list[str]]:
-    rng = np.random.default_rng(1234)
-    checks = []
-    if scope in ("op", "full"):
-        checks.extend(_op_checks(rng))
-    if scope in ("block", "full"):
-        checks.extend(_block_checks(rng))
-    if scope == "full":
-        checks.extend(_full_checks(rng))
-    lines = []
-    ok = True
-    for name, parameters, build in checks:
-        report = dc.check_gradients(parameters, build, tolerance=tolerance, step=step)
-        status = "PASS" if report.passed else "FAIL"
-        flagged = f", {report.n_flagged} flagged" if report.n_flagged else ""
-        lines.append(f"{status} {name}: max rel err {report.max_rel_err:.3e} over {report.n_entries} entries{flagged}")
-        if not report.passed:
-            ok = False
-            lines.extend("    " + ln for ln in report.format().splitlines())
-    return ok, lines
-
-
 def cmd_gradcheck(args, resolved: dict) -> int:
+    for flag in ("step", "tolerance"):
+        value = getattr(args, flag)
+        if not (value > 0 and np.isfinite(value)):
+            raise ConfigError(f"--{flag} must be positive and finite, got {value}")
     ok, lines = run_gradcheck(args.scope, args.tolerance, args.step)
     for line in lines:
         print(line)

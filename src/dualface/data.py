@@ -50,18 +50,24 @@ class TruncatedFileError(FileFormatError):
 _DECODE_ERRORS = (TypeError, ValueError, RecursionError)
 
 
+_KINDS = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating), "bool": (bool,), "str": (str,)}
+
+
 def _holds(value, kind: str) -> bool:
     if kind == "list[int]":
         return isinstance(value, list) and all(_holds(v, "int") for v in value)
-    if kind == "int":
-        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    want = {"bool": bool, "str": str}.get(kind)
-    return want is None or isinstance(value, want)  # floats are range-checked by validate()
+    if kind == "float | None":
+        return value is None or _holds(value, "float")
+    want = _KINDS.get(kind)
+    if want is None:  # nested configs and their lists check themselves
+        return True
+    return isinstance(value, want) and (kind == "bool" or not isinstance(value, bool))
 
 
 def check_field_types(obj):
-    """Raise TypeError unless every int, bool, str and list[int] field of a
-    dataclass holds exactly that type: neither a bool nor a float is an int."""
+    """Raise TypeError unless every int, float, float | None, bool, str and
+    list[int] field of a dataclass holds that type: neither a bool nor a
+    float is an int, a bool is no float, and an int is a float."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if not _holds(value, f.type):

@@ -14,10 +14,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
-# Global toggle: reject NaN/Inf at tensor construction and primitive
-# boundaries. Kept on by default; correctness over speed at desk scale.
-CHECK_FINITE = True
-
 _LN_EPS = 1e-5
 
 
@@ -55,14 +51,14 @@ class PrimitiveKind(Enum):
 
 
 class Tensor:
-    """Dense, C-contiguous float64 array, optionally owned by a Parameter."""
+    """Dense, C-contiguous float64 array, optionally owned by a Parameter.
+    NaN/Inf values are rejected unless the caller has already checked them."""
 
     __slots__ = ("data", "owner")
 
-    def __init__(self, values, checked: bool | None = None):
+    def __init__(self, values, checked: bool = True):
         arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-        do_check = CHECK_FINITE if checked is None else checked
-        if do_check and not np.isfinite(arr).all():
+        if checked and not np.isfinite(arr).all():
             raise NonFiniteError("tensor construction received non-finite values")
         self.data = arr
         self.owner = None
@@ -478,12 +474,11 @@ _BACKWARD: dict[PrimitiveKind, Callable] = {
 def evaluate(kind: PrimitiveKind, inputs: Sequence[Tensor], **attrs) -> Tensor:
     """Apply one primitive; records onto the active tape if one is open."""
     arrays = [t.data for t in inputs]
-    if CHECK_FINITE:
-        for a in arrays:
-            if not np.isfinite(a).all():
-                raise NonFiniteError(f"{kind.value}: non-finite input")
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise NonFiniteError(f"{kind.value}: non-finite input")
     out_arr, saved = _FORWARD[kind](arrays, attrs)
-    if CHECK_FINITE and not np.isfinite(out_arr).all():
+    if not np.isfinite(out_arr).all():
         raise NonFiniteError(f"{kind.value}: produced non-finite values")
     out = Tensor(out_arr, checked=False)
     tape = _active_tape()

@@ -14,7 +14,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from . import diffcore as dc
-from .data import MotionSequence
+from .data import MotionSequence, check_field_types
 from .model import ForwardOutputs
 
 _NORM_FLOOR = 1e-12
@@ -27,6 +27,12 @@ class LossWeights:
     dr: float = 1e-9
     ccrl: float = 1e-6
 
+    def validate(self):
+        check_field_types(self)
+        for name in ("primal", "dual", "dr", "ccrl"):
+            if not (0 <= getattr(self, name) < np.inf):
+                raise ValueError(f"LossWeights.{name} must be finite and >= 0")
+
 
 @dataclass
 class CCRLConfig:
@@ -37,6 +43,7 @@ class CCRLConfig:
     anchor_weighting: str = "uniform"  # or "kernel": heuristic anchor weights
 
     def validate(self):
+        check_field_types(self)
         if self.sigma is not None and not self.sigma > 0:
             raise ValueError("CCRLConfig.sigma must be positive when given")
         if self.anchor_weighting not in ("uniform", "kernel"):

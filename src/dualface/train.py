@@ -53,7 +53,6 @@ class TrainConfig:
     grad_clip: float | None = None
     weights: LossWeights = field(default_factory=LossWeights)
     ccrl: CCRLConfig = field(default_factory=CCRLConfig)
-    disable_dual: bool = False
 
     def validate(self):
         check_field_types(self)
@@ -71,13 +70,8 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
         if self.grad_clip is not None and not self.grad_clip > 0:
             raise ValueError("grad_clip must be positive when given")
+        self.weights.validate()
         self.ccrl.validate()
-
-    def effective_weights(self) -> LossWeights:
-        w = LossWeights(self.weights.primal, self.weights.dual, self.weights.dr, self.weights.ccrl)
-        if self.disable_dual:
-            w.dual = w.dr = w.ccrl = 0.0
-        return w
 
 
 @dataclass
@@ -123,14 +117,16 @@ def _check_bundle(bundle: LossBundle, step: int):
 
 
 def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state: TrainState) -> LossBundle:
-    weights = cfg.effective_weights()
+    """One Adam step; the dual pass runs only when a dual-side loss weight
+    is nonzero."""
+    w = cfg.weights
     try:
         with dc.Tape() as tape:
             primal = forward_primal(params, seq.features, seq.speaker, seq.motion)
             dual = None
-            if not cfg.disable_dual:
+            if w.dual or w.dr or w.ccrl:
                 dual = forward_dual(params, seq.motion, seq.speaker, seq.features)
-            bundle, total = total_loss(primal, dual, seq.motion, seq.features, weights, cfg.ccrl)
+            bundle, total = total_loss(primal, dual, seq.motion, seq.features, w, cfg.ccrl)
     except dc.NonFiniteError as e:
         raise NonFiniteLossError("forward pass", state.step) from e
     _check_bundle(bundle, state.step)
@@ -258,7 +254,7 @@ def _variant_configs(model_cfg: ModelConfig, cfg: TrainConfig, variant: str) -> 
     m = replace(model_cfg, share_transpose_codec=variant == "share_transpose_codec")
     t = replace(cfg, weights=replace(cfg.weights), ccrl=replace(cfg.ccrl))
     if variant == "disable_dual":
-        t.disable_dual = True
+        t.weights.dual = t.weights.dr = t.weights.ccrl = 0.0
     elif variant == "disable_ccrl":
         t.weights.ccrl = 0.0
     return m, t

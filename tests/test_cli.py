@@ -1,13 +1,19 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dualface import cli
+from dualface import diffcore as dc
 from dualface.data import load_features, load_motion
 from dualface.model import load_checkpoint
 from dualface.train import file_sha256
+
+
+# One gradcheck result line, as `gradcheck` prints it and the benchmark parses it.
+CHECK_LINE = re.compile(r"^(PASS|FAIL) (.+): max rel err \S+ over (\d+) entries(?:, \d+ flagged)?$")
 
 
 def run(argv):
@@ -110,6 +116,16 @@ _ANIMATE = ["animate", "--checkpoint", "no.ckpt", "--features", "no.bin", "--tem
     [*_ANIMATE, "--fps", "0"],
     [*_ANIMATE, "--fps", "nan"],
     ["lipread", "--checkpoint", "no.ckpt", "--motion", "no.bin", "--out", "out", "--speaker", "-1"],
+    ["gradcheck", "--step", "0"],
+    ["gradcheck", "--step", "nan"],
+    ["gradcheck", "--step", "inf"],
+    ["gradcheck", "--tolerance", "nan"],
+    ["gradcheck", "--tolerance", "-1"],
+    ["ablate", "--data", "no.json", "--out", "out", "--seeds", "0"],
+    ["ablate", "--data", "no.json", "--out", "out", "--seeds", "-2"],
+    ["train", "--data", "no.json", "--out", "out", "--set", "train.learning_rate=true"],
+    ["train", "--data", "no.json", "--out", "out", "--set", "train.weights.ccrl=true"],
+    ["train", "--data", "no.json", "--out", "out", "--set", "train.ccrl.sigma=true"],
 ])
 def test_bad_arguments_exit_2(tmp_path, monkeypatch, argv):
     """Bad command-line values are configuration errors, caught before any
@@ -254,19 +270,50 @@ def test_train_determinism_via_cli(tmp_path):
     assert ma["files"] == mb["files"]
 
 
-def test_gradcheck_op_scope():
+def test_gradcheck_op_scope(capsys):
+    """The op scope checks every primitive kind of the catalog, once."""
     assert run(["gradcheck", "--scope", "op"]) == 0
+    names = [m.group(2) for m in map(CHECK_LINE.match, capsys.readouterr().out.splitlines()) if m]
+    assert sorted(names) == sorted(f"op {k.value}" for k in dc.PrimitiveKind)
+
+
+# Entries each check of `gradcheck --scope full` perturbs: every parameter its
+# builder reads, found on the tape.
+FULL_SCOPE_ENTRIES = {
+    "op matmul": 20, "op add": 24, "op subtract": 24, "op elementwise-multiply": 24,
+    "op scalar-multiply": 12, "op relu": 12, "op sigmoid": 12, "op tanh": 12, "op exp": 12,
+    "op log": 12, "op softmax-per-row": 15, "op concat-last-axis": 15, "op slice": 20,
+    "op transpose-last-two": 20, "op sum": 20, "op mean": 20, "op broadcast-row": 4,
+    "op layer-normalize-per-row": 15,
+    "block encode_audio": 95, "block encode_motion": 172,
+    "block self_attend primal": 280, "block self_attend dual": 280,
+    "block speaker_modulate primal": 148, "block speaker_modulate dual": 148,
+    "block cross_attend primal": 516, "block cross_attend dual": 516,
+    "loss mse": 36, "loss smooth_l1": 36, "loss duality_regularizer": 72, "loss ccrl_direction": 36,
+    "loss ccrl_direction kernel anchors sigma=0.5": 36, "loss ccrl_total": 72,
+    "tied codec decode primal": 132, "tied codec decode dual": 141,
+    "full model + all losses": 1977,
+}
+
+
+def test_gradcheck_full_scope_lines():
+    """Every line of the full scope has the format the benchmark parses, and
+    each check perturbs every parameter its builder reads."""
+    ok, lines = cli.run_gradcheck("full", tolerance=1e-4, step=1e-5)
+    matches = [CHECK_LINE.match(line) for line in lines]
+    assert all(matches), [line for line, m in zip(lines, matches) if not m]
+    assert {m.group(2): int(m.group(3)) for m in matches} == FULL_SCOPE_ENTRIES
+    assert len(lines) == len(FULL_SCOPE_ENTRIES)
+    assert ok and all(m.group(1) == "PASS" for m in matches)
 
 
 def test_gradcheck_reports_failure_as_5(monkeypatch):
-    import dualface.diffcore as dc
-
     real = dc.check_gradients
 
     def sabotaged(parameters, build, tolerance=1e-4, step=1e-5, keep_worst=10):
         return real(parameters, build, tolerance=1e-22, step=step, keep_worst=keep_worst)
 
-    monkeypatch.setattr(cli.dc, "check_gradients", sabotaged)
+    monkeypatch.setattr(dc, "check_gradients", sabotaged)
     assert run(["gradcheck", "--scope", "op"]) == 5
 
 

@@ -8,7 +8,7 @@ import pytest
 from dualface import train as dt
 from dualface.data import SyntheticSpec, generate_synthetic, load_dataset
 from dualface.diffcore import Parameter
-from dualface.losses import LossBundle, LossWeights
+from dualface.losses import CCRLConfig, LossBundle, LossWeights
 from dualface.model import ModelConfig, ModelParams, load_checkpoint
 
 from oracles import assert_close
@@ -47,16 +47,16 @@ def test_train_config_validation():
     with pytest.raises(TypeError):
         dt.TrainConfig(epochs=2.0).validate()
     with pytest.raises(TypeError):
-        dt.TrainConfig(disable_dual=1).validate()
+        dt.TrainConfig(learning_rate=True).validate()
+    with pytest.raises(TypeError):
+        dt.TrainConfig(weights=LossWeights(ccrl=True)).validate()
+    with pytest.raises(TypeError):
+        dt.TrainConfig(ccrl=CCRLConfig(sigma=True)).validate()
+    for bad in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            dt.TrainConfig(weights=LossWeights(dual=bad)).validate()
+    dt.TrainConfig(learning_rate=1, grad_clip=2, weights=LossWeights(primal=1, dual=0), ccrl=CCRLConfig(sigma=1)).validate()
     dt.TrainConfig().validate()
-
-
-def test_effective_weights_respect_switches():
-    cfg = dt.TrainConfig(disable_dual=True)
-    w = cfg.effective_weights()
-    assert w.dual == 0.0 and w.dr == 0.0 and w.ccrl == 0.0
-    w2 = dt.TrainConfig(weights=LossWeights(ccrl=0.0, dr=0.0)).effective_weights()
-    assert w2.ccrl == 0.0 and w2.dr == 0.0 and w2.dual != 0.0
 
 
 def test_adam_step_matches_hand_formula():
@@ -141,7 +141,7 @@ def test_evaluate_predict_gt_is_zero(tmp_path):
 
 def test_disable_dual_freezes_dual_only_parameters(tmp_path):
     ds = tiny_dataset(tmp_path)
-    cfg = dt.TrainConfig(epochs=2, seed=3, disable_dual=True)
+    cfg = dt.TrainConfig(epochs=2, seed=3, weights=LossWeights(dual=0.0, dr=0.0, ccrl=0.0))
     model_cfg = tiny_model(ds)
     res = dt.train(ds, model_cfg, cfg, tmp_path / "run")
     params = load_checkpoint(res.checkpoint)
@@ -188,7 +188,7 @@ def test_variant_configs():
                             fusion_heads=2, self_heads=2, squeeze_ratio=4, ff_dim=8)
     cfg = dt.TrainConfig()
     m, t = dt._variant_configs(model_cfg, cfg, "disable_dual")
-    assert t.disable_dual and not cfg.disable_dual
+    assert (t.weights.dual, t.weights.dr, t.weights.ccrl) == (0.0, 0.0, 0.0) and cfg.weights.dual != 0.0
     assert not m.share_transpose_codec
     m1, t1 = dt._variant_configs(model_cfg, cfg, "disable_ccrl")
     assert t1.weights.ccrl == 0.0 and cfg.weights.ccrl != 0.0
