@@ -92,7 +92,15 @@ def motion_kernel(gt_motion: MotionSequence, cfg: CCRLConfig) -> tuple[np.ndarra
     cfg.validate()
     t = gt_motion.frames
     flat = gt_motion.displacements.reshape(t, -1)
-    sq = ((flat[:, None, :] - flat[None, :, :]) ** 2).sum(axis=2)
+    # Filled from the upper triangle one row at a time, which avoids a
+    # (T, T, 3V) temporary. Each pair is summed over the same contiguous row
+    # as a full broadcast would, and (a-b)**2 == (b-a)**2 exactly, so the
+    # matrix is bit-identical to the broadcast one.
+    sq = np.zeros((t, t))
+    for i in range(t - 1):
+        row = ((flat[i] - flat[i + 1 :]) ** 2).sum(axis=1)
+        sq[i, i + 1 :] = row
+        sq[i + 1 :, i] = row
     if cfg.sigma is not None:
         sigma = float(cfg.sigma)
     else:
@@ -124,39 +132,52 @@ def ccrl_direction(p: dc.Tensor, q: dc.Tensor, gt_motion: MotionSequence, cfg: C
     + exp(s_intra[k,t]*(1-w[k,t]))), averaged uniformly over anchors (or with
     normalized kernel-mass anchor weights when configured).
     """
-    t = p.data.shape[0]
-    if q.data.shape[0] != t or gt_motion.frames != t:
-        raise dc.ShapeMismatchError("ccrl_direction: feature rows and motion frames must align")
-    if t < 2:
-        raise ValueError("ccrl_direction needs at least 2 frames")
     weights, _ = motion_kernel(gt_motion, cfg)
-    pn = _row_normalize(p)
-    qn = _row_normalize(q)
-    s_inter = dc.matmul(pn, dc.transpose_last_two(qn))
-    s_intra = dc.matmul(pn, dc.transpose_last_two(pn))
-    one_minus_w = dc.Tensor(1.0 - weights)
-    off_diag = dc.Tensor(1.0 - np.eye(t))
-    energy = dc.add(
-        dc.exp(dc.multiply(s_inter, one_minus_w)),
-        dc.exp(dc.multiply(s_intra, one_minus_w)),
-    )
-    ones_col = dc.Tensor(np.ones((t, 1)))
-    denom = dc.matmul(dc.multiply(energy, off_diag), ones_col)  # (T, 1)
-    diag = dc.matmul(dc.multiply(s_inter, dc.Tensor(np.eye(t))), ones_col)  # (T, 1)
-    per_anchor = dc.subtract(dc.log(denom), diag)
-    if cfg.anchor_weighting == "kernel":
-        anchor_mass = weights.mean(axis=1)
-        anchor_w = (anchor_mass / anchor_mass.sum()).reshape(t, 1)
-        return dc.sum_all(dc.multiply(per_anchor, dc.Tensor(anchor_w)))
-    return dc.mean_all(per_anchor)
+    return _ccrl([(p, q)], weights, cfg.anchor_weighting)
 
 
 def ccrl_total(x, y, x_round, y_round, gt_motion: MotionSequence, cfg: CCRLConfig) -> dc.Tensor:
-    """Consistency on encoder latents plus consistency on fused predictions."""
-    return dc.add(
-        ccrl_direction(x, y, gt_motion, cfg),
-        ccrl_direction(x_round, y_round, gt_motion, cfg),
-    )
+    """Consistency on encoder latents plus consistency on fused predictions;
+    both directions share one motion kernel."""
+    weights, _ = motion_kernel(gt_motion, cfg)
+    return _ccrl([(x, y), (x_round, y_round)], weights, cfg.anchor_weighting)
+
+
+def _ccrl(pairs, weights: np.ndarray, anchor_weighting: str) -> dc.Tensor:
+    """Sum of ccrl_direction over (p, q) pairs under precomputed (T, T)
+    kernel weights; the constant tensors are built once for all pairs."""
+    t = weights.shape[0]
+    for p, q in pairs:
+        if p.data.shape[0] != t or q.data.shape[0] != t:
+            raise dc.ShapeMismatchError("ccrl_direction: feature rows and motion frames must align")
+    if t < 2:
+        raise ValueError("ccrl_direction needs at least 2 frames")
+    one_minus_w = dc.Tensor(1.0 - weights)
+    off_diag = dc.Tensor(1.0 - np.eye(t))
+    eye = dc.Tensor(np.eye(t))
+    ones_col = dc.Tensor(np.ones((t, 1)))
+    if anchor_weighting == "kernel":
+        anchor_mass = weights.mean(axis=1)
+        anchor_w = dc.Tensor((anchor_mass / anchor_mass.sum()).reshape(t, 1))
+    total = None
+    for p, q in pairs:
+        pn = _row_normalize(p)
+        qn = _row_normalize(q)
+        s_inter = dc.matmul(pn, dc.transpose_last_two(qn))
+        s_intra = dc.matmul(pn, dc.transpose_last_two(pn))
+        energy = dc.add(
+            dc.exp(dc.multiply(s_inter, one_minus_w)),
+            dc.exp(dc.multiply(s_intra, one_minus_w)),
+        )
+        denom = dc.matmul(dc.multiply(energy, off_diag), ones_col)  # (T, 1)
+        diag = dc.matmul(dc.multiply(s_inter, eye), ones_col)  # (T, 1)
+        per_anchor = dc.subtract(dc.log(denom), diag)
+        if anchor_weighting == "kernel":
+            term = dc.sum_all(dc.multiply(per_anchor, anchor_w))
+        else:
+            term = dc.mean_all(per_anchor)
+        total = term if total is None else dc.add(total, term)
+    return total
 
 
 def combine_weighted(weights: LossWeights, terms: dict[str, dc.Tensor | None]) -> dc.Tensor:

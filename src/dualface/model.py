@@ -440,21 +440,30 @@ def generate_audio(params: ModelParams, motion, speaker: int) -> FeatureSequence
 def save_checkpoint(path, params: ModelParams, single_precision: bool = False):
     """DTCK: magic, u32 version, u32 json_len, config JSON, then for each
     parameter in registration order: u32 name_len, name, u32 rank, u32 dims,
-    little-endian values (f64, or f32 when single_precision)."""
+    little-endian values (f64, or f32 when single_precision).
+
+    Like load_checkpoint, refuses a parameter holding non-finite values (in
+    the stored precision), before the file is opened."""
     header = {"config": asdict(params.config), "dtype": "f32" if single_precision else "f64"}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     dtype = _CHECKPOINT_DTYPES[header["dtype"]]
+    stored = []
+    for name, p in params.named_parameters():
+        with np.errstate(over="ignore"):
+            values = np.ascontiguousarray(p.value.data, dtype=dtype)
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: parameter {name!r} holds non-finite values")
+        stored.append((name, p.value.data.shape, values))
     with open(path, "wb") as f:
         f.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob)))
         f.write(blob)
-        for name, p in params.named_parameters():
+        for name, shape, values in stored:
             encoded = name.encode("utf-8")
             f.write(struct.pack("<I", len(encoded)))
             f.write(encoded)
-            shape = p.value.data.shape
             f.write(struct.pack("<I", len(shape)))
             f.write(struct.pack(f"<{len(shape)}I", *shape))
-            f.write(np.ascontiguousarray(p.value.data, dtype=dtype).tobytes())
+            f.write(values.tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:

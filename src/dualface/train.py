@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -84,7 +85,17 @@ class TrainState:
 
 def adam_step(params: ModelParams, state: TrainState, cfg: TrainConfig):
     """Bias-corrected Adam over every registered parameter; shared tensors
-    are registered once, so they get exactly one moment accumulator."""
+    are registered once, so they get exactly one moment accumulator.
+
+    A non-finite gradient raises NonFiniteLossError naming its parameter
+    before any parameter, moment or the step count changes.
+    """
+    for name, p in params.named_parameters():
+        g = p.gradient.data
+        # one dot product per gradient; the exact test runs only when it is
+        # not finite, since the square of a finite gradient can overflow
+        if not math.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
+            raise NonFiniteLossError(f"gradient of {name}", state.step)
     state.step += 1
     t = state.step
     c1 = 1.0 - cfg.beta1**t

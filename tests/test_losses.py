@@ -73,6 +73,42 @@ def test_motion_kernel_sigma_override_and_fallback():
         dl.motion_kernel(motion, dl.CCRLConfig(anchor_weighting="softmax"))
 
 
+@pytest.mark.parametrize(
+    "frames, cfg, identical",
+    [
+        (1, dl.CCRLConfig(), False),
+        (2, dl.CCRLConfig(), False),
+        (7, dl.CCRLConfig(), False),
+        (60, dl.CCRLConfig(), False),
+        (7, dl.CCRLConfig(), True),
+        (60, dl.CCRLConfig(sigma=0.5), False),
+        (60, dl.CCRLConfig(anchor_weighting="kernel"), False),
+    ],
+)
+def test_motion_kernel_is_bit_identical_to_broadcast(frames, cfg, identical):
+    """The row-by-row kernel equals the (T, T, 3V) broadcast formula exactly,
+    weights and bandwidth both."""
+    rng = np.random.default_rng(frames)
+    disp = rng.standard_normal((frames, 120, 3))
+    if identical:
+        disp[:] = disp[0]  # zero median: the bandwidth falls back to 1.0
+    flat = disp.reshape(frames, -1)
+    sq = ((flat[:, None, :] - flat[None, :, :]) ** 2).sum(axis=2)
+    if cfg.sigma is not None:
+        want_sigma = float(cfg.sigma)
+    else:
+        iu = np.triu_indices(frames, k=1)
+        want_sigma = float(np.median(np.sqrt(sq[iu]))) if iu[0].size else 1.0
+        if want_sigma < 1e-12:
+            want_sigma = 1.0
+    want = np.exp(-sq / (2.0 * want_sigma * want_sigma))
+    w, sigma = dl.motion_kernel(MotionSequence(disp, 25.0), cfg)
+    assert np.array_equal(w, want)
+    assert sigma == want_sigma
+    if identical:
+        assert sigma == 1.0
+
+
 def test_ccrl_matches_oracle():
     for trial in range(30):
         rng = np.random.default_rng(100 + trial)

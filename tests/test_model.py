@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -297,13 +299,33 @@ def test_checkpoint_rejects_corruption(tmp_path):
 def test_checkpoint_rejects_nonfinite_values(tmp_path):
     from dualface.data import FileFormatError
 
+    # save_checkpoint refuses non-finite values, so the bad value is written
+    # into the bytes of a valid file
+    params = dm.ModelParams(small_config(), np.random.default_rng(22))
+    marker = 12345.678
+    params["fusion.primal.out"].value.data[1, 2] = marker
+    path = tmp_path / "bad.ckpt"
+    dm.save_checkpoint(path, params)
+    raw = path.read_bytes()
+    assert raw.count(struct.pack("<d", marker)) == 1
     for bad in (np.nan, np.inf):
-        params = dm.ModelParams(small_config(), np.random.default_rng(22))
-        params["fusion.primal.out"].value.data[1, 2] = bad
-        path = tmp_path / "bad.ckpt"
-        dm.save_checkpoint(path, params)
+        path.write_bytes(raw.replace(struct.pack("<d", marker), struct.pack("<d", bad)))
         with pytest.raises(FileFormatError, match="fusion.primal.out"):
             dm.load_checkpoint(path)
+
+
+def test_save_checkpoint_rejects_nonfinite_values(tmp_path):
+    path = tmp_path / "model.ckpt"
+    good = dm.ModelParams(small_config(), np.random.default_rng(23))
+    dm.save_checkpoint(path, good)
+    raw = path.read_bytes()
+    # 1e300 is finite in f64 but overflows f32, which the reader would reject
+    for bad, single in ((np.nan, False), (np.inf, False), (1e300, True)):
+        params = dm.ModelParams(small_config(), np.random.default_rng(23))
+        params["fusion.primal.out"].value.data[1, 2] = bad
+        with pytest.raises(ValueError, match="fusion.primal.out"):
+            dm.save_checkpoint(path, params, single_precision=single)
+        assert path.read_bytes() == raw  # the earlier checkpoint is left intact
 
 
 def test_checkpoint_roundtrip_with_tied_codec(tmp_path):

@@ -101,6 +101,63 @@ def test_grad_clip_rescales_to_threshold():
     assert_close(state.moments["b"][0], 0.1 * np.array([[0.0, 0.8]]), 1e-14, "clipped m")
 
 
+@pytest.mark.parametrize("grad_clip", [None, 1.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adam_rejects_nonfinite_gradient(grad_clip, bad):
+    """A non-finite gradient raises before any parameter or moment is written."""
+    cfg = dt.TrainConfig(learning_rate=0.01, grad_clip=grad_clip)
+    p1 = Parameter("a", np.array([[1.0, -2.0]]))
+    p2 = Parameter("b", np.array([[0.5, 0.25]]))
+    params = _ParamsStub([("a", p1), ("b", p2)])
+    state = dt.TrainState()
+    p1.gradient.data[:] = [[0.3, -0.7]]
+    p2.gradient.data[:] = [[0.1, 0.2]]
+    dt.adam_step(params, state, cfg)
+    values = [p.value.data.copy() for p in (p1, p2)]
+    moments = {k: [m.copy() for m in mv] for k, mv in state.moments.items()}
+    p1.gradient.data[:] = [[0.3, -0.7]]
+    p2.gradient.data[:] = [[0.1, bad]]
+    with pytest.raises(dt.NonFiniteLossError) as exc:
+        dt.adam_step(params, state, cfg)
+    assert exc.value.term == "gradient of b" and exc.value.step == 1
+    assert state.step == 1
+    for p, before in zip((p1, p2), values):
+        assert np.array_equal(p.value.data, before)
+    for k, mv in state.moments.items():
+        assert all(np.array_equal(m, m0) for m, m0 in zip(mv, moments[k]))
+
+
+def test_adam_accepts_finite_gradient_whose_square_overflows():
+    cfg = dt.TrainConfig(grad_clip=1.0)
+    p = Parameter("w", np.zeros((1, 2)))
+    p.gradient.data[:] = [[1e200, 0.0]]
+    with np.errstate(over="ignore"):
+        dt.adam_step(_ParamsStub([("w", p)]), dt.TrainState(), cfg)
+    assert np.isfinite(p.value.data).all()
+
+
+def test_one_motion_kernel_per_train_step(tmp_path, monkeypatch):
+    """Both CCRL directions of a step share one kernel; none without CCRL."""
+    from dualface import losses
+
+    ds = tiny_dataset(tmp_path)
+    calls = []
+    kernel = losses.motion_kernel
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(losses, "motion_kernel", counting)
+    seq = ds.split("train")[0]
+    for ccrl, want in ((LossWeights().ccrl, 1), (0.0, 0)):
+        calls.clear()
+        cfg = dt.TrainConfig(weights=LossWeights(ccrl=ccrl))
+        params = ModelParams(tiny_model(ds), np.random.default_rng(0))
+        dt.train_step(params, seq, cfg, dt.TrainState())
+        assert len(calls) == want
+
+
 def test_watchdog_names_failing_term():
     bundle = LossBundle(l_primal=0.1, l_dual=float("nan"), l_dr=0.0, l_ccrl=0.0, total=0.1)
     with pytest.raises(dt.NonFiniteLossError) as exc:
