@@ -110,6 +110,8 @@ def resolve_config(args) -> dict:
             raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except FileNotFoundError as e:
             raise ConfigError(f"config file not found: {config_path}") from e
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"config file cannot be read: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file is not valid JSON: {e}") from e
         if not isinstance(raw, dict):

@@ -29,27 +29,6 @@ class DanglingNodeError(ValueError):
     pass
 
 
-class PrimitiveKind(Enum):
-    MATMUL = "matmul"
-    ADD = "add"
-    SUBTRACT = "subtract"
-    MULTIPLY = "elementwise-multiply"
-    SCALAR_MULTIPLY = "scalar-multiply"
-    RELU = "relu"
-    SIGMOID = "sigmoid"
-    TANH = "tanh"
-    EXP = "exp"
-    LOG = "log"
-    SOFTMAX_ROWS = "softmax-per-row"
-    CONCAT_LAST = "concat-last-axis"
-    SLICE = "slice"
-    TRANSPOSE_LAST_TWO = "transpose-last-two"
-    SUM = "sum"
-    MEAN = "mean"
-    BROADCAST_ROW = "broadcast-row"
-    LAYER_NORM_ROWS = "layer-normalize-per-row"
-
-
 class Tensor:
     """Dense, C-contiguous float64 array, optionally owned by a Parameter.
     NaN/Inf values are rejected unless the caller has already checked them."""
@@ -99,14 +78,12 @@ class Parameter:
 
 
 class TapeRecord:
-    __slots__ = ("kind", "inputs", "input_ids", "output", "output_id", "attrs", "saved")
+    __slots__ = ("kind", "inputs", "output", "attrs", "saved")
 
-    def __init__(self, kind, inputs, input_ids, output, output_id, attrs, saved):
+    def __init__(self, kind, inputs, output, attrs, saved):
         self.kind = kind
         self.inputs = inputs
-        self.input_ids = input_ids
         self.output = output
-        self.output_id = output_id
         self.attrs = attrs
         self.saved = saved
 
@@ -114,17 +91,13 @@ class TapeRecord:
 class Tape:
     """Append-only record of primitive applications.
 
-    Node ids are assigned per tape; a tensor first seen as an input becomes a
-    leaf. A record registers its inputs before its output gets an id, so the
-    records are topologically closed by construction. Records hold references
-    to their tensors, so ids stay unique for the tape's lifetime.
+    A record is appended after its inputs exist, so the records are
+    topologically ordered by construction. Records hold references to their
+    tensors, so a tensor's id() identifies it for the tape's lifetime.
     """
 
     def __init__(self):
         self.records: list[TapeRecord] = []
-        self.param_leaves: dict[int, Parameter] = {}
-        self._ids: dict[int, int] = {}
-        self._next = 0
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -134,28 +107,6 @@ class Tape:
         popped = _TAPE_STACK.pop()
         assert popped is self
         return False
-
-    def _assign(self, t: Tensor) -> int:
-        nid = self._next
-        self._next += 1
-        self._ids[id(t)] = nid
-        return nid
-
-    def node_id(self, t: Tensor) -> int | None:
-        return self._ids.get(id(t))
-
-    def _register_input(self, t: Tensor) -> int:
-        nid = self._ids.get(id(t))
-        if nid is None:
-            nid = self._assign(t)
-            if t.owner is not None:
-                self.param_leaves[nid] = t.owner
-        return nid
-
-    def record(self, kind, inputs, output, attrs, saved):
-        input_ids = tuple(self._register_input(t) for t in inputs)
-        output_id = self._assign(output)
-        self.records.append(TapeRecord(kind, tuple(inputs), input_ids, output, output_id, attrs, saved))
 
 
 _TAPE_STACK: list[Tape] = []
@@ -330,30 +281,8 @@ def _fw_layer_norm_rows(arrays, attrs):
     return normed, (normed, inv)
 
 
-_FORWARD: dict[PrimitiveKind, Callable] = {
-    PrimitiveKind.MATMUL: _fw_matmul,
-    PrimitiveKind.ADD: _fw_add,
-    PrimitiveKind.SUBTRACT: _fw_subtract,
-    PrimitiveKind.MULTIPLY: _fw_multiply,
-    PrimitiveKind.SCALAR_MULTIPLY: _fw_scalar_multiply,
-    PrimitiveKind.RELU: _fw_relu,
-    PrimitiveKind.SIGMOID: _fw_sigmoid,
-    PrimitiveKind.TANH: _fw_tanh,
-    PrimitiveKind.EXP: _fw_exp,
-    PrimitiveKind.LOG: _fw_log,
-    PrimitiveKind.SOFTMAX_ROWS: _fw_softmax_rows,
-    PrimitiveKind.CONCAT_LAST: _fw_concat_last,
-    PrimitiveKind.SLICE: _fw_slice,
-    PrimitiveKind.TRANSPOSE_LAST_TWO: _fw_transpose_last_two,
-    PrimitiveKind.SUM: _fw_sum,
-    PrimitiveKind.MEAN: _fw_mean,
-    PrimitiveKind.BROADCAST_ROW: _fw_broadcast_row,
-    PrimitiveKind.LAYER_NORM_ROWS: _fw_layer_norm_rows,
-}
-
-
 # ---------------------------------------------------------------------------
-# backward rules: (record, upstream grad) -> per-input grads (None = constant)
+# backward rules: (record, upstream grad) -> one gradient per input
 
 def _bw_matmul(r, g):
     a, b = (t.data for t in r.inputs)
@@ -449,26 +378,35 @@ def _bw_layer_norm_rows(r, g):
     return [inv * (g - gm - normed * gn)]
 
 
-_BACKWARD: dict[PrimitiveKind, Callable] = {
-    PrimitiveKind.MATMUL: _bw_matmul,
-    PrimitiveKind.ADD: _bw_add,
-    PrimitiveKind.SUBTRACT: _bw_subtract,
-    PrimitiveKind.MULTIPLY: _bw_multiply,
-    PrimitiveKind.SCALAR_MULTIPLY: _bw_scalar_multiply,
-    PrimitiveKind.RELU: _bw_relu,
-    PrimitiveKind.SIGMOID: _bw_sigmoid,
-    PrimitiveKind.TANH: _bw_tanh,
-    PrimitiveKind.EXP: _bw_exp,
-    PrimitiveKind.LOG: _bw_log,
-    PrimitiveKind.SOFTMAX_ROWS: _bw_softmax_rows,
-    PrimitiveKind.CONCAT_LAST: _bw_concat_last,
-    PrimitiveKind.SLICE: _bw_slice,
-    PrimitiveKind.TRANSPOSE_LAST_TWO: _bw_transpose_last_two,
-    PrimitiveKind.SUM: _bw_sum,
-    PrimitiveKind.MEAN: _bw_mean,
-    PrimitiveKind.BROADCAST_ROW: _bw_broadcast_row,
-    PrimitiveKind.LAYER_NORM_ROWS: _bw_layer_norm_rows,
-}
+class PrimitiveKind(Enum):
+    """The closed catalog: each member is a name, its forward rule and its
+    backward rule."""
+
+    def __new__(cls, value, forward, backward):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.forward = forward
+        member.backward = backward
+        return member
+
+    MATMUL = "matmul", _fw_matmul, _bw_matmul
+    ADD = "add", _fw_add, _bw_add
+    SUBTRACT = "subtract", _fw_subtract, _bw_subtract
+    MULTIPLY = "elementwise-multiply", _fw_multiply, _bw_multiply
+    SCALAR_MULTIPLY = "scalar-multiply", _fw_scalar_multiply, _bw_scalar_multiply
+    RELU = "relu", _fw_relu, _bw_relu
+    SIGMOID = "sigmoid", _fw_sigmoid, _bw_sigmoid
+    TANH = "tanh", _fw_tanh, _bw_tanh
+    EXP = "exp", _fw_exp, _bw_exp
+    LOG = "log", _fw_log, _bw_log
+    SOFTMAX_ROWS = "softmax-per-row", _fw_softmax_rows, _bw_softmax_rows
+    CONCAT_LAST = "concat-last-axis", _fw_concat_last, _bw_concat_last
+    SLICE = "slice", _fw_slice, _bw_slice
+    TRANSPOSE_LAST_TWO = "transpose-last-two", _fw_transpose_last_two, _bw_transpose_last_two
+    SUM = "sum", _fw_sum, _bw_sum
+    MEAN = "mean", _fw_mean, _bw_mean
+    BROADCAST_ROW = "broadcast-row", _fw_broadcast_row, _bw_broadcast_row
+    LAYER_NORM_ROWS = "layer-normalize-per-row", _fw_layer_norm_rows, _bw_layer_norm_rows
 
 
 def evaluate(kind: PrimitiveKind, inputs: Sequence[Tensor], **attrs) -> Tensor:
@@ -477,13 +415,13 @@ def evaluate(kind: PrimitiveKind, inputs: Sequence[Tensor], **attrs) -> Tensor:
     for a in arrays:
         if not np.isfinite(a).all():
             raise NonFiniteError(f"{kind.value}: non-finite input")
-    out_arr, saved = _FORWARD[kind](arrays, attrs)
+    out_arr, saved = kind.forward(arrays, attrs)
     if not np.isfinite(out_arr).all():
         raise NonFiniteError(f"{kind.value}: produced non-finite values")
     out = Tensor(out_arr, checked=False)
     tape = _active_tape()
     if tape is not None:
-        tape.record(kind, inputs, out, attrs, saved)
+        tape.records.append(TapeRecord(kind, tuple(inputs), out, attrs, saved))
     return out
 
 
@@ -564,29 +502,28 @@ def layer_norm_rows(a, eps: float = _LN_EPS):
 def backpropagate(tape: Tape, output: Tensor, seed) -> None:
     """Reverse-accumulate d(output)/d(parameter) * seed into parameter grads.
 
-    Intermediate gradient buffers are dropped as soon as their producing
-    record has been processed; only parameter leaves keep gradients.
+    Gradient buffers are keyed by tensor identity, and an intermediate one is
+    dropped as soon as its producing record has been processed. A gradient
+    reaching a parameter's tensor is added to the parameter as it arrives.
     """
-    out_id = tape.node_id(output)
-    if out_id is None:
+    if not any(r.output is output or output in r.inputs for r in reversed(tape.records)):
         raise DanglingNodeError("output tensor was not recorded on this tape")
     seed_arr = np.array(getattr(seed, "data", seed), dtype=np.float64)
     if seed_arr.shape != output.data.shape:
         raise ShapeMismatchError(f"seed shape {seed_arr.shape} != output shape {output.data.shape}")
-    grads: dict[int, np.ndarray] = {out_id: seed_arr}
+    if output.owner is not None:
+        output.owner.gradient.data += seed_arr
+    grads: dict[int, np.ndarray] = {id(output): seed_arr}
     for r in reversed(tape.records):
-        g = grads.pop(r.output_id, None)
+        g = grads.pop(id(r.output), None)
         if g is None:
             continue
-        for nid, ig in zip(r.input_ids, _BACKWARD[r.kind](r, g)):
-            if ig is None:
+        for t, ig in zip(r.inputs, r.kind.backward(r, g)):
+            if t.owner is not None:
+                t.owner.gradient.data += ig
                 continue
-            acc = grads.get(nid)
-            grads[nid] = ig if acc is None else acc + ig
-    for nid, param in tape.param_leaves.items():
-        g = grads.get(nid)
-        if g is not None:
-            param.gradient.data += g
+            acc = grads.get(id(t))
+            grads[id(t)] = ig if acc is None else acc + ig
 
 
 # ---------------------------------------------------------------------------

@@ -199,25 +199,13 @@ class KVCache:
 # ---------------------------------------------------------------------------
 # building blocks
 
-_MASK_CACHE: dict[int, np.ndarray] = {}
-
-
 def _causal_mask(t: int) -> dc.Tensor:
-    arr = _MASK_CACHE.get(t)
-    if arr is None:
-        arr = np.triu(np.full((t, t), _MASK_VALUE), k=1)
-        _MASK_CACHE[t] = arr
-    return dc.Tensor(arr)
+    return dc.Tensor(np.triu(np.full((t, t), _MASK_VALUE), k=1))
 
 
 def _affine(x: dc.Tensor, weight: dc.Tensor, bias: dc.Tensor) -> dc.Tensor:
     rows = x.data.shape[0]
     return dc.add(dc.matmul(x, weight), dc.broadcast_row(bias, rows))
-
-
-def concat_rows(top: dc.Tensor, bottom: dc.Tensor) -> dc.Tensor:
-    """Stack two row blocks; composed from the closed primitive catalog."""
-    return dc.transpose_last_two(dc.concat_last(dc.transpose_last_two(top), dc.transpose_last_two(bottom)))
 
 
 def attention_heads(q_src, kv_src, q_weights, k_weights, v_weights, cache: list[KVCache] | None = None) -> list[dc.Tensor]:
@@ -368,12 +356,12 @@ def cross_attend(params: ModelParams, queries: dc.Tensor, kv: dc.Tensor, directi
 
 
 def _shifted_history(params: ModelParams, encoded: dc.Tensor, start_name: str) -> dc.Tensor:
-    """[start token; encoded rows 0..T-1) ] -- the teacher-forcing shift."""
+    """[start token; encoded rows 0..T-1) ] -- the teacher-forcing shift, as
+    shift @ encoded + first @ start with the (T, T) subdiagonal and the first
+    unit column. Each entry sums one nonzero term, so the rows are exact."""
     t = encoded.data.shape[0]
-    start = params.t(start_name)
-    if t == 1:
-        return start
-    return concat_rows(start, dc.slice_axis(encoded, 0, 0, t - 1))
+    shifted = dc.matmul(dc.Tensor(np.eye(t, k=-1)), encoded)
+    return dc.add(shifted, dc.matmul(dc.Tensor(np.eye(t, 1)), params.t(start_name)))
 
 
 def _forward(params: ModelParams, d: Direction, source, speaker: int, target) -> ForwardOutputs:

@@ -33,13 +33,16 @@ from .model import (
 
 
 class NonFiniteLossError(RuntimeError):
-    def __init__(self, term: str, step: int):
+    """`step` numbers the failing step as train_log.jsonl does; the advice
+    names train.grad_clip only when it is unset."""
+
+    def __init__(self, term: str, step: int, grad_clip: float | None):
         self.term = term
         self.step = step
-        super().__init__(
-            f"non-finite value in {term!r} at step {step}; "
-            "lower the learning rate or enable train.grad_clip"
-        )
+        advice = "lower the learning rate"
+        if grad_clip is None:
+            advice += " or enable train.grad_clip"
+        super().__init__(f"non-finite value in {term!r} at step {step}; {advice}")
 
 
 @dataclass
@@ -95,7 +98,7 @@ def adam_step(params: ModelParams, state: TrainState, cfg: TrainConfig):
         # one dot product per gradient; the exact test runs only when it is
         # not finite, since the square of a finite gradient can overflow
         if not math.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
-            raise NonFiniteLossError(f"gradient of {name}", state.step)
+            raise NonFiniteLossError(f"gradient of {name}", state.step + 1, cfg.grad_clip)
     state.step += 1
     t = state.step
     c1 = 1.0 - cfg.beta1**t
@@ -121,16 +124,17 @@ def adam_step(params: ModelParams, state: TrainState, cfg: TrainConfig):
         p.zero_gradient()
 
 
-def _check_bundle(bundle: LossBundle, step: int):
-    for term in ("l_primal", "l_dual", "l_dr", "l_ccrl", "total"):
-        if not np.isfinite(getattr(bundle, term)):
-            raise NonFiniteLossError(term, step)
+def _check_bundle(bundle: LossBundle, step: int, grad_clip: float | None = None):
+    for term, value in asdict(bundle).items():
+        if not np.isfinite(value):
+            raise NonFiniteLossError(term, step, grad_clip)
 
 
 def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state: TrainState) -> LossBundle:
     """One Adam step; the dual pass runs only when a dual-side loss weight
     is nonzero."""
     w = cfg.weights
+    step = state.step + 1
     try:
         with dc.Tape() as tape:
             primal = forward_primal(params, seq.features, seq.speaker, seq.motion)
@@ -139,8 +143,8 @@ def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state
                 dual = forward_dual(params, seq.motion, seq.speaker, seq.features)
             bundle, total = total_loss(primal, dual, seq.motion, seq.features, w, cfg.ccrl)
     except dc.NonFiniteError as e:
-        raise NonFiniteLossError("forward pass", state.step) from e
-    _check_bundle(bundle, state.step)
+        raise NonFiniteLossError("forward pass", step, cfg.grad_clip) from e
+    _check_bundle(bundle, step, cfg.grad_clip)
     dc.backpropagate(tape, total, np.ones_like(total.data))
     adam_step(params, state, cfg)
     return bundle
@@ -183,17 +187,7 @@ class TrainResult:
 
 
 def _bundle_line(step: int, bundle: LossBundle) -> str:
-    return json.dumps(
-        {
-            "step": step,
-            "l_primal": bundle.l_primal,
-            "l_dual": bundle.l_dual,
-            "l_dr": bundle.l_dr,
-            "l_ccrl": bundle.l_ccrl,
-            "total": bundle.total,
-        },
-        sort_keys=False,
-    )
+    return json.dumps({"step": step, **asdict(bundle)})
 
 
 def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_dir) -> TrainResult:

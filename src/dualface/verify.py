@@ -137,9 +137,10 @@ _SUITES = {"op": (_op_checks,), "block": (_block_checks,), "full": (_op_checks, 
 
 
 def _leaves(build: Callable[[], dc.Tensor]) -> list[dc.Parameter]:
+    """The parameters a taped build reads, in the order it first reads them."""
     with dc.Tape() as tape:
         build()
-    return list(tape.param_leaves.values())
+    return list(dict.fromkeys(t.owner for r in tape.records for t in r.inputs if t.owner is not None))
 
 
 def run_gradcheck(scope: str, tolerance: float, step: float) -> tuple[bool, list[str]]:

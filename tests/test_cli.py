@@ -126,11 +126,14 @@ _ANIMATE = ["animate", "--checkpoint", "no.ckpt", "--features", "no.bin", "--tem
     ["train", "--data", "no.json", "--out", "out", "--set", "train.learning_rate=true"],
     ["train", "--data", "no.json", "--out", "out", "--set", "train.weights.ccrl=true"],
     ["train", "--data", "no.json", "--out", "out", "--set", "train.ccrl.sigma=true"],
+    ["gradcheck", "--scope", "op", "--config", "."],
+    ["gradcheck", "--scope", "op", "--config", "latin1.json"],
 ])
 def test_bad_arguments_exit_2(tmp_path, monkeypatch, argv):
     """Bad command-line values are configuration errors, caught before any
     file is read or written."""
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.json").write_bytes(b'{"model": {"d": "\xe9"}}')
     assert run(argv) == 2
     assert not (tmp_path / "out").exists()
 

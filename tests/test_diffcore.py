@@ -121,6 +121,16 @@ def test_backprop_rejects_foreign_output():
     dc.backpropagate(tape, z, np.ones(1))
 
 
+def test_backprop_from_parameter_leaf():
+    """A parameter's tensor the tape read is a valid output: its gradient
+    is the seed."""
+    p = dc.Parameter("p", np.ones((1, 2)))
+    with dc.Tape() as tape:
+        dc.exp(p.value)
+    dc.backpropagate(tape, p.value, np.array([[2.0, 3.0]]))
+    assert np.array_equal(p.gradient.data, np.array([[2.0, 3.0]]))
+
+
 def test_backprop_seed_shape_checked():
     p = dc.Parameter("p", np.ones((2, 2)))
     with dc.Tape() as tape:

@@ -228,12 +228,14 @@ def test_speaker_conditioning_changes_output():
     assert not np.allclose(a.displacements, b.displacements)
 
 
-def test_concat_rows_stacks():
+@pytest.mark.parametrize("t", [1, 2, 5])
+def test_shifted_history_is_exact(t):
     rng = np.random.default_rng(16)
-    top = dc.Tensor(rng.standard_normal((2, 4)))
-    bottom = dc.Tensor(rng.standard_normal((3, 4)))
-    out = dm.concat_rows(top, bottom)
-    assert np.array_equal(out.data, np.vstack([top.data, bottom.data]))
+    params = dm.ModelParams(small_config(), rng)
+    encoded = dc.Tensor(rng.standard_normal((t, params.config.d)))
+    start = params.t("start_token.motion").data
+    out = dm._shifted_history(params, encoded, "start_token.motion")
+    assert np.array_equal(out.data, np.vstack([start, encoded.data[:-1]]))
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -119,7 +119,7 @@ def test_adam_rejects_nonfinite_gradient(grad_clip, bad):
     p2.gradient.data[:] = [[0.1, bad]]
     with pytest.raises(dt.NonFiniteLossError) as exc:
         dt.adam_step(params, state, cfg)
-    assert exc.value.term == "gradient of b" and exc.value.step == 1
+    assert exc.value.term == "gradient of b" and exc.value.step == 2
     assert state.step == 1
     for p, before in zip((p1, p2), values):
         assert np.array_equal(p.value.data, before)
@@ -238,6 +238,18 @@ def test_nonfinite_training_aborts_with_term_name(tmp_path):
         dt.train_step(params, ds.split("train")[0], cfg, state)
     assert "forward pass" in str(exc.value)
     assert "grad_clip" in str(exc.value)
+
+
+def test_nonfinite_first_step_numbered_as_logged(tmp_path):
+    """The first step is step 1 in train_log.jsonl, and a run that already
+    clips is not advised to enable clipping."""
+    ds = tiny_dataset(tmp_path)
+    params = ModelParams(tiny_model(ds), np.random.default_rng(0))
+    params["audio_encoder.weight"].value.data[0, 0] = 1e308
+    with pytest.raises(dt.NonFiniteLossError) as exc:
+        dt.train_step(params, ds.split("train")[0], dt.TrainConfig(grad_clip=1.0), dt.TrainState())
+    assert exc.value.step == 1 and "at step 1;" in str(exc.value)
+    assert "grad_clip" not in str(exc.value)
 
 
 def test_variant_configs():
