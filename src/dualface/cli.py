@@ -81,25 +81,20 @@ def _merge(base: dict, override: dict, path: str = ""):
 
 
 def _apply_set(resolved: dict, assignment: str):
+    """--set a.b.c=value merges {"a": {"b": {"c": value}}} over resolved; the
+    value is parsed as JSON when it parses, and kept as text otherwise."""
     if "=" not in assignment:
         raise ConfigError(f"--set expects key.path=value, got {assignment!r}")
     key_path, raw = assignment.split("=", 1)
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         value = raw
-    node = resolved
-    parts = key_path.strip().split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"unknown config key {key_path!r}")
-        node = node[part]
-    leaf = parts[-1]
-    if leaf not in node:
-        raise ConfigError(f"unknown config key {key_path!r}")
-    if isinstance(node[leaf], dict):
-        raise ConfigError(f"config key {key_path!r} is a section, not a value")
-    node[leaf] = value
+    if isinstance(value, dict):
+        raise ConfigError(f"--set {key_path!r}: a value cannot be a JSON object")
+    for part in reversed(key_path.strip().split(".")):
+        value = {part: value}
+    _merge(resolved, value)
 
 
 def resolve_config(args) -> dict:
@@ -152,35 +147,34 @@ def _write_run_manifest(out_dir: Path, command: str, resolved: dict, seed, files
     (out_dir / "run_manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _train_config(section: dict) -> TrainConfig:
+def _validated(what: str, cls, fields: dict):
+    """cls(**fields) after its validate(); a rejected value is a ConfigError."""
     try:
-        weights = LossWeights(**section["weights"])
-        ccrl = CCRLConfig(**section["ccrl"])
-        rest = {k: v for k, v in section.items() if k not in ("weights", "ccrl")}
-        cfg = TrainConfig(**rest, weights=weights, ccrl=ccrl)
-        cfg.validate()
+        obj = cls(**fields)
+        obj.validate()
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid train config: {e}") from e
-    return cfg
+        raise ConfigError(f"invalid {what}: {e}") from e
+    return obj
+
+
+def _train_config(section: dict) -> TrainConfig:
+    nested = {"weights": LossWeights(**section["weights"]), "ccrl": CCRLConfig(**section["ccrl"])}
+    return _validated("train config", TrainConfig, {**section, **nested})
 
 
 def _model_config(section: dict, dataset) -> ModelConfig:
-    try:
-        cfg = ModelConfig(
-            d=section["d"],
-            audio_dim=dataset.audio_dim,
-            vertex_count=dataset.template.vertex_count,
-            n_speakers=dataset.manifest.speakers,
-            max_frames=section["max_frames"] or dataset.max_frames,
-            fusion_heads=section["fusion_heads"],
-            self_heads=section["self_heads"],
-            squeeze_ratio=section["squeeze_ratio"],
-            ff_dim=section["ff_dim"],
-            share_transpose_codec=section["share_transpose_codec"],
-        )
-        cfg.validate()
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid model config: {e}") from e
+    """The model section plus the dimensions the dataset fixes; max_frames
+    defaults to the longest sequence and may not be shorter than it."""
+    longest = dataset.max_frames
+    cfg = _validated("model config", ModelConfig, {
+        **section,
+        "max_frames": longest if section["max_frames"] is None else section["max_frames"],
+        "audio_dim": dataset.audio_dim,
+        "vertex_count": dataset.template.vertex_count,
+        "n_speakers": dataset.manifest.speakers,
+    })
+    if cfg.max_frames < longest:
+        raise ConfigError(f"invalid model config: max_frames={cfg.max_frames} is shorter than the longest sequence ({longest} frames)")
     return cfg
 
 
@@ -188,11 +182,7 @@ def _model_config(section: dict, dataset) -> ModelConfig:
 # commands
 
 def cmd_synth(args, resolved: dict) -> int:
-    try:
-        spec = SyntheticSpec(**resolved["synthetic"])
-        spec.validate()
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid synthetic spec: {e}") from e
+    spec = _validated("synthetic spec", SyntheticSpec, resolved["synthetic"])
     out = Path(args.out)
     generate_synthetic(spec, out)
     files = sorted(p for p in out.iterdir() if p.suffix in (".bin", ".json") and p.name != "run_manifest.json")

@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 MOTION_MAGIC = b"DTMO"
@@ -240,23 +240,10 @@ class DatasetManifest:
         if min(lips | upper) < 0:
             raise ValueError("region indices must be non-negative")
 
-    def to_json(self) -> str:
-        payload = {
-            "template": self.template,
-            "speakers": self.speakers,
-            "entries": [
-                {"speaker": e.speaker, "features": e.features, "motion": e.motion, "split": e.split}
-                for e in self.entries
-            ],
-            "lip_indices": list(self.lip_indices),
-            "upper_indices": list(self.upper_indices),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
 
 def save_manifest(path, manifest: DatasetManifest):
     manifest.validate()
-    Path(path).write_text(manifest.to_json() + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_manifest(path) -> DatasetManifest:

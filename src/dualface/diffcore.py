@@ -504,7 +504,8 @@ def backpropagate(tape: Tape, output: Tensor, seed) -> None:
 
     Gradient buffers are keyed by tensor identity, and an intermediate one is
     dropped as soon as its producing record has been processed. A gradient
-    reaching a parameter's tensor is added to the parameter as it arrives.
+    reaching a parameter's tensor is added to the parameter as it arrives;
+    one reaching a constant (a tensor no record outputs) is dropped at once.
     """
     if not any(r.output is output or output in r.inputs for r in reversed(tape.records)):
         raise DanglingNodeError("output tensor was not recorded on this tape")
@@ -514,6 +515,7 @@ def backpropagate(tape: Tape, output: Tensor, seed) -> None:
     if output.owner is not None:
         output.owner.gradient.data += seed_arr
     grads: dict[int, np.ndarray] = {id(output): seed_arr}
+    produced = {id(r.output) for r in tape.records}
     for r in reversed(tape.records):
         g = grads.pop(id(r.output), None)
         if g is None:
@@ -521,9 +523,9 @@ def backpropagate(tape: Tape, output: Tensor, seed) -> None:
         for t, ig in zip(r.inputs, r.kind.backward(r, g)):
             if t.owner is not None:
                 t.owner.gradient.data += ig
-                continue
-            acc = grads.get(id(t))
-            grads[id(t)] = ig if acc is None else acc + ig
+            elif id(t) in produced:
+                acc = grads.get(id(t))
+                grads[id(t)] = ig if acc is None else acc + ig
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import diffcore as dc
-from .data import MotionSequence, check_field_types
+from .data import FeatureSequence, MotionSequence, check_field_types
 from .model import ForwardOutputs
 
 _NORM_FLOOR = 1e-12
@@ -29,9 +29,12 @@ class LossWeights:
 
     def validate(self):
         check_field_types(self)
-        for name in ("primal", "dual", "dr", "ccrl"):
-            if not (0 <= getattr(self, name) < np.inf):
+        weights = asdict(self)
+        for name, lam in weights.items():
+            if not (0 <= lam < np.inf):
                 raise ValueError(f"LossWeights.{name} must be finite and >= 0")
+        if not any(weights.values()):
+            raise ValueError("LossWeights: at least one weight must be positive")
 
 
 @dataclass
@@ -52,11 +55,13 @@ class CCRLConfig:
 
 @dataclass
 class LossBundle:
-    l_primal: float
-    l_dual: float
-    l_dr: float
-    l_ccrl: float
-    total: float
+    """Component values; a term total_loss did not build reads 0."""
+
+    l_primal: float = 0.0
+    l_dual: float = 0.0
+    l_dr: float = 0.0
+    l_ccrl: float = 0.0
+    total: float = 0.0
 
 
 def mse(prediction: dc.Tensor, target: dc.Tensor) -> dc.Tensor:
@@ -180,27 +185,11 @@ def _ccrl(pairs, weights: np.ndarray, anchor_weighting: str) -> dc.Tensor:
     return total
 
 
-def combine_weighted(weights: LossWeights, terms: dict[str, dc.Tensor | None]) -> dc.Tensor:
-    """lambda-weighted sum of the available scalar terms; zero-weight or
-    absent terms contribute nothing (and are not required to exist)."""
-    total = None
-    for name, lam in (("primal", weights.primal), ("dual", weights.dual),
-                      ("dr", weights.dr), ("ccrl", weights.ccrl)):
-        term = terms.get(name)
-        if term is None or lam == 0.0:
-            continue
-        piece = dc.scalar_multiply(term, lam)
-        total = piece if total is None else dc.add(total, piece)
-    if total is None:
-        raise ValueError("no loss terms to combine")
-    return total
-
-
 def total_loss(
     primal: ForwardOutputs,
     dual: ForwardOutputs | None,
     gt_motion: MotionSequence,
-    gt_features,
+    gt_features: FeatureSequence,
     weights: LossWeights,
     ccrl_cfg: CCRLConfig,
 ) -> tuple[LossBundle, dc.Tensor]:
@@ -208,15 +197,13 @@ def total_loss(
     values and the scalar node to backpropagate from.
 
     With no dual outputs (dual-path ablation) the dual, round-trip, and
-    consistency terms are dropped and reported as 0.
+    consistency terms are dropped and reported as 0. The terms are summed in
+    LossWeights field order, skipping any whose weight is 0.
     """
     t = gt_motion.frames
-    gt_flat = dc.Tensor(gt_motion.displacements.reshape(t, -1))
-    terms: dict[str, dc.Tensor | None] = {"dual": None, "dr": None, "ccrl": None}
-    terms["primal"] = mse(primal.prediction, gt_flat)
+    terms = {"primal": mse(primal.prediction, dc.Tensor(gt_motion.displacements.reshape(t, -1)))}
     if dual is not None:
-        feat_values = gt_features.values if hasattr(gt_features, "values") else gt_features
-        terms["dual"] = mse(dual.prediction, dc.Tensor(feat_values))
+        terms["dual"] = mse(dual.prediction, dc.Tensor(gt_features.values))
         if weights.dr != 0.0:
             terms["dr"] = duality_regularizer(
                 primal.audio_latent, dual.fused, primal.motion_latent, primal.fused
@@ -225,12 +212,13 @@ def total_loss(
             terms["ccrl"] = ccrl_total(
                 primal.audio_latent, primal.motion_latent, dual.fused, primal.fused, gt_motion, ccrl_cfg
             )
-    total = combine_weighted(weights, terms)
-    bundle = LossBundle(
-        l_primal=terms["primal"].item(),
-        l_dual=terms["dual"].item() if terms["dual"] is not None else 0.0,
-        l_dr=terms["dr"].item() if terms["dr"] is not None else 0.0,
-        l_ccrl=terms["ccrl"].item() if terms["ccrl"] is not None else 0.0,
-        total=total.item(),
-    )
+    total = None
+    for name, term in terms.items():
+        lam = getattr(weights, name)
+        if lam != 0.0:
+            piece = dc.scalar_multiply(term, lam)
+            total = piece if total is None else dc.add(total, piece)
+    if total is None:
+        raise ValueError("no loss terms to combine")
+    bundle = LossBundle(total=total.item(), **{f"l_{name}": term.item() for name, term in terms.items()})
     return bundle, total

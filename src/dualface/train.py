@@ -2,8 +2,9 @@
 
 One optimizer step per sequence, epochs shuffled by a seeded generator.
 Checkpointing keeps whichever parameters score the best validation
-lip-vertex error. Loss components are watched for non-finite values and
-abort the run naming the failing term.
+lip-vertex error. A non-finite value aborts the step, before anything is
+logged, at the primitive that produced it (NonFiniteLossError "forward
+pass") or at Adam's check of the gradient it reached.
 """
 
 from __future__ import annotations
@@ -124,17 +125,10 @@ def adam_step(params: ModelParams, state: TrainState, cfg: TrainConfig):
         p.zero_gradient()
 
 
-def _check_bundle(bundle: LossBundle, step: int, grad_clip: float | None = None):
-    for term, value in asdict(bundle).items():
-        if not np.isfinite(value):
-            raise NonFiniteLossError(term, step, grad_clip)
-
-
 def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state: TrainState) -> LossBundle:
     """One Adam step; the dual pass runs only when a dual-side loss weight
     is nonzero."""
     w = cfg.weights
-    step = state.step + 1
     try:
         with dc.Tape() as tape:
             primal = forward_primal(params, seq.features, seq.speaker, seq.motion)
@@ -143,8 +137,7 @@ def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state
                 dual = forward_dual(params, seq.motion, seq.speaker, seq.features)
             bundle, total = total_loss(primal, dual, seq.motion, seq.features, w, cfg.ccrl)
     except dc.NonFiniteError as e:
-        raise NonFiniteLossError("forward pass", step, cfg.grad_clip) from e
-    _check_bundle(bundle, step, cfg.grad_clip)
+        raise NonFiniteLossError("forward pass", state.step + 1, cfg.grad_clip) from e
     dc.backpropagate(tape, total, np.ones_like(total.data))
     adam_step(params, state, cfg)
     return bundle

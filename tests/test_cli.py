@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualface import cli
 from dualface import diffcore as dc
@@ -128,6 +129,9 @@ _ANIMATE = ["animate", "--checkpoint", "no.ckpt", "--features", "no.bin", "--tem
     ["train", "--data", "no.json", "--out", "out", "--set", "train.ccrl.sigma=true"],
     ["gradcheck", "--scope", "op", "--config", "."],
     ["gradcheck", "--scope", "op", "--config", "latin1.json"],
+    ["train", "--data", "no.json", "--out", "out", *(f"--set=train.weights.{k}=0" for k in ("primal", "dual", "dr", "ccrl"))],
+    ["train", "--data", "no.json", "--out", "out", "--set", "train.epochs=" + "9" * 5000],
+    ["train", "--data", "no.json", "--out", "out", "--set", "train.epochs=" + "[" * 100_000],
 ])
 def test_bad_arguments_exit_2(tmp_path, monkeypatch, argv):
     """Bad command-line values are configuration errors, caught before any
@@ -139,11 +143,63 @@ def test_bad_arguments_exit_2(tmp_path, monkeypatch, argv):
 
 
 def test_invalid_model_dims_exit_2(tmp_path):
+    """The data has 10 frames, so a max_frames below that is rejected too."""
     manifest = make_dataset(tmp_path)
-    rc = run(["train", "--data", manifest, "--out", tmp_path / "run",
-              "--set", "model.d=30"])  # 30 % 4 heads != 0
+    for setting in ("model.d=30",  # 30 % 4 heads != 0
+                    "model.max_frames=2.5", "model.max_frames=0", "model.max_frames=false",
+                    'model.max_frames=""', "model.max_frames=[]", "model.max_frames=5"):
+        assert run(["train", "--data", manifest, "--out", tmp_path / "run", "--set", setting]) == 2, setting
+        assert not (tmp_path / "run").exists(), setting
+
+
+def _keys(node: dict, prefix: str):
+    """Every key path under prefix: sections and their values."""
+    for key, value in node.items():
+        yield f"{prefix}.{key}"
+        if isinstance(value, dict):
+            yield from _keys(value, f"{prefix}.{key}")
+
+
+SET_KEYS = [*_keys(cli.default_config()["train"], "train"), *_keys(cli.default_config()["model"], "model")]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text() | st.integers()
+    | st.integers(min_value=-(1 << 1100), max_value=1 << 1100),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=2),
+    max_leaves=6,
+)
+
+
+class _Trained(Exception):
+    pass
+
+
+def _train_stub(dataset, model_cfg, train_cfg, out_dir):
+    assert model_cfg.max_frames >= dataset.max_frames
+    raise _Trained
+
+
+@pytest.fixture(scope="module")
+def tiny_manifest(tmp_path_factory):
+    return make_dataset(tmp_path_factory.mktemp("tiny"))
+
+
+@pytest.mark.parametrize("key", SET_KEYS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(raw=JSON_VALUES.map(json.dumps) | st.text())
+def test_set_any_value_exits_2_or_trains(tiny_manifest, key, raw):
+    """Whatever JSON, or raw text, --set gives a train.* or model.* key, the
+    run exits 2 or reaches training with validated configs: it never exits 1
+    and raises nothing."""
+    out = tiny_manifest.parent / "run"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "train", _train_stub)
+        try:
+            rc = run(["train", "--data", tiny_manifest, "--out", out, "--set", f"{key}={raw}"])
+        except _Trained:
+            return
     assert rc == 2
-    assert run(["train", "--data", manifest, "--out", tmp_path / "run", "--set", "model.max_frames=2.5"]) == 2
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

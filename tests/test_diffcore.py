@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,28 @@ def test_gradcheck_report_format():
     text = report.format()
     assert "checked 2 entries" in text
     assert "PASS" in text
+
+
+def test_constant_operand_gradient_released_at_once(monkeypatch):
+    """A gradient reaching a constant (an operand no record outputs) is
+    dropped as soon as it is returned, not kept until backprop ends."""
+    w = dc.Parameter("w", np.ones((4, 4)))
+    with dc.Tape() as tape:
+        h = dc.matmul(dc.Tensor(np.ones((3, 4))), w.value)
+        out = dc.mean_all(dc.matmul(dc.Tensor(np.ones((2, 3))), h))
+    real = dc.PrimitiveKind.MATMUL.backward
+    constant_grads, alive_at_call = [], []
+
+    def spy(record, g):
+        alive_at_call.append([ref() is not None for ref in constant_grads])
+        grads = real(record, g)
+        constant_grads.append(weakref.ref(grads[0]))
+        return grads
+
+    monkeypatch.setattr(dc.PrimitiveKind.MATMUL, "backward", spy)
+    dc.backpropagate(tape, out, np.ones(1))
+    assert alive_at_call == [[], [False]]
+    assert np.array_equal(w.gradient.data, np.full((4, 4), 0.75))
 
 
 def test_unreferenced_intermediate_allowed():

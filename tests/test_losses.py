@@ -166,16 +166,6 @@ def test_ccrl_kernel_tempering_softens_close_frames():
     assert tempered != untempered
 
 
-def test_combine_weighted():
-    t1 = dc.Tensor([2.0])
-    t2 = dc.Tensor([3.0])
-    w = dl.LossWeights(primal=1.0, dual=0.5, dr=0.0, ccrl=1e-3)
-    total = dl.combine_weighted(w, {"primal": t1, "dual": t2, "dr": t1, "ccrl": None})
-    assert_close(total.item(), 2.0 + 1.5, 1e-15, "combine skips zero and None")
-    with pytest.raises(ValueError):
-        dl.combine_weighted(dl.LossWeights(0.0, 0.0, 0.0, 0.0), {"primal": t1})
-
-
 def _toy_forward(seed, t=5):
     cfg = ModelConfig(d=8, audio_dim=4, vertex_count=4, n_speakers=2, max_frames=8,
                       fusion_heads=2, self_heads=2, squeeze_ratio=4, ff_dim=12)
@@ -223,6 +213,8 @@ def test_total_loss_zero_weights_skip_terms():
         bundle, _ = dl.total_loss(primal, dual, motion, feats, weights, dl.CCRLConfig())
     assert bundle.l_dr == 0.0 and bundle.l_ccrl == 0.0
     assert_close(bundle.total, bundle.l_primal + bundle.l_dual, 1e-12, "weighted skip")
+    with dc.Tape(), pytest.raises(ValueError, match="no loss terms"):
+        dl.total_loss(primal, dual, motion, feats, dl.LossWeights(0.0, 0.0, 0.0, 0.0), dl.CCRLConfig())
 
 
 def test_loss_gradients_flow_to_both_tasks():

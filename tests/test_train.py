@@ -8,7 +8,7 @@ import pytest
 from dualface import train as dt
 from dualface.data import SyntheticSpec, generate_synthetic, load_dataset
 from dualface.diffcore import Parameter
-from dualface.losses import CCRLConfig, LossBundle, LossWeights
+from dualface.losses import CCRLConfig, LossWeights
 from dualface.model import ModelConfig, ModelParams, load_checkpoint
 
 from oracles import assert_close
@@ -156,15 +156,6 @@ def test_one_motion_kernel_per_train_step(tmp_path, monkeypatch):
         params = ModelParams(tiny_model(ds), np.random.default_rng(0))
         dt.train_step(params, seq, cfg, dt.TrainState())
         assert len(calls) == want
-
-
-def test_watchdog_names_failing_term():
-    bundle = LossBundle(l_primal=0.1, l_dual=float("nan"), l_dr=0.0, l_ccrl=0.0, total=0.1)
-    with pytest.raises(dt.NonFiniteLossError) as exc:
-        dt._check_bundle(bundle, step=17)
-    assert "l_dual" in str(exc.value)
-    assert "17" in str(exc.value)
-    assert "learning rate" in str(exc.value) or "grad_clip" in str(exc.value)
 
 
 def test_training_reduces_primal_loss(tmp_path):
