@@ -61,13 +61,21 @@ def _holds(value, kind: str) -> bool:
     want = _KINDS.get(kind)
     if want is None:  # nested configs and their lists check themselves
         return True
-    return isinstance(value, want) and (kind == "bool" or not isinstance(value, bool))
+    if not isinstance(value, want) or (kind != "bool" and isinstance(value, bool)):
+        return False
+    if kind == "float":
+        try:
+            float(value)  # an int may be too large for a float
+        except OverflowError:
+            return False
+    return True
 
 
 def check_field_types(obj):
     """Raise TypeError unless every int, float, float | None, bool, str and
     list[int] field of a dataclass holds that type: neither a bool nor a
-    float is an int, a bool is no float, and an int is a float."""
+    float is an int, a bool is no float, and an int is a float if it
+    converts to one."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if not _holds(value, f.type):

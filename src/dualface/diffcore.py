@@ -8,6 +8,8 @@ fused kernels, no implicit broadcasting outside broadcast-row.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from dataclasses import dataclass, field
@@ -29,6 +31,14 @@ class DanglingNodeError(ValueError):
     pass
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a float array is finite. One dot product
+    decides almost every array: a non-finite entry never gives a finite
+    sum of squares. A finite array whose squares overflow falls through to
+    the exact test."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 class Tensor:
     """Dense, C-contiguous float64 array, optionally owned by a Parameter.
     NaN/Inf values are rejected unless the caller has already checked them."""
@@ -37,7 +47,7 @@ class Tensor:
 
     def __init__(self, values, checked: bool = True):
         arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-        if checked and not np.isfinite(arr).all():
+        if checked and not all_finite(arr):
             raise NonFiniteError("tensor construction received non-finite values")
         self.data = arr
         self.owner = None
@@ -110,10 +120,6 @@ class Tape:
 
 
 _TAPE_STACK: list[Tape] = []
-
-
-def _active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
 # Side channel for the gradient checker: when not None, relu appends its
@@ -410,18 +416,18 @@ class PrimitiveKind(Enum):
 
 
 def evaluate(kind: PrimitiveKind, inputs: Sequence[Tensor], **attrs) -> Tensor:
-    """Apply one primitive; records onto the active tape if one is open."""
-    arrays = [t.data for t in inputs]
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise NonFiniteError(f"{kind.value}: non-finite input")
-    out_arr, saved = kind.forward(arrays, attrs)
-    if not np.isfinite(out_arr).all():
+    """Apply one primitive; records onto the active tape if one is open.
+
+    Only the output is checked for non-finite values. Every input is a
+    checked output, a Tensor checked at construction, or a view of checked
+    data, and each in-place writer of checked data checks what it writes.
+    """
+    out_arr, saved = kind.forward([t.data for t in inputs], attrs)
+    if not all_finite(out_arr):
         raise NonFiniteError(f"{kind.value}: produced non-finite values")
     out = Tensor(out_arr, checked=False)
-    tape = _active_tape()
-    if tape is not None:
-        tape.records.append(TapeRecord(kind, tuple(inputs), out, attrs, saved))
+    if _TAPE_STACK:
+        _TAPE_STACK[-1].records.append(TapeRecord(kind, tuple(inputs), out, attrs, saved))
     return out
 
 
@@ -595,8 +601,13 @@ def check_gradients(
     `build` must construct a scalar from the current parameter values. Every
     parameter entry is perturbed by +/-step; entries whose relu activation
     pattern differs between the two perturbed evaluations sit on a kink and
-    are flagged rather than judged.
+    are flagged rather than judged. Raises NonFiniteError, before anything is
+    built, if a perturbed value would not be finite.
     """
+    with np.errstate(over="ignore"):
+        for p in parameters:
+            if not (all_finite(p.value.data + step) and all_finite(p.value.data - step)):
+                raise NonFiniteError(f"gradient check: {p.id} +/- {step:g} is not finite")
     for p in parameters:
         p.zero_gradient()
     with Tape() as tape:

@@ -4,14 +4,13 @@ One optimizer step per sequence, epochs shuffled by a seeded generator.
 Checkpointing keeps whichever parameters score the best validation
 lip-vertex error. A non-finite value aborts the step, before anything is
 logged, at the primitive that produced it (NonFiniteLossError "forward
-pass") or at Adam's check of the gradient it reached.
+pass") or at Adam's checks of each gradient and each updated parameter.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 
 import numpy as np
 
@@ -92,13 +91,12 @@ def adam_step(params: ModelParams, state: TrainState, cfg: TrainConfig):
     are registered once, so they get exactly one moment accumulator.
 
     A non-finite gradient raises NonFiniteLossError naming its parameter
-    before any parameter, moment or the step count changes.
+    before any parameter, moment or the step count changes. An update that
+    would leave a non-finite value raises it too, before that parameter is
+    written, so no parameter ever holds one.
     """
     for name, p in params.named_parameters():
-        g = p.gradient.data
-        # one dot product per gradient; the exact test runs only when it is
-        # not finite, since the square of a finite gradient can overflow
-        if not math.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
+        if not dc.all_finite(p.gradient.data):
             raise NonFiniteLossError(f"gradient of {name}", state.step + 1, cfg.grad_clip)
     state.step += 1
     t = state.step
@@ -121,7 +119,10 @@ def adam_step(params: ModelParams, state: TrainState, cfg: TrainConfig):
         mv[1] = cfg.beta2 * mv[1] + (1.0 - cfg.beta2) * (g * g)
         m_hat = mv[0] / c1
         v_hat = mv[1] / c2
-        p.value.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        updated = p.value.data - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        if not dc.all_finite(updated):
+            raise NonFiniteLossError(f"update of {name}", t, cfg.grad_clip)
+        p.value.data[...] = updated
         p.zero_gradient()
 
 

@@ -132,6 +132,8 @@ _ANIMATE = ["animate", "--checkpoint", "no.ckpt", "--features", "no.bin", "--tem
     ["train", "--data", "no.json", "--out", "out", *(f"--set=train.weights.{k}=0" for k in ("primal", "dual", "dr", "ccrl"))],
     ["train", "--data", "no.json", "--out", "out", "--set", "train.epochs=" + "9" * 5000],
     ["train", "--data", "no.json", "--out", "out", "--set", "train.epochs=" + "[" * 100_000],
+    *(["train", "--data", "no.json", "--out", "out", "--set", f"train.{key}=1" + "0" * 400]
+      for key in ("learning_rate", "weights.ccrl", "ccrl.sigma")),
 ])
 def test_bad_arguments_exit_2(tmp_path, monkeypatch, argv):
     """Bad command-line values are configuration errors, caught before any
@@ -387,6 +389,16 @@ def test_ablate_cli(tmp_path, capsys):
     assert (tmp_path / "abl" / "lip_distance_seed1.csv").exists()
     out = capsys.readouterr().out
     assert "dual-path benefit" in out
+
+
+def test_ablate_invalid_variant_exits_2_before_writing(tmp_path):
+    """With the primal weight at 0, disable_dual zeroes every weight; that is
+    a configuration error before any variant trains."""
+    manifest = make_dataset(tmp_path)
+    rc = run(["ablate", "--data", manifest, "--seeds", 1, "--out", tmp_path / "abl",
+              "--set", "train.epochs=1", "--set", "train.weights.primal=0", *SMALL_MODEL])
+    assert rc == 2
+    assert not (tmp_path / "abl").exists()
 
 
 def test_version_flag(capsys):

@@ -107,6 +107,32 @@ def test_nonfinite_outputs_rejected():
         dc.log(dc.Tensor(np.zeros((1, 1))))
 
 
+def test_finite_output_whose_square_overflows_accepted():
+    """The dot-product fast path falls through to the exact test, so a
+    finite array whose squares overflow is never rejected."""
+    big = np.array([[1e200, 1.0]])
+    assert dc.all_finite(big) and not dc.all_finite(np.array([[1e200, np.inf]]))
+    assert np.array_equal(dc.scalar_multiply(dc.Tensor(big), 1.0).data, big)
+    assert np.array_equal(dc.Tensor(big).data, big)
+
+
+def test_gradcheck_rejects_nonfinite_perturbation():
+    """A perturbation that overflows is refused before anything is built."""
+    builds = []
+
+    def build():
+        builds.append(1)
+        return dc.sum_all(p.value)
+
+    top = np.finfo(np.float64).max
+    for value in (top, -top):
+        p = dc.Parameter("w", [[1.0, value]])
+        with pytest.raises(dc.NonFiniteError, match="w"):
+            dc.check_gradients([p], build, step=1e300)
+    assert not builds
+    assert p.value.data[0, 1] == -top
+
+
 def test_backprop_rejects_foreign_output():
     with dc.Tape():
         pass

@@ -7,9 +7,9 @@ import pytest
 
 from dualface import train as dt
 from dualface.data import SyntheticSpec, generate_synthetic, load_dataset
-from dualface.diffcore import Parameter
+from dualface.diffcore import NonFiniteError, Parameter
 from dualface.losses import CCRLConfig, LossWeights
-from dualface.model import ModelConfig, ModelParams, load_checkpoint
+from dualface.model import ModelConfig, ModelParams, forward_primal, load_checkpoint
 
 from oracles import assert_close
 
@@ -136,6 +136,18 @@ def test_adam_accepts_finite_gradient_whose_square_overflows():
     assert np.isfinite(p.value.data).all()
 
 
+def test_adam_rejects_update_that_leaves_nonfinite_value():
+    """An update that overflows raises, naming the parameter, and leaves
+    that parameter as it was."""
+    top = np.finfo(np.float64).max
+    p = Parameter("w", np.array([[top, 0.0]]))
+    p.gradient.data[:] = [[-1.0, 0.5]]
+    with np.errstate(over="ignore"), pytest.raises(dt.NonFiniteLossError) as exc:
+        dt.adam_step(_ParamsStub([("w", p)]), dt.TrainState(), dt.TrainConfig(learning_rate=1e300))
+    assert exc.value.term == "update of w" and exc.value.step == 1
+    assert np.array_equal(p.value.data, [[top, 0.0]])
+
+
 def test_one_motion_kernel_per_train_step(tmp_path, monkeypatch):
     """Both CCRL directions of a step share one kernel; none without CCRL."""
     from dualface import losses
@@ -229,6 +241,17 @@ def test_nonfinite_training_aborts_with_term_name(tmp_path):
         dt.train_step(params, ds.split("train")[0], cfg, state)
     assert "forward pass" in str(exc.value)
     assert "grad_clip" in str(exc.value)
+
+
+def test_nan_written_into_parameter_rejected_by_forward(tmp_path):
+    """Inputs are not rechecked, but a NaN written straight into a parameter
+    still reaches a primitive output that is."""
+    ds = tiny_dataset(tmp_path)
+    seq = ds.split("train")[0]
+    params = ModelParams(tiny_model(ds), np.random.default_rng(0))
+    params["audio_encoder.weight"].value.data[0, 0] = np.nan
+    with pytest.raises(NonFiniteError):
+        forward_primal(params, seq.features, seq.speaker, seq.motion)
 
 
 def test_nonfinite_first_step_numbered_as_logged(tmp_path):
