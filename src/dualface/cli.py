@@ -241,6 +241,8 @@ def cmd_animate(args, resolved: dict) -> int:
     if not (args.fps > 0 and np.isfinite(args.fps)):
         raise ConfigError(f"--fps must be positive and finite, got {args.fps}")
     params = _checkpoint_for_speaker(args)
+    if args.frames is not None and args.frames > params.config.max_frames:
+        raise ConfigError(f"--frames {args.frames} exceeds the checkpoint's max_frames={params.config.max_frames}")
     features = load_features(args.features)
     if args.frames is not None:
         features = resample_features(features, args.frames)

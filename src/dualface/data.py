@@ -50,36 +50,57 @@ class TruncatedFileError(FileFormatError):
 _DECODE_ERRORS = (TypeError, ValueError, RecursionError)
 
 
-_KINDS = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating), "bool": (bool,), "str": (str,)}
+# The range vocabulary of config fields: each annotation is one of these, bool,
+# str, X | None, list[X] or a nested config; check_field_types enforces it.
+Count = int  # >= 1
+Index = int  # >= 0
+Positive = float  # > 0
+NonNegative = float  # >= 0
+Fraction = float  # in [0, 1)
+
+_INT, _FLOAT = (int, np.integer), (int, float, np.integer, np.floating)
+_KINDS = {  # annotation -> accepted types, range test, both in words; a float must also be finite
+    "bool": ((bool,), lambda v: True, "a bool"),
+    "str": ((str,), lambda v: True, "a string"),
+    "Count": (_INT, lambda v: v >= 1, "an int >= 1"),
+    "Index": (_INT, lambda v: v >= 0, "an int >= 0"),
+    "Positive": (_FLOAT, lambda v: v > 0, "a finite float > 0"),
+    "NonNegative": (_FLOAT, lambda v: v >= 0, "a finite float >= 0"),
+    "Fraction": (_FLOAT, lambda v: 0 <= v < 1, "a float in [0, 1)"),
+}
 
 
-def _holds(value, kind: str) -> bool:
-    if kind == "list[int]":
-        return isinstance(value, list) and all(_holds(v, "int") for v in value)
-    if kind == "float | None":
-        return value is None or _holds(value, "float")
-    want = _KINDS.get(kind)
-    if want is None:  # nested configs and their lists check themselves
-        return True
-    if not isinstance(value, want) or (kind != "bool" and isinstance(value, bool)):
-        return False
-    if kind == "float":
-        try:
-            float(value)  # an int may be too large for a float
-        except OverflowError:
-            return False
-    return True
+def _check(value, kind: str, where: str):
+    if value is None and kind.endswith(" | None"):
+        return
+    kind = kind.removesuffix(" | None")
+    if kind.startswith("list[") and isinstance(value, list):
+        for v in value:
+            _check(v, kind[len("list["):-1], where)
+    elif kind not in _KINDS:  # a nested config, which validates itself (or a list[X] given a non-list)
+        if type(value).__name__ != kind:
+            raise TypeError(f"{where} must be a {kind}, got {value!r}")
+        value.validate()
+    else:
+        types, test, words = _KINDS[kind]
+        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, types):
+            raise TypeError(f"{where} must be {words}, got {value!r}")
+        if types is _FLOAT:
+            try:
+                value = float(value)
+            except OverflowError:
+                raise TypeError(f"{where} must be {words}, got an int too large for a float") from None
+        if not (test(value) and (types is not _FLOAT or math.isfinite(value))):
+            raise ValueError(f"{where} must be {words}, got {value!r}")
 
 
 def check_field_types(obj):
-    """Raise TypeError unless every int, float, float | None, bool, str and
-    list[int] field of a dataclass holds that type: neither a bool nor a
-    float is an int, a bool is no float, and an int is a float if it
-    converts to one."""
+    """Raise TypeError unless each field of a config dataclass has the type
+    its annotation names (neither a bool nor a float is an int, a bool is no
+    float, an int is a float only if it converts to one), and ValueError
+    unless it lies in that kind's range and, if a float, is finite."""
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        if not _holds(value, f.type):
-            raise TypeError(f"{type(obj).__name__}.{f.name} must be {f.type}, got {value!r}")
+        _check(getattr(obj, f.name), f.type, f"{type(obj).__name__}.{f.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,69 +205,59 @@ class SyntheticSpec:
     common cause the models can recover.
     """
 
-    n_speakers: int = 8
-    n_sequences: int = 40
-    frames: int = 60
-    vertex_count: int = 120
-    bands: int = 32
-    latent_dim: int = 8
-    smooth_window: int = 9
-    noise_scale: float = 0.01
-    seed: int = 0
+    n_speakers: Count = 8
+    n_sequences: Count = 40
+    frames: Count = 60
+    vertex_count: Count = 120
+    bands: Count = 32
+    latent_dim: Count = 8
+    smooth_window: Count = 9
+    noise_scale: NonNegative = 0.01
+    seed: Index = 0
 
     def validate(self):
         check_field_types(self)
-        for name in ("n_speakers", "n_sequences", "frames", "vertex_count", "bands", "latent_dim", "smooth_window"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if self.n_sequences < 3:
+            raise ValueError("n_sequences must be >= 3 so the 8:1:1 split leaves a sequence in each part")
         if self.smooth_window % 2 != 1:
             raise ValueError("smooth_window must be odd")
         if self.vertex_count < 12:
             raise ValueError("vertex_count must be >= 12 so the region sets are non-empty and disjoint")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass
 class ManifestEntry:
-    speaker: int
+    speaker: Index
     features: str
     motion: str
     split: str
+
+    def validate(self):
+        check_field_types(self)
+        if self.split not in ("train", "val", "test"):
+            raise ValueError(f"unknown split {self.split!r}")
 
 
 @dataclass
 class DatasetManifest:
     template: str
-    speakers: int
+    speakers: Count
     entries: list[ManifestEntry]
-    lip_indices: list[int]
-    upper_indices: list[int]
+    lip_indices: list[Index]
+    upper_indices: list[Index]
 
     def validate(self):
         check_field_types(self)
-        for e in self.entries:
-            check_field_types(e)
-        if self.speakers < 1:
-            raise ValueError("manifest needs at least one speaker")
         if not self.entries:
             raise ValueError("manifest has no entries")
-        seen = set()
         for e in self.entries:
-            if e.split not in ("train", "val", "test"):
-                raise ValueError(f"unknown split {e.split!r}")
-            if not (0 <= e.speaker < self.speakers):
+            if e.speaker >= self.speakers:
                 raise ValueError(f"speaker id {e.speaker} out of range")
-            seen.add(e.speaker)
         lips, upper = set(self.lip_indices), set(self.upper_indices)
         if not lips or not upper:
             raise ValueError("lip and upper-face index sets must be non-empty")
         if lips & upper:
             raise ValueError("lip and upper-face index sets must be disjoint")
-        if min(lips | upper) < 0:
-            raise ValueError("region indices must be non-negative")
 
 
 def save_manifest(path, manifest: DatasetManifest):
@@ -490,8 +501,6 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> DatasetManifest:
     n_val = max(1, n // 10)
     n_test = max(1, n // 10)
     n_train = n - n_val - n_test
-    if n_train < 1:
-        raise ValueError("n_sequences too small for an 8:1:1 split")
 
     entries = []
     for i in range(n):

@@ -14,7 +14,7 @@ import numpy as np
 from dataclasses import asdict, dataclass
 
 from . import diffcore as dc
-from .data import FeatureSequence, MotionSequence, check_field_types
+from .data import FeatureSequence, MotionSequence, NonNegative, Positive, check_field_types
 from .model import ForwardOutputs
 
 _NORM_FLOOR = 1e-12
@@ -22,18 +22,14 @@ _NORM_FLOOR = 1e-12
 
 @dataclass
 class LossWeights:
-    primal: float = 1.0
-    dual: float = 1e-8
-    dr: float = 1e-9
-    ccrl: float = 1e-6
+    primal: NonNegative = 1.0
+    dual: NonNegative = 1e-8
+    dr: NonNegative = 1e-9
+    ccrl: NonNegative = 1e-6
 
     def validate(self):
         check_field_types(self)
-        weights = asdict(self)
-        for name, lam in weights.items():
-            if not (0 <= lam < np.inf):
-                raise ValueError(f"LossWeights.{name} must be finite and >= 0")
-        if not any(weights.values()):
+        if not any(asdict(self).values()):
             raise ValueError("LossWeights: at least one weight must be positive")
 
 
@@ -42,13 +38,11 @@ class CCRLConfig:
     """sigma=None selects the per-sequence median pairwise motion distance
     (recomputed per sequence, excluded from gradient flow)."""
 
-    sigma: float | None = None
+    sigma: Positive | None = None
     anchor_weighting: str = "uniform"  # or "kernel": heuristic anchor weights
 
     def validate(self):
         check_field_types(self)
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError("CCRLConfig.sigma must be positive when given")
         if self.anchor_weighting not in ("uniform", "kernel"):
             raise ValueError("anchor_weighting must be 'uniform' or 'kernel'")
 

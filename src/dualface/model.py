@@ -25,7 +25,7 @@ from dataclasses import dataclass, asdict
 from typing import Callable, Iterator
 
 from . import diffcore as dc
-from .data import FeatureSequence, FileFormatError, MotionSequence, Reader, SYNTH_FPS, check_field_types
+from .data import Count, FeatureSequence, FileFormatError, MotionSequence, Reader, SYNTH_FPS, check_field_types
 
 CHECKPOINT_MAGIC = b"DTCK"
 CHECKPOINT_VERSION = 1
@@ -38,23 +38,19 @@ _MASK_VALUE = -1e30
 
 @dataclass
 class ModelConfig:
-    d: int
-    audio_dim: int
-    vertex_count: int
-    n_speakers: int
-    max_frames: int
-    fusion_heads: int = 4
-    self_heads: int = 4
-    squeeze_ratio: int = 16
-    ff_dim: int = 2048
+    d: Count
+    audio_dim: Count
+    vertex_count: Count
+    n_speakers: Count
+    max_frames: Count
+    fusion_heads: Count = 4
+    self_heads: Count = 4
+    squeeze_ratio: Count = 16
+    ff_dim: Count = 2048
     share_transpose_codec: bool = False
 
     def validate(self):
         check_field_types(self)
-        for name in ("d", "audio_dim", "vertex_count", "n_speakers", "max_frames",
-                     "fusion_heads", "self_heads", "squeeze_ratio", "ff_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"ModelConfig.{name} must be >= 1")
         if self.d % self.fusion_heads != 0:
             raise ValueError("d must be divisible by fusion_heads")
         if self.d % self.self_heads != 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 from . import diffcore as dc
-from .data import LoadedDataset, SequenceRecord, check_field_types
+from .data import Count, Fraction, Index, LoadedDataset, Positive, SequenceRecord, check_field_types
 from .losses import CCRLConfig, LossBundle, LossWeights, total_loss
 from .metrics import MetricReport, RegionSet, SequenceMetrics, build_report, fdd, lip_distance, lip_vertex_error
 from .model import (
@@ -47,35 +47,19 @@ class NonFiniteLossError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    epochs: int = 100
-    seed: int = 0
-    val_every: int = 1
-    grad_clip: float | None = None
+    learning_rate: Positive = 1e-4
+    beta1: Fraction = 0.9
+    beta2: Fraction = 0.999
+    eps: Positive = 1e-8
+    epochs: Count = 100
+    seed: Index = 0
+    val_every: Count = 1
+    grad_clip: Positive | None = None
     weights: LossWeights = field(default_factory=LossWeights)
     ccrl: CCRLConfig = field(default_factory=CCRLConfig)
 
     def validate(self):
         check_field_types(self)
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.val_every < 1:
-            raise ValueError("val_every must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ValueError("grad_clip must be positive when given")
-        self.weights.validate()
-        self.ccrl.validate()
 
 
 @dataclass

@@ -1,10 +1,12 @@
 import json
+import math
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualface import cli
 from dualface import diffcore as dc
@@ -134,6 +136,12 @@ _ANIMATE = ["animate", "--checkpoint", "no.ckpt", "--features", "no.bin", "--tem
     ["train", "--data", "no.json", "--out", "out", "--set", "train.epochs=" + "[" * 100_000],
     *(["train", "--data", "no.json", "--out", "out", "--set", f"train.{key}=1" + "0" * 400]
       for key in ("learning_rate", "weights.ccrl", "ccrl.sigma")),
+    *(["train", "--data", "no.json", "--out", "out", "--set", f"train.{key}=Infinity"]
+      for key in ("learning_rate", "eps", "grad_clip", "ccrl.sigma")),
+    ["synth", "--out", "out", "--set", "synthetic.noise_scale=NaN"],
+    ["synth", "--out", "out", "--set", "synthetic.noise_scale=Infinity"],
+    ["synth", "--out", "out", "--set", "synthetic.n_sequences=1"],
+    ["synth", "--out", "out", "--set", "synthetic.n_sequences=2"],
 ])
 def test_bad_arguments_exit_2(tmp_path, monkeypatch, argv):
     """Bad command-line values are configuration errors, caught before any
@@ -162,7 +170,8 @@ def _keys(node: dict, prefix: str):
             yield from _keys(value, f"{prefix}.{key}")
 
 
-SET_KEYS = [*_keys(cli.default_config()["train"], "train"), *_keys(cli.default_config()["model"], "model")]
+SET_KEYS = [*_keys(cli.default_config()["train"], "train"), *_keys(cli.default_config()["model"], "model"),
+            *_keys(cli.default_config()["synthetic"], "synthetic")]
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text() | st.integers()
@@ -176,8 +185,21 @@ class _Trained(Exception):
     pass
 
 
+def _finite(node) -> bool:
+    """Whether every float in a config's asdict() is finite."""
+    if isinstance(node, dict):
+        return all(_finite(v) for v in node.values())
+    return not isinstance(node, float) or math.isfinite(node)
+
+
 def _train_stub(dataset, model_cfg, train_cfg, out_dir):
     assert model_cfg.max_frames >= dataset.max_frames
+    assert _finite(asdict(train_cfg))
+    raise _Trained
+
+
+def _synth_stub(spec, out_dir):
+    assert _finite(asdict(spec)) and spec.n_sequences >= 3
     raise _Trained
 
 
@@ -189,15 +211,22 @@ def tiny_manifest(tmp_path_factory):
 @pytest.mark.parametrize("key", SET_KEYS)
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(raw=JSON_VALUES.map(json.dumps) | st.text())
+@example(raw="NaN")  # the drawn values are rarely scalars, so the edges are given
+@example(raw="Infinity")
+@example(raw="-Infinity")
+@example(raw="2")
 def test_set_any_value_exits_2_or_trains(tiny_manifest, key, raw):
-    """Whatever JSON, or raw text, --set gives a train.* or model.* key, the
-    run exits 2 or reaches training with validated configs: it never exits 1
-    and raises nothing."""
+    """Whatever JSON, or raw text, --set gives a train.*, model.* or
+    synthetic.* key, `train` or `synth` exits 2 or reaches training or
+    generation with validated configs whose floats are all finite: it never
+    exits 1 and raises nothing."""
     out = tiny_manifest.parent / "run"
+    command = ["synth"] if key.startswith("synthetic.") else ["train", "--data", tiny_manifest]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "train", _train_stub)
+        mp.setattr(cli, "generate_synthetic", _synth_stub)
         try:
-            rc = run(["train", "--data", tiny_manifest, "--out", out, "--set", f"{key}={raw}"])
+            rc = run([*command, "--out", out, "--set", f"{key}={raw}"])
         except _Trained:
             return
     assert rc == 2
@@ -219,6 +248,8 @@ def test_speaker_outside_checkpoint_exits_2(trained, tmp_path):
                 "--speaker", 2, "--out", tmp_path / "anim"]) == 2
     assert run(["lipread", "--checkpoint", ckpt, "--motion", manifest.parent / "seq000_motion.bin",
                 "--speaker", 99, "--out", tmp_path / "lips"]) == 2
+    assert run(["animate", "--checkpoint", ckpt, "--features", manifest.parent / "seq000_features.bin",
+                "--frames", 11, "--out", tmp_path / "anim"]) == 2  # max_frames is 10
     assert not (tmp_path / "anim").exists() and not (tmp_path / "lips").exists()
 
 

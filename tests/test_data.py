@@ -1,9 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from dataclasses import fields, replace
+
 from dualface import data as dd
+from dualface.losses import CCRLConfig, LossWeights
+from dualface.model import ModelConfig
+from dualface.train import TrainConfig
 
 from oracles import assert_close, dft_features
 
@@ -164,6 +170,33 @@ def test_synthetic_spec_validation():
     with pytest.raises(TypeError):
         dd.SyntheticSpec(seed=True).validate()
     dd.SyntheticSpec().validate()
+
+
+CONFIGS = [ModelConfig, dd.SyntheticSpec, TrainConfig, LossWeights, CCRLConfig, dd.DatasetManifest, dd.ManifestEntry]
+
+
+def test_every_config_field_has_a_checked_kind():
+    """Each annotation is a kind check_field_types knows (under X | None or
+    list[X]) or a nested config; an unknown name, such as a misspelled
+    alias, would be taken for a nested config instead of a range."""
+    nested = {cls.__name__ for cls in CONFIGS}
+    for cls in CONFIGS:
+        for f in fields(cls):
+            kind = f.type.removesuffix(" | None")
+            kind = kind[len("list["):-1] if kind.startswith("list[") else kind
+            assert kind in dd._KINDS or kind in nested, f"{cls.__name__}.{f.name}: {f.type}"
+    with pytest.raises(TypeError):
+        TrainConfig(weights={"primal": 1.0}).validate()
+
+
+@pytest.mark.parametrize("cls", [dd.SyntheticSpec, TrainConfig, LossWeights, CCRLConfig])
+def test_float_fields_reject_non_finite(cls):
+    floats = [f.name for f in fields(cls) if dd._KINDS.get(f.type.removesuffix(" | None"), [()])[0] is dd._FLOAT]
+    assert floats
+    for name in floats:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                replace(cls(), **{name: bad}).validate()
 
 
 def test_generate_synthetic_deterministic(tmp_path):
