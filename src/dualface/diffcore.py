@@ -52,6 +52,13 @@ class Tensor:
         self.data = arr
         self.owner = None
 
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "Tensor":
+        """Takes a fresh, C-contiguous, finite float64 array as it is."""
+        t = object.__new__(cls)
+        t.data, t.owner = arr, None
+        return t
+
     @property
     def shape(self):
         return self.data.shape
@@ -137,8 +144,7 @@ def _fw_matmul(arrays, attrs):
         raise ShapeMismatchError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    with np.errstate(over="ignore"):
-        return a @ b, None
+    return a @ b, None
 
 
 def _same_shape(a, b, name):
@@ -178,13 +184,10 @@ def _fw_relu(arrays, attrs):
 
 def _fw_sigmoid(arrays, attrs):
     (a,) = arrays
-    # Branch on sign for overflow-free evaluation.
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out, None
+    # exp(-|a|) never overflows: 1/(1+e) where a >= 0 and e/(1+e) below.
+    e = np.exp(-np.abs(a))
+    d = 1.0 + e
+    return np.where(a >= 0, 1.0 / d, e / d), None
 
 
 def _fw_tanh(arrays, attrs):
@@ -194,24 +197,20 @@ def _fw_tanh(arrays, attrs):
 
 def _fw_exp(arrays, attrs):
     (a,) = arrays
-    with np.errstate(over="ignore"):
-        return np.exp(a), None
+    return np.exp(a), None
 
 
 def _fw_log(arrays, attrs):
     (a,) = arrays
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a)
-    return out, None
+    return np.log(a), None
 
 
 def _fw_softmax_rows(arrays, attrs):
     (a,) = arrays
     if a.ndim < 1:
         raise ShapeMismatchError("softmax-per-row needs rank >= 1")
-    shifted = a - a.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True), None
+    e = np.exp(a - np.maximum.reduce(a, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True), None
 
 
 def _fw_concat_last(arrays, attrs):
@@ -247,17 +246,18 @@ def _fw_transpose_last_two(arrays, attrs):
     (a,) = arrays
     if a.ndim < 2:
         raise ShapeMismatchError("transpose-last-two needs rank >= 2")
-    return np.ascontiguousarray(np.swapaxes(a, -1, -2)), None
+    # .copy(): the swapped view of one row is contiguous and would alias it.
+    return np.swapaxes(a, -1, -2).copy(), None
 
 
 def _fw_sum(arrays, attrs):
     (a,) = arrays
-    return np.asarray(a.sum(), dtype=np.float64).reshape(1), None
+    return np.add.reduce(a, axis=None, keepdims=True).reshape(1), None
 
 
 def _fw_mean(arrays, attrs):
     (a,) = arrays
-    return np.asarray(a.mean(), dtype=np.float64).reshape(1), None
+    return (np.add.reduce(a, axis=None, keepdims=True) / a.size).reshape(1), None
 
 
 def _fw_broadcast_row(arrays, attrs):
@@ -271,7 +271,9 @@ def _fw_broadcast_row(arrays, attrs):
         width = a.shape[1]
     else:
         raise ShapeMismatchError(f"broadcast-row expects a row vector, got {a.shape}")
-    return np.broadcast_to(a.reshape(1, width), (rows, width)).copy(), None
+    out = np.empty((rows, width))
+    out[...] = a
+    return out, None
 
 
 def _fw_layer_norm_rows(arrays, attrs):
@@ -279,11 +281,13 @@ def _fw_layer_norm_rows(arrays, attrs):
     if a.ndim < 1:
         raise ShapeMismatchError("layer-normalize-per-row needs rank >= 1")
     eps = attrs.get("eps", _LN_EPS)
-    with np.errstate(over="ignore"):
-        mu = a.mean(axis=-1, keepdims=True)
-        var = ((a - mu) ** 2).mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        normed = (a - mu) * inv
+    dev = a - np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+    var = np.add.reduce(dev ** 2, axis=-1, keepdims=True) / a.shape[-1]
+    # An overflowing variance would give inv = 0 and a finite all-zero row.
+    if not all_finite(var):
+        raise NonFiniteError("layer-normalize-per-row: row variance is not finite")
+    inv = 1.0 / np.sqrt(var + eps)
+    normed = dev * inv
     return normed, (normed, inv)
 
 
@@ -338,7 +342,7 @@ def _bw_log(r, g):
 
 def _bw_softmax_rows(r, g):
     y = r.output.data
-    return [y * (g - (g * y).sum(axis=-1, keepdims=True))]
+    return [y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))]
 
 
 def _bw_concat_last(r, g):
@@ -374,13 +378,13 @@ def _bw_mean(r, g):
 
 def _bw_broadcast_row(r, g):
     x = r.inputs[0].data
-    return [g.sum(axis=0).reshape(x.shape)]
+    return [np.add.reduce(g, axis=0).reshape(x.shape)]
 
 
 def _bw_layer_norm_rows(r, g):
     normed, inv = r.saved
-    gm = g.mean(axis=-1, keepdims=True)
-    gn = (g * normed).mean(axis=-1, keepdims=True)
+    gm = np.add.reduce(g, axis=-1, keepdims=True) / g.shape[-1]
+    gn = np.add.reduce(g * normed, axis=-1, keepdims=True) / g.shape[-1]
     return [inv * (g - gm - normed * gn)]
 
 
@@ -425,7 +429,7 @@ def evaluate(kind: PrimitiveKind, inputs: Sequence[Tensor], **attrs) -> Tensor:
     out_arr, saved = kind.forward([t.data for t in inputs], attrs)
     if not all_finite(out_arr):
         raise NonFiniteError(f"{kind.value}: produced non-finite values")
-    out = Tensor(out_arr, checked=False)
+    out = Tensor._wrap(out_arr)
     if _TAPE_STACK:
         _TAPE_STACK[-1].records.append(TapeRecord(kind, tuple(inputs), out, attrs, saved))
     return out
@@ -624,11 +628,13 @@ def check_gradients(
         a_flat = analytic[p.id].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
-            f_plus, pat_plus = _eval_scalar_with_pattern(build)
-            flat[i] = orig - step
-            f_minus, pat_minus = _eval_scalar_with_pattern(build)
-            flat[i] = orig
+            try:
+                flat[i] = orig + step
+                f_plus, pat_plus = _eval_scalar_with_pattern(build)
+                flat[i] = orig - step
+                f_minus, pat_minus = _eval_scalar_with_pattern(build)
+            finally:
+                flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * step)
             idx = np.unravel_index(i, p.value.data.shape)
             if pat_plus != pat_minus:

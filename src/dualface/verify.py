@@ -150,7 +150,12 @@ def run_gradcheck(scope: str, tolerance: float, step: float) -> tuple[bool, list
     ok = True
     for suite in _SUITES[scope]:
         for name, build in suite(np.random.default_rng(1234)):
-            report = dc.check_gradients(_leaves(build), build, tolerance=tolerance, step=step)
+            try:
+                report = dc.check_gradients(_leaves(build), build, tolerance=tolerance, step=step)
+            except dc.NonFiniteError as e:
+                ok = False
+                lines.append(f"FAIL {name}: {e}")
+                continue
             status = "PASS" if report.passed else "FAIL"
             flagged = f", {report.n_flagged} flagged" if report.n_flagged else ""
             lines.append(f"{status} {name}: max rel err {report.max_rel_err:.3e} over {report.n_entries} entries{flagged}")

@@ -409,6 +409,17 @@ def test_gradcheck_reports_failure_as_5(monkeypatch):
     assert run(["gradcheck", "--scope", "op"]) == 5
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gradcheck_nonfinite_is_verification_failure(capsys):
+    """A non-finite value inside a check fails that check, not the data:
+    the other checks still run and the exit code is 5."""
+    assert run(["gradcheck", "--scope", "op", "--step", "1e300"]) == 5
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL op exp: exp: produced non-finite values" in out
+    assert "PASS op add" in "\n".join(out)
+    assert out[-1] == "gradcheck: FAIL"
+
+
 def test_ablate_cli(tmp_path, capsys):
     manifest = make_dataset(tmp_path)
     rc = run(["ablate", "--data", manifest, "--seeds", 2, "--out", tmp_path / "abl",

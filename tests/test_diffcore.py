@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dualface import diffcore as dc
+from dualface import verify
 
 from oracles import assert_close, layer_norm_rows as oracle_ln
 
@@ -100,11 +101,20 @@ def test_shape_validation():
         dc.broadcast_row(a, 3)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_outputs_rejected():
-    with pytest.raises(dc.NonFiniteError):
+    """A non-finite result fails with its primitive's name; NumPy's
+    RuntimeWarning may come with the error."""
+    with pytest.raises(dc.NonFiniteError, match="^exp: "):
         dc.exp(dc.Tensor(np.full((1, 1), 1e4)))
-    with pytest.raises(dc.NonFiniteError):
+    with pytest.raises(dc.NonFiniteError, match="^log: "):
         dc.log(dc.Tensor(np.zeros((1, 1))))
+    with pytest.raises(dc.NonFiniteError, match="^matmul: "):
+        dc.matmul(dc.Tensor([[1e200]]), dc.Tensor([[1e200]]))
+    # The squared deviations overflow; the normalised rows would be about +-1.
+    for row in ([1e200, -1e200], [1e160, -1e160, 3.0]):
+        with pytest.raises(dc.NonFiniteError, match="^layer-normalize-per-row: "):
+            dc.layer_norm_rows(dc.Tensor([row]))
 
 
 def test_finite_output_whose_square_overflows_accepted():
@@ -114,6 +124,16 @@ def test_finite_output_whose_square_overflows_accepted():
     assert dc.all_finite(big) and not dc.all_finite(np.array([[1e200, np.inf]]))
     assert np.array_equal(dc.scalar_multiply(dc.Tensor(big), 1.0).data, big)
     assert np.array_equal(dc.Tensor(big).data, big)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gradcheck_restores_entry_when_perturbed_build_fails():
+    """A build that fails at a perturbed entry leaves the parameter as it
+    found it, so the checks that follow read the unperturbed values."""
+    p = dc.Parameter("w", [[1.0, 709.0]])
+    with pytest.raises(dc.NonFiniteError, match="^exp: "):
+        dc.check_gradients([p], lambda: dc.sum_all(dc.exp(p.value)), step=1.0)
+    assert np.array_equal(p.value.data, [[1.0, 709.0]])
 
 
 def test_gradcheck_rejects_nonfinite_perturbation():
@@ -302,3 +322,86 @@ def test_many_tensors_keep_distinct_ids():
         out = dc.sum_all(acc)
     dc.backpropagate(tape, out, np.ones(1))
     assert p.gradient.data[0, 0] == 1.0
+
+
+def _output_invariant_cases():
+    """Every kind at its gradient-check shapes, plus the shapes where a rule
+    could hand back a view of its input: one row transposed, one row
+    broadcast to one row, one operand concatenated."""
+    K = dc.PrimitiveKind
+    cases = [(kind, *verify._OPS.get(kind, ([(3, 4)], {}))) for kind in K]
+    cases += [(K.TRANSPOSE_LAST_TWO, [(1, 4)], {}), (K.BROADCAST_ROW, [(1, 4)], {"rows": 1}),
+              (K.CONCAT_LAST, [(3, 4)], {})]
+    return [pytest.param(*case, id=f"{case[0].value} {case[1]}") for case in cases]
+
+
+@pytest.mark.parametrize("kind,shapes,attrs", _output_invariant_cases())
+def test_outputs_are_fresh_contiguous_float64(kind, shapes, attrs):
+    """evaluate wraps each forward rule's array without a copy, which is
+    sound only if that array is float64, C-contiguous and its own memory."""
+    inputs = verify._inputs(np.random.default_rng(0), *shapes, kind=kind)
+    out = dc.evaluate(kind, inputs, **attrs).data
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    assert not any(np.shares_memory(out, t.data) for t in inputs)
+
+
+# The rules' formulas before they called the reduction ufuncs directly; each
+# rewritten rule must reproduce them bit for bit.
+def _old_sigmoid(a):
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ea = np.exp(a[~pos])
+    out[~pos] = ea / (1.0 + ea)
+    return out
+
+
+def _old_softmax(a):
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _old_layer_norm(a):
+    mu = a.mean(axis=-1, keepdims=True)
+    var = ((a - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + dc._LN_EPS)
+    return (a - mu) * inv, inv
+
+
+def _forward_and_grad(fn, x, g):
+    with dc.Tape() as tape:
+        out = fn(dc.Tensor(x))
+    record = tape.records[-1]
+    (grad,) = record.kind.backward(record, g)
+    return out.data, grad
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (3, 5), (60, 32), (60, 128), (60, 360)])
+def test_rewritten_rules_bit_identical(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    a = 3.0 * rng.standard_normal(shape)
+    g = rng.standard_normal(shape)
+
+    special = np.array([0.0, 1e-300, 30.0, 709.0, 745.0, 800.0])
+    for x in (a, np.concatenate([special, -special]).reshape(1, -1)):
+        assert np.array_equal(dc.sigmoid(dc.Tensor(x)).data, _old_sigmoid(x))
+
+    y, grad = _forward_and_grad(dc.softmax_rows, a, g)
+    assert np.array_equal(y, _old_softmax(a))
+    assert np.array_equal(grad, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+
+    normed, grad = _forward_and_grad(dc.layer_norm_rows, a, g)
+    old_normed, inv = _old_layer_norm(a)
+    assert np.array_equal(normed, old_normed)
+    gm = g.mean(axis=-1, keepdims=True)
+    gn = (g * normed).mean(axis=-1, keepdims=True)
+    assert np.array_equal(grad, inv * (g - gm - normed * gn))
+
+    assert np.array_equal(dc.mean_all(dc.Tensor(a)).data, np.asarray(a.mean(), dtype=np.float64).reshape(1))
+    assert np.array_equal(dc.sum_all(dc.Tensor(a)).data, np.asarray(a.sum(), dtype=np.float64).reshape(1))
+
+    rows, width = shape
+    row = a[:1]
+    out, grad = _forward_and_grad(lambda t: dc.broadcast_row(t, rows), row, g)
+    assert np.array_equal(out, np.broadcast_to(row, (rows, width)).copy())
+    assert np.array_equal(grad, g.sum(axis=0).reshape(row.shape))
