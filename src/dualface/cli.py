@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -35,6 +35,7 @@ from .data import (
     resample_features,
     save_features,
     save_motion,
+    to_float32,
 )
 from .losses import CCRLConfig, LossWeights
 from .model import ModelConfig, ModelParams, generate_audio, generate_motion, load_checkpoint
@@ -48,22 +49,11 @@ class ConfigError(ValueError):
 
 
 def default_config() -> dict:
-    """Desk-scale defaults: the model section is sized for the synthetic
-    dataset profile (ff_dim deliberately small); data-dependent dimensions
-    (audio_dim, vertex_count, n_speakers) always come from the manifest."""
-    return {
-        "synthetic": asdict(SyntheticSpec()),
-        "model": {
-            "d": 32,
-            "fusion_heads": 4,
-            "self_heads": 4,
-            "squeeze_ratio": 16,
-            "ff_dim": 128,
-            "max_frames": None,
-            "share_transpose_codec": False,
-        },
-        "train": asdict(TrainConfig()),
-    }
+    """The dataclasses' defaults. The model section holds ModelConfig's
+    defaulted fields plus max_frames, whose None means the longest sequence;
+    audio_dim, vertex_count and n_speakers always come from the manifest."""
+    model = {f.name: f.default for f in fields(ModelConfig) if f.default is not MISSING}
+    return {"synthetic": asdict(SyntheticSpec()), "model": {**model, "max_frames": None}, "train": asdict(TrainConfig())}
 
 
 def _merge(base: dict, override: dict, path: str = ""):
@@ -238,8 +228,8 @@ def cmd_animate(args, resolved: dict) -> int:
         raise ConfigError("--obj-every needs --template to resolve vertex positions")
     if args.frames is not None and args.frames < 2:
         raise ConfigError(f"--frames must be >= 2, got {args.frames}")
-    if not (args.fps > 0 and np.isfinite(args.fps)):
-        raise ConfigError(f"--fps must be positive and finite, got {args.fps}")
+    if not 0 < to_float32(args.fps) < np.inf:
+        raise ConfigError(f"--fps must be positive and finite in float32 storage, got {args.fps}")
     params = _checkpoint_for_speaker(args)
     if args.frames is not None and args.frames > params.config.max_frames:
         raise ConfigError(f"--frames {args.frames} exceeds the checkpoint's max_frames={params.config.max_frames}")

@@ -327,13 +327,31 @@ class Reader:
         return False
 
 
+def to_float32(values) -> np.ndarray:
+    """values as the f32 formats store them; one too large becomes inf."""
+    with np.errstate(over="ignore"):
+        return np.ascontiguousarray(values, dtype=_F4)
+
+
+def _stored(path, what: str, values) -> np.ndarray:
+    """Each save_* stores its values through this, before it opens the file,
+    so it refuses any value float32 storage would make non-finite."""
+    stored = to_float32(values)
+    if not np.isfinite(stored).all():
+        raise ValueError(f"{path}: {what} overflow float32 storage")
+    return stored
+
+
 def save_motion(path, motion: MotionSequence):
     """DTMO: magic, u32 version, u32 frames, u32 vertices, f32 fps, then
-    frames*vertices*3 little-endian f32 displacements in frame-major order."""
-    t, v = motion.frames, motion.vertex_count
+    frames*vertices*3 little-endian f32 displacements in frame-major order.
+    An fps that float32 storage makes 0 or inf is refused."""
+    if not 0 < to_float32(motion.fps) < np.inf:
+        raise ValueError(f"{path}: fps {motion.fps} is 0 or inf in float32 storage")
+    values = _stored(path, "displacements", motion.displacements)
     with open(path, "wb") as f:
-        f.write(struct.pack("<4sIIIf", MOTION_MAGIC, FORMAT_VERSION, t, v, motion.fps))
-        f.write(np.ascontiguousarray(motion.displacements, dtype=_F4).tobytes())
+        f.write(struct.pack("<4sIIIf", MOTION_MAGIC, FORMAT_VERSION, motion.frames, motion.vertex_count, motion.fps))
+        f.write(values.tobytes())
 
 
 def load_motion(path) -> MotionSequence:
@@ -344,9 +362,10 @@ def load_motion(path) -> MotionSequence:
 
 def save_template(path, template: NeutralTemplate):
     """DTPL: magic, u32 version, u32 vertices, then vertices*3 f32 positions."""
+    values = _stored(path, "template positions", template.positions)
     with open(path, "wb") as f:
         f.write(struct.pack("<4sII", TEMPLATE_MAGIC, FORMAT_VERSION, template.vertex_count))
-        f.write(np.ascontiguousarray(template.positions, dtype=_F4).tobytes())
+        f.write(values.tobytes())
 
 
 def load_template(path) -> NeutralTemplate:
@@ -357,9 +376,10 @@ def load_template(path) -> NeutralTemplate:
 
 def save_features(path, features: FeatureSequence):
     """DTFT: magic, u32 version, u32 frames, u32 dim, then frames*dim f32."""
+    values = _stored(path, "feature values", features.values)
     with open(path, "wb") as f:
         f.write(struct.pack("<4sIII", FEATURE_MAGIC, FORMAT_VERSION, features.frames, features.dim))
-        f.write(np.ascontiguousarray(features.values, dtype=_F4).tobytes())
+        f.write(values.tobytes())
 
 
 def load_features(path) -> FeatureSequence:
@@ -368,12 +388,9 @@ def load_features(path) -> FeatureSequence:
         return FeatureSequence(r.array(_F4, (frames, dim)))
 
 
-def export_obj(path, template: NeutralTemplate, motion: MotionSequence, frame: int, faces=None):
-    """Write one deformed frame as Wavefront OBJ vertices (6 decimals).
-
-    The template carries no connectivity, so faces are written only when the
-    caller supplies them explicitly (1-based triples).
-    """
+def export_obj(path, template: NeutralTemplate, motion: MotionSequence, frame: int):
+    """Write one deformed frame as Wavefront OBJ vertices (6 decimals); the
+    template carries no connectivity, so no faces are written."""
     if motion.vertex_count != template.vertex_count:
         raise ValueError(
             f"vertex count mismatch: motion has {motion.vertex_count}, template has {template.vertex_count}"
@@ -382,8 +399,6 @@ def export_obj(path, template: NeutralTemplate, motion: MotionSequence, frame: i
         raise ValueError(f"frame {frame} out of range for {motion.frames} frames")
     pos = template.positions + motion.displacements[frame]
     lines = [f"v {x:.6f} {y:.6f} {z:.6f}" for x, y, z in pos]
-    if faces is not None:
-        lines.extend(f"f {a} {b} {c}" for a, b, c in faces)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -41,20 +41,20 @@ def all_finite(a: np.ndarray) -> bool:
 
 class Tensor:
     """Dense, C-contiguous float64 array, optionally owned by a Parameter.
-    NaN/Inf values are rejected unless the caller has already checked them."""
+    NaN/Inf values are rejected."""
 
     __slots__ = ("data", "owner")
 
-    def __init__(self, values, checked: bool = True):
+    def __init__(self, values):
         arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-        if checked and not all_finite(arr):
+        if not all_finite(arr):
             raise NonFiniteError("tensor construction received non-finite values")
         self.data = arr
         self.owner = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        """Takes a fresh, C-contiguous, finite float64 array as it is."""
+        """Takes a C-contiguous, finite float64 array as it is, unchecked."""
         t = object.__new__(cls)
         t.data, t.owner = arr, None
         return t
@@ -62,10 +62,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -85,7 +81,7 @@ class Parameter:
         self.id = name
         self.value = Tensor(values)
         self.value.owner = self
-        self.gradient = Tensor(np.zeros_like(self.value.data), checked=False)
+        self.gradient = Tensor._wrap(np.zeros_like(self.value.data))
 
     def zero_gradient(self):
         self.gradient.data[...] = 0.0
@@ -280,13 +276,12 @@ def _fw_layer_norm_rows(arrays, attrs):
     (a,) = arrays
     if a.ndim < 1:
         raise ShapeMismatchError("layer-normalize-per-row needs rank >= 1")
-    eps = attrs.get("eps", _LN_EPS)
     dev = a - np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
     var = np.add.reduce(dev ** 2, axis=-1, keepdims=True) / a.shape[-1]
     # An overflowing variance would give inv = 0 and a finite all-zero row.
     if not all_finite(var):
         raise NonFiniteError("layer-normalize-per-row: row variance is not finite")
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     normed = dev * inv
     return normed, (normed, inv)
 
@@ -505,8 +500,8 @@ def broadcast_row(a, rows: int):
     return evaluate(PrimitiveKind.BROADCAST_ROW, (a,), rows=int(rows))
 
 
-def layer_norm_rows(a, eps: float = _LN_EPS):
-    return evaluate(PrimitiveKind.LAYER_NORM_ROWS, (a,), eps=float(eps))
+def layer_norm_rows(a):
+    return evaluate(PrimitiveKind.LAYER_NORM_ROWS, (a,))
 
 
 def backpropagate(tape: Tape, output: Tensor, seed) -> None:
@@ -548,7 +543,6 @@ class GradCheckEntry:
     analytic: float
     numeric: float
     rel_err: float
-    note: str = ""
 
 
 @dataclass
@@ -569,7 +563,7 @@ class GradCheckReport:
         ]
         if self.n_flagged:
             lines.append(f"{self.n_flagged} entries flagged as nondifferentiable points (excluded)")
-        for e in self.worst[:10]:
+        for e in self.worst:
             lines.append(
                 f"  {e.param}{list(e.index)}: analytic={e.analytic:.6e} numeric={e.numeric:.6e} rel={e.rel_err:.3e}"
             )
@@ -598,7 +592,6 @@ def check_gradients(
     build: Callable[[], Tensor],
     tolerance: float = 1e-4,
     step: float = 1e-5,
-    keep_worst: int = 10,
 ) -> GradCheckReport:
     """Compare tape gradients of build() against central finite differences.
 
@@ -636,18 +629,16 @@ def check_gradients(
             finally:
                 flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * step)
-            idx = np.unravel_index(i, p.value.data.shape)
+            idx = tuple(map(int, np.unravel_index(i, p.value.data.shape)))
             if pat_plus != pat_minus:
                 report.n_flagged += 1
-                report.flagged.append(
-                    GradCheckEntry(p.id, idx, float(a_flat[i]), numeric, 0.0, "nondifferentiable point")
-                )
+                report.flagged.append(GradCheckEntry(p.id, idx, float(a_flat[i]), numeric, 0.0))
                 continue
             rel = _relative_error(float(a_flat[i]), numeric)
             report.n_entries += 1
             entries.append(GradCheckEntry(p.id, idx, float(a_flat[i]), numeric, rel))
     entries.sort(key=lambda e: e.rel_err, reverse=True)
-    report.worst = entries[:keep_worst]
+    report.worst = entries[:10]
     report.max_rel_err = entries[0].rel_err if entries else 0.0
     report.passed = report.max_rel_err < tolerance
     return report

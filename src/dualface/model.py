@@ -29,7 +29,7 @@ from .data import Count, FeatureSequence, FileFormatError, MotionSequence, Reade
 
 CHECKPOINT_MAGIC = b"DTCK"
 CHECKPOINT_VERSION = 1
-_CHECKPOINT_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+_F8 = np.dtype("<f8")
 
 # Additive mask value for blocked attention positions: large enough that
 # exp underflows to exactly 0 after max subtraction, while staying finite.
@@ -38,15 +38,18 @@ _MASK_VALUE = -1e30
 
 @dataclass
 class ModelConfig:
-    d: Count
+    """The dataset gives the first three fields and bounds max_frames; the
+    defaults, which the CLI uses, size the model for the synthetic dataset."""
+
     audio_dim: Count
     vertex_count: Count
     n_speakers: Count
     max_frames: Count
+    d: Count = 32
     fusion_heads: Count = 4
     self_heads: Count = 4
     squeeze_ratio: Count = 16
-    ff_dim: Count = 2048
+    ff_dim: Count = 128
     share_transpose_codec: bool = False
 
     def validate(self):
@@ -170,7 +173,6 @@ class ModelParams:
 class ForwardOutputs:
     """One direction's teacher-forced outputs, still attached to the tape."""
 
-    direction: str
     prediction: dc.Tensor      # (T, 3V) primal, (T, audio_dim) dual
     fused: dc.Tensor           # (T, d) fusion output feeding the decoder
     audio_latent: dc.Tensor    # (T, d) encoded audio
@@ -189,7 +191,7 @@ class KVCache:
         """Store the newest row's key and value; returns every row so far."""
         self.keys[self.rows], self.values[self.rows] = k.data[0], v.data[0]
         self.rows += 1
-        return dc.Tensor(self.keys[: self.rows], checked=False), dc.Tensor(self.values[: self.rows], checked=False)
+        return dc.Tensor._wrap(self.keys[: self.rows]), dc.Tensor._wrap(self.values[: self.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +371,7 @@ def _forward(params: ModelParams, d: Direction, source, speaker: int, target) ->
     ctx = self_attend(params, history, d.name)
     gated = speaker_modulate(params, ctx, style_embed(params, speaker), d.name)
     fused = cross_attend(params, latents[d.source], gated, d.name)
-    return ForwardOutputs(d.name, d.decode(params, fused), fused, latents["audio"], latents["motion"])
+    return ForwardOutputs(d.decode(params, fused), fused, latents["audio"], latents["motion"])
 
 
 def _generate(params: ModelParams, d: Direction, source, speaker: int) -> np.ndarray:
@@ -421,20 +423,17 @@ def generate_audio(params: ModelParams, motion, speaker: int) -> FeatureSequence
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def save_checkpoint(path, params: ModelParams, single_precision: bool = False):
-    """DTCK: magic, u32 version, u32 json_len, config JSON, then for each
-    parameter in registration order: u32 name_len, name, u32 rank, u32 dims,
-    little-endian values (f64, or f32 when single_precision).
+def save_checkpoint(path, params: ModelParams):
+    """DTCK: magic, u32 version, u32 json_len, header JSON (the config and
+    dtype "f64"), then for each parameter in registration order: u32
+    name_len, name, u32 rank, u32 dims, little-endian f64 values.
 
-    Like load_checkpoint, refuses a parameter holding non-finite values (in
-    the stored precision), before the file is opened."""
-    header = {"config": asdict(params.config), "dtype": "f32" if single_precision else "f64"}
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    dtype = _CHECKPOINT_DTYPES[header["dtype"]]
+    Like load_checkpoint, refuses a parameter holding non-finite values,
+    before the file is opened."""
+    blob = json.dumps({"config": asdict(params.config), "dtype": "f64"}, sort_keys=True).encode("utf-8")
     stored = []
     for name, p in params.named_parameters():
-        with np.errstate(over="ignore"):
-            values = np.ascontiguousarray(p.value.data, dtype=dtype)
+        values = np.ascontiguousarray(p.value.data, dtype=_F8)
         if not np.isfinite(values).all():
             raise ValueError(f"{path}: parameter {name!r} holds non-finite values")
         stored.append((name, p.value.data.shape, values))
@@ -459,8 +458,7 @@ def load_checkpoint(path) -> ModelParams:
         header = json.loads(r.take(blob_len))
         if not isinstance(header, dict) or set(header) != {"config", "dtype"}:
             raise FileFormatError(f"{path}: header must hold exactly 'config' and 'dtype'")
-        dtype = _CHECKPOINT_DTYPES.get(header["dtype"])
-        if dtype is None:
+        if header["dtype"] != "f64":
             raise FileFormatError(f"{path}: unknown dtype {header['dtype']!r}")
         config = ModelConfig(**header["config"])
         values = {}
@@ -472,7 +470,7 @@ def load_checkpoint(path) -> ModelParams:
             (rank,) = r.unpack("<I")
             if rank != len(shape) or r.unpack(f"<{rank}I") != shape:
                 raise FileFormatError(f"{path}: {name!r} is not stored with shape {shape}")
-            values[name] = r.array(dtype, shape)
+            values[name] = r.array(_F8, shape)
             if not np.isfinite(values[name]).all():
                 raise FileFormatError(f"{path}: parameter {name!r} holds non-finite values")
         return ModelParams.from_values(config, values)

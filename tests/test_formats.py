@@ -32,7 +32,7 @@ def _write_valid(name, path):
     if name == "DTFT":
         dd.save_features(path, dd.FeatureSequence(rng.standard_normal((3, 2))))
         return dd.load_features
-    dm.save_checkpoint(path, dm.ModelParams(_tiny_config(), rng), single_precision=True)
+    dm.save_checkpoint(path, dm.ModelParams(_tiny_config(), rng))
     return dm.load_checkpoint
 
 
@@ -126,6 +126,7 @@ def test_malformed_checkpoint_header_rejected(tmp_path, header):
     {"d": 5},
     {"share_transpose_codec": 1},
     {"dtype": "f16"},
+    {"dtype": "f32"},
 ])
 def test_checkpoint_header_faults_rejected(tmp_path, change):
     """Unknown or mistyped config keys, a config that fails validate, and an
@@ -142,4 +143,20 @@ def test_checkpoint_header_faults_rejected(tmp_path, change):
     blob = json.dumps(header).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len:])
     with pytest.raises(dd.FileFormatError):
+        dm.load_checkpoint(path)
+
+
+def test_f32_checkpoint_rejected(tmp_path):
+    """DTCK stores f64 only: a well-formed file of f32 values under
+    "dtype": "f32" is a file-format fault, not a model."""
+    params = dm.ModelParams(_tiny_config(), np.random.default_rng(0))
+    blob = json.dumps({"config": asdict(params.config), "dtype": "f32"}, sort_keys=True).encode("utf-8")
+    records = b""
+    for name, p in params.named_parameters():
+        shape = p.value.data.shape
+        records += struct.pack(f"<I{len(name)}sI{len(shape)}I", len(name), name.encode("utf-8"), len(shape), *shape)
+        records += p.value.data.astype("<f4").tobytes()
+    path = tmp_path / "f32.ckpt"
+    path.write_bytes(struct.pack("<4sII", dm.CHECKPOINT_MAGIC, dm.CHECKPOINT_VERSION, len(blob)) + blob + records)
+    with pytest.raises(dd.FileFormatError, match="dtype"):
         dm.load_checkpoint(path)
