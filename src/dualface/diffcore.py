@@ -72,22 +72,35 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-class Parameter:
-    """Trainable tensor with an accumulated gradient and a stable name."""
+class Parameter(Tensor):
+    """Trainable tensor with an accumulated gradient and a stable name.
 
-    __slots__ = ("id", "value", "gradient")
+    A parameter is its own value tensor and its own owner, so it holds no
+    reference cycle: a store's parameters, and the buffers their values
+    view, are freed as soon as the store is. A store that lays parameters
+    out in one buffer passes each value as a C-contiguous float64 view,
+    which is kept as it is, and a zeroed gradient view of the same shape."""
 
-    def __init__(self, name: str, values):
+    __slots__ = ("id", "gradient")
+
+    def __init__(self, name: str, values, gradient: np.ndarray | None = None):
+        self.data = Tensor(values).data
         self.id = name
-        self.value = Tensor(values)
-        self.value.owner = self
-        self.gradient = Tensor._wrap(np.zeros_like(self.value.data))
+        self.gradient = Tensor._wrap(np.zeros_like(self.data) if gradient is None else gradient)
+
+    @property
+    def value(self) -> Tensor:
+        return self
+
+    @property
+    def owner(self) -> Parameter:
+        return self
 
     def zero_gradient(self):
         self.gradient.data[...] = 0.0
 
     def __repr__(self):
-        return f"Parameter({self.id!r}, shape={self.value.shape})"
+        return f"Parameter({self.id!r}, shape={self.shape})"
 
 
 class TapeRecord:

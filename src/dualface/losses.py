@@ -135,11 +135,14 @@ def ccrl_direction(p: dc.Tensor, q: dc.Tensor, gt_motion: MotionSequence, cfg: C
     return _ccrl([(p, q)], weights, cfg.anchor_weighting)
 
 
-def ccrl_total(x, y, x_round, y_round, gt_motion: MotionSequence, cfg: CCRLConfig) -> dc.Tensor:
+def ccrl_total(x, y, x_round, y_round, gt_motion: MotionSequence, cfg: CCRLConfig,
+               kernel: np.ndarray | None = None) -> dc.Tensor:
     """Consistency on encoder latents plus consistency on fused predictions;
-    both directions share one motion kernel."""
-    weights, _ = motion_kernel(gt_motion, cfg)
-    return _ccrl([(x, y), (x_round, y_round)], weights, cfg.anchor_weighting)
+    both directions share one motion kernel: `kernel`, the weights of
+    motion_kernel(gt_motion, cfg) when the caller holds them, else built."""
+    if kernel is None:
+        kernel, _ = motion_kernel(gt_motion, cfg)
+    return _ccrl([(x, y), (x_round, y_round)], kernel, cfg.anchor_weighting)
 
 
 def _ccrl(pairs, weights: np.ndarray, anchor_weighting: str) -> dc.Tensor:
@@ -186,13 +189,15 @@ def total_loss(
     gt_features: FeatureSequence,
     weights: LossWeights,
     ccrl_cfg: CCRLConfig,
+    kernel: np.ndarray | None = None,
 ) -> tuple[LossBundle, dc.Tensor]:
     """Assemble the weighted objective; returns the bundle of component
     values and the scalar node to backpropagate from.
 
     With no dual outputs (dual-path ablation) the dual, round-trip, and
     consistency terms are dropped and reported as 0. The terms are summed in
-    LossWeights field order, skipping any whose weight is 0.
+    LossWeights field order, skipping any whose weight is 0. `kernel`, if
+    given, is the motion kernel's weights for gt_motion (see ccrl_total).
     """
     t = gt_motion.frames
     terms = {"primal": mse(primal.prediction, dc.Tensor(gt_motion.displacements.reshape(t, -1)))}
@@ -204,7 +209,7 @@ def total_loss(
             )
         if weights.ccrl != 0.0:
             terms["ccrl"] = ccrl_total(
-                primal.audio_latent, primal.motion_latent, dual.fused, primal.fused, gt_motion, ccrl_cfg
+                primal.audio_latent, primal.motion_latent, dual.fused, primal.fused, gt_motion, ccrl_cfg, kernel
             )
     total = None
     for name, term in terms.items():

@@ -17,6 +17,7 @@ and still reproduce the teacher-forced pass.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -125,21 +126,43 @@ class ModelParams:
 
     Registration order is the serialization order; shared tensors are
     registered once and referenced through the same Parameter object
-    everywhere they are used.
+    everywhere they are used. All values, and all gradients, sit in one flat
+    float64 buffer each (`values`, `gradients`) in that order; every
+    parameter's value and gradient is a view into them, so the optimizer
+    updates every parameter with whole-buffer operations.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
         """Seeded initialisation, drawing from rng in registration order."""
-        self.config = config
-        self._params = {name: dc.Parameter(name, init(rng)) for name, _, init in _layout(config)}
+        self._lay_out(config, lambda name, init: init(rng))
 
     @classmethod
     def from_values(cls, config: ModelConfig, values: dict[str, np.ndarray]) -> ModelParams:
         """Parameters holding values already read, in registration order."""
         params = cls.__new__(cls)
-        params.config = config
-        params._params = {name: dc.Parameter(name, v) for name, v in values.items()}
+        params._lay_out(config, lambda name, init: values[name])
         return params
+
+    def _lay_out(self, config: ModelConfig, value_of: Callable[[str, Callable], np.ndarray]):
+        layout = list(_layout(config))
+        self.config = config
+        self._shapes = {name: shape for name, shape, _ in layout}
+        size = sum(math.prod(shape) for shape in self._shapes.values())
+        self.values, self.gradients = np.empty(size), np.zeros(size)
+        values, gradients = self.views(self.values), self.views(self.gradients)
+        self._params = {}
+        for name, _, init in layout:
+            values[name][...] = value_of(name, init)
+            self._params[name] = dc.Parameter(name, values[name], gradients[name])
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's view, by name, into a buffer laid out like `values`."""
+        out, start = {}, 0
+        for name, shape in self._shapes.items():
+            end = start + math.prod(shape)
+            out[name] = flat[start:end].reshape(shape)
+            start = end
+        return out
 
     def __getitem__(self, name: str) -> dc.Parameter:
         return self._params[name]
@@ -154,8 +177,7 @@ class ModelParams:
         return list(self._params.values())
 
     def zero_gradients(self):
-        for p in self._params.values():
-            p.zero_gradient()
+        self.gradients.fill(0.0)
 
     def motion_decoder_weight(self) -> dc.Tensor:
         """(d, 3V) decoder weight; the transpose of the encoder when tied."""
@@ -201,9 +223,13 @@ def _causal_mask(t: int) -> dc.Tensor:
     return dc.Tensor(np.triu(np.full((t, t), _MASK_VALUE), k=1))
 
 
+def _repeat_row(row: dc.Tensor, rows: int) -> dc.Tensor:
+    """A (1, w) row repeated to `rows` rows; one row is used as it is."""
+    return row if rows == 1 else dc.broadcast_row(row, rows)
+
+
 def _affine(x: dc.Tensor, weight: dc.Tensor, bias: dc.Tensor) -> dc.Tensor:
-    rows = x.data.shape[0]
-    return dc.add(dc.matmul(x, weight), dc.broadcast_row(bias, rows))
+    return dc.add(dc.matmul(x, weight), _repeat_row(bias, x.data.shape[0]))
 
 
 def attention_heads(q_src, kv_src, q_weights, k_weights, v_weights, cache: list[KVCache] | None = None) -> list[dc.Tensor]:
@@ -327,7 +353,7 @@ def speaker_modulate(params: ModelParams, stream: dc.Tensor, style: dc.Tensor, d
     """Sigmoid gates from MLP(concat(style, frame)) applied to the stream."""
     name = _direction(direction).target
     t = stream.data.shape[0]
-    joint = dc.concat_last(dc.broadcast_row(style, t), stream)
+    joint = dc.concat_last(_repeat_row(style, t), stream)
     hidden = dc.relu(_affine(joint, params.t(f"speaker_gate.{name}.fc1.weight"), params.t(f"speaker_gate.{name}.fc1.bias")))
     gate = dc.sigmoid(_affine(hidden, params.t(f"speaker_gate.{name}.fc2.weight"), params.t(f"speaker_gate.{name}.fc2.bias")))
     return dc.multiply(gate, stream)

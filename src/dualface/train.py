@@ -4,13 +4,14 @@ One optimizer step per sequence, epochs shuffled by a seeded generator.
 Checkpointing keeps whichever parameters score the best validation
 lip-vertex error. A non-finite value aborts the step, before anything is
 logged, at the primitive that produced it (NonFiniteLossError "forward
-pass") or at Adam's checks of each gradient and each updated parameter.
+pass") or at Adam's checks of the gradients and of the update.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 from . import diffcore as dc
+from . import losses
 from .data import Count, Fraction, Index, LoadedDataset, Positive, SequenceRecord, check_field_types
 from .losses import CCRLConfig, LossBundle, LossWeights, total_loss
 from .metrics import MetricReport, RegionSet, SequenceMetrics, build_report, fdd, lip_distance, lip_vertex_error
@@ -65,54 +67,84 @@ class TrainConfig:
 @dataclass
 class TrainState:
     step: int = 0
-    moments: dict = field(default_factory=dict)  # name -> [m, v]
+    # (2, n) first and second moments, laid out like ModelParams.values,
+    # and (2, n) scratch for the update, kept so that no step allocates;
+    # both allocated by the first adam_step
+    moments: np.ndarray | None = None
+    scratch: np.ndarray | None = None
     best_val_lve: float = float("inf")
     best_checkpoint: str | None = None
 
 
+def _first_nonfinite(params: ModelParams, flat: np.ndarray) -> str:
+    return next(name for name, view in params.views(flat).items() if not dc.all_finite(view))
+
+
+def _clip_gradients(params: ModelParams, clip: float):
+    """Scales the gradients to global norm `clip` when it is above it. The
+    sum of squares is taken per parameter in registration order; if it
+    overflows, the norm is that of the gradients divided by their largest
+    magnitude, times that magnitude."""
+    top = 1.0
+    total = sum(float((p.gradient.data**2).sum()) for p in params.parameters())
+    if not math.isfinite(total):
+        top = float(np.abs(params.gradients).max())
+        scaled = params.gradients / top
+        total = float(np.dot(scaled, scaled))
+    norm = np.sqrt(total)
+    if norm > clip / top:
+        params.gradients *= (clip / top) / norm
+
+
 def adam_step(params: ModelParams, state: TrainState, cfg: TrainConfig):
     """Bias-corrected Adam over every registered parameter; shared tensors
-    are registered once, so they get exactly one moment accumulator.
+    are registered once, so they get exactly one moment accumulator. It runs
+    on the store's flat buffers, with the elementwise operations of a
+    per-parameter update in the same order, so each value is the same.
 
     A non-finite gradient raises NonFiniteLossError naming its parameter
     before any parameter, moment or the step count changes. An update that
-    would leave a non-finite value raises it too, before that parameter is
-    written, so no parameter ever holds one.
+    would leave a non-finite value raises it too, naming the first such
+    parameter, before any parameter is written.
     """
-    for name, p in params.named_parameters():
-        if not dc.all_finite(p.gradient.data):
-            raise NonFiniteLossError(f"gradient of {name}", state.step + 1, cfg.grad_clip)
+    g = params.gradients
+    if not dc.all_finite(g):
+        raise NonFiniteLossError(f"gradient of {_first_nonfinite(params, g)}", state.step + 1, cfg.grad_clip)
+    if state.moments is None:
+        state.moments, state.scratch = np.zeros((2, g.size)), np.empty((2, g.size))
     state.step += 1
     t = state.step
-    c1 = 1.0 - cfg.beta1**t
-    c2 = 1.0 - cfg.beta2**t
     if cfg.grad_clip is not None:
-        total = sum(float((p.gradient.data**2).sum()) for p in params.parameters())
-        norm = np.sqrt(total)
-        if norm > cfg.grad_clip:
-            scale = cfg.grad_clip / norm
-            for p in params.parameters():
-                p.gradient.data *= scale
-    for name, p in params.named_parameters():
-        mv = state.moments.get(name)
-        if mv is None:
-            mv = [np.zeros_like(p.value.data), np.zeros_like(p.value.data)]
-            state.moments[name] = mv
-        g = p.gradient.data
-        mv[0] = cfg.beta1 * mv[0] + (1.0 - cfg.beta1) * g
-        mv[1] = cfg.beta2 * mv[1] + (1.0 - cfg.beta2) * (g * g)
-        m_hat = mv[0] / c1
-        v_hat = mv[1] / c2
-        updated = p.value.data - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
-        if not dc.all_finite(updated):
-            raise NonFiniteLossError(f"update of {name}", t, cfg.grad_clip)
-        p.value.data[...] = updated
-        p.zero_gradient()
+        _clip_gradients(params, cfg.grad_clip)
+    m, v = state.moments
+    tmp, update = state.scratch
+    # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g^2
+    np.multiply(m, cfg.beta1, out=m)
+    np.multiply(g, 1.0 - cfg.beta1, out=tmp)
+    np.add(m, tmp, out=m)
+    np.multiply(v, cfg.beta2, out=v)
+    np.multiply(g, g, out=tmp)
+    np.multiply(tmp, 1.0 - cfg.beta2, out=tmp)
+    np.add(v, tmp, out=v)
+    # update = value - lr * (m / c1) / (sqrt(v / c2) + eps)
+    np.divide(v, 1.0 - cfg.beta2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    np.add(tmp, cfg.eps, out=tmp)
+    np.divide(m, 1.0 - cfg.beta1**t, out=update)
+    np.multiply(update, cfg.learning_rate, out=update)
+    np.divide(update, tmp, out=update)
+    np.subtract(params.values, update, out=update)
+    if not dc.all_finite(update):
+        raise NonFiniteLossError(f"update of {_first_nonfinite(params, update)}", t, cfg.grad_clip)
+    params.values[...] = update
+    params.zero_gradients()
 
 
-def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state: TrainState) -> LossBundle:
+def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state: TrainState,
+               kernel: np.ndarray | None = None) -> LossBundle:
     """One Adam step; the dual pass runs only when a dual-side loss weight
-    is nonzero."""
+    is nonzero. `kernel` is seq's CCRL motion-kernel weights, if the caller
+    holds them (see total_loss)."""
     w = cfg.weights
     try:
         with dc.Tape() as tape:
@@ -120,7 +152,7 @@ def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state
             dual = None
             if w.dual or w.dr or w.ccrl:
                 dual = forward_dual(params, seq.motion, seq.speaker, seq.features)
-            bundle, total = total_loss(primal, dual, seq.motion, seq.features, w, cfg.ccrl)
+            bundle, total = total_loss(primal, dual, seq.motion, seq.features, w, cfg.ccrl, kernel)
     except dc.NonFiniteError as e:
         raise NonFiniteLossError("forward pass", state.step + 1, cfg.grad_clip) from e
     dc.backpropagate(tape, total, np.ones_like(total.data))
@@ -180,6 +212,10 @@ def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_
     train_rows = dataset.split("train")
     if not train_rows:
         raise ValueError("train split is empty")
+    # The CCRL motion kernel depends only on ground truth, so each training
+    # sequence's is built at its first step and kept only while a later
+    # epoch will use it: a one-epoch run holds one kernel at a time.
+    kernels: dict[int, np.ndarray] = {}
     val_rows = dataset.split("val")
     ckpt_path = out / "best.ckpt"
     log_path = out / "train_log.jsonl"
@@ -187,7 +223,12 @@ def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_
         for epoch in range(cfg.epochs):
             order = rng.permutation(len(train_rows))
             for idx in order:
-                bundle = train_step(params, train_rows[idx], cfg, state)
+                kernel = kernels.pop(idx, None)
+                if kernel is None and cfg.weights.ccrl:
+                    kernel = losses.motion_kernel(train_rows[idx].motion, cfg.ccrl)[0]
+                if kernel is not None and epoch + 1 < cfg.epochs:
+                    kernels[idx] = kernel
+                bundle = train_step(params, train_rows[idx], cfg, state, kernel)
                 log.write(_bundle_line(state.step, bundle) + "\n")
             if val_rows and ((epoch + 1) % cfg.val_every == 0 or epoch + 1 == cfg.epochs):
                 report = evaluate_params(params, dataset, "val")

@@ -242,3 +242,39 @@ def dft_features(samples, sample_rate, frame_ms=25.0, hop_ms=40.0, bands=8):
             out[f, g] = math.log1p(mags[start : start + size].mean())
             start += size
     return out
+
+
+def adam_step(params, state, cfg):
+    """Per-parameter bias-corrected Adam, one parameter at a time: the
+    reference for the library's flat-buffer update. `state` holds `step`
+    and `moments`, a dict of name -> [m, v]; a non-finite gradient or update
+    raises FloatingPointError naming the parameter."""
+    for name, p in params.named_parameters():
+        if not np.isfinite(p.gradient.data).all():
+            raise FloatingPointError(f"gradient of {name}")
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - cfg.beta1**t
+    c2 = 1.0 - cfg.beta2**t
+    if cfg.grad_clip is not None:
+        total = sum(float((p.gradient.data**2).sum()) for p in params.parameters())
+        norm = np.sqrt(total)
+        if norm > cfg.grad_clip:
+            scale = cfg.grad_clip / norm
+            for p in params.parameters():
+                p.gradient.data *= scale
+    for name, p in params.named_parameters():
+        mv = state.moments.get(name)
+        if mv is None:
+            mv = [np.zeros_like(p.value.data), np.zeros_like(p.value.data)]
+            state.moments[name] = mv
+        g = p.gradient.data
+        mv[0] = cfg.beta1 * mv[0] + (1.0 - cfg.beta1) * g
+        mv[1] = cfg.beta2 * mv[1] + (1.0 - cfg.beta2) * (g * g)
+        m_hat = mv[0] / c1
+        v_hat = mv[1] / c2
+        updated = p.value.data - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        if not np.isfinite(updated).all():
+            raise FloatingPointError(f"update of {name}")
+        p.value.data[...] = updated
+        p.zero_gradient()

@@ -1,4 +1,6 @@
+import gc
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -213,9 +215,31 @@ def test_generation_work_per_frame_is_flat(monkeypatch):
         (dm.generate_motion, lambda t: FeatureSequence(rng.standard_normal((t, 5)))),
         (dm.generate_audio, lambda t: MotionSequence(0.1 * rng.standard_normal((t, 6, 3)), 25.0)),
     ):
-        one = rows_for(generate, make(1))
-        per_frame = [(rows_for(generate, make(t)) - one) / (t - 1) for t in (30, 120)]
+        # The baseline is T=2: a one-row source needs no broadcast, so T=1
+        # differs from longer sources by more than its frames.
+        two = rows_for(generate, make(2))
+        per_frame = [(rows_for(generate, make(t)) - two) / (t - 2) for t in (30, 120)]
         assert per_frame[0] == per_frame[1], f"{generate.__name__}: rows per frame {per_frame}"
+
+
+def test_generation_broadcasts_no_row_to_one_row(monkeypatch):
+    """Decoding one row per frame adds each bias and style row as it is:
+    no broadcast-row primitive with rows=1 is evaluated."""
+    params = dm.ModelParams(small_config(), np.random.default_rng(621))
+    rng = np.random.default_rng(721)
+    real = dc.evaluate
+    one_row = []
+
+    def counted(kind, inputs, **attrs):
+        if kind is dc.PrimitiveKind.BROADCAST_ROW and attrs["rows"] == 1:
+            one_row.append(kind)
+        return real(kind, inputs, **attrs)
+
+    monkeypatch.setattr(dc, "evaluate", counted)
+    for t in (1, 5):
+        dm.generate_motion(params, FeatureSequence(rng.standard_normal((t, 5))), 0)
+        dm.generate_audio(params, MotionSequence(0.1 * rng.standard_normal((t, 6, 3)), 25.0), 1)
+    assert one_row == []
 
 
 def test_speaker_conditioning_changes_output():
@@ -251,6 +275,61 @@ def test_checkpoint_roundtrip(tmp_path):
     a = dm.generate_motion(params, feats, 0)
     b = dm.generate_motion(back, feats, 0)
     assert np.array_equal(a.displacements, b.displacements)
+
+
+def _assert_flat_store(params):
+    """Every value and gradient is a C-contiguous view into the store's two
+    buffers, in layout order, with nothing between or after them."""
+    offset = 0
+    names = [name for name, _, _ in dm._layout(params.config)]
+    assert [name for name, _ in params.named_parameters()] == names
+    for name, p in params.named_parameters():
+        for view, flat in ((p.value.data, params.values), (p.gradient.data, params.gradients)):
+            assert view.flags.c_contiguous and view.dtype == np.float64, name
+            assert view.base is flat, name
+            start = (view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]) // 8
+            assert start == offset, name
+        offset += p.value.data.size
+    assert offset == params.values.size == params.gradients.size
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_parameters_are_views_into_one_flat_store(tmp_path, tied):
+    cfg = small_config(share_transpose_codec=tied)
+    params = dm.ModelParams(cfg, np.random.default_rng(22))
+    _assert_flat_store(params)
+    path = tmp_path / "model.ckpt"
+    dm.save_checkpoint(path, params)
+    back = dm.load_checkpoint(path)
+    _assert_flat_store(back)
+    assert np.array_equal(back.values, params.values)
+    assert not back.gradients.any()
+    # a write through a parameter's value, as the gradient checker's
+    # perturbation makes, is a write into the buffer
+    for store in (params, back):
+        name, p = store.named_parameters()[3]
+        p.value.data[0, 0] = 123.5
+        assert store.views(store.values)[name][0, 0] == 123.5
+        p.gradient.data[...] = 1.0
+        assert store.views(store.gradients)[name].all()
+        store.zero_gradients()
+        assert not store.gradients.any()
+
+
+def test_store_is_freed_without_the_cycle_collector(tmp_path):
+    """A parameter is its own value tensor and owner, so dropping the last
+    reference to a store frees its values at once, cycle collector or not."""
+    dm.save_checkpoint(tmp_path / "model.ckpt", dm.ModelParams(small_config(), np.random.default_rng(23)))
+    gc.disable()
+    try:
+        for make in (lambda: dm.ModelParams(small_config(), np.random.default_rng(23)),
+                     lambda: dm.load_checkpoint(tmp_path / "model.ckpt")):
+            store = make()
+            ref = weakref.ref(store["style_table"].value.data)
+            del store
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

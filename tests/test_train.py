@@ -1,5 +1,6 @@
 import json
 from dataclasses import asdict
+from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 
 from dualface import train as dt
 from dualface.data import SyntheticSpec, generate_synthetic, load_dataset
-from dualface.diffcore import NonFiniteError, Parameter
+from dualface.diffcore import NonFiniteError
 from dualface.losses import CCRLConfig, LossWeights
 from dualface.model import ModelConfig, ModelParams, forward_primal, load_checkpoint
 
+import oracles
 from oracles import assert_close
 
 
@@ -59,12 +61,32 @@ def test_train_config_validation():
     dt.TrainConfig().validate()
 
 
+# Two (1, 2) parameters of a real store; adam_step leaves every other
+# parameter, whose gradient stays 0, as it is.
+A, B = "speaker_gate.motion.fc1.bias", "speaker_gate.audio.fc1.bias"
+
+
+def _store(values):
+    """The parameter store at a size where A and B hold two values each,
+    with the given values written in."""
+    cfg = ModelConfig(audio_dim=2, vertex_count=1, n_speakers=1, max_frames=2, d=4,
+                      fusion_heads=2, self_heads=2, squeeze_ratio=4, ff_dim=2)
+    params = ModelParams(cfg, np.random.default_rng(0))
+    for name, v in values.items():
+        params[name].value.data[...] = v
+    return params
+
+
+def _moment(params, state, name, which=0):
+    return params.views(state.moments[which])[name]
+
+
 def test_adam_step_matches_hand_formula():
     cfg = dt.TrainConfig(learning_rate=0.01)
-    param = Parameter("w", np.array([[1.0, -2.0]]))
+    params = _store({A: [[1.0, -2.0]]})
+    param = params[A]
     grad = np.array([[0.3, -0.7]])
     param.gradient.data[:] = grad
-    params = _ParamsStub([("w", param)])
     state = dt.TrainState()
     dt.adam_step(params, state, cfg)  # advances to step 1 itself
     m = 0.1 * grad
@@ -76,29 +98,16 @@ def test_adam_step_matches_hand_formula():
     assert not np.any(param.gradient.data)  # cleared after the step
 
 
-class _ParamsStub:
-    def __init__(self, items):
-        self._items = items
-
-    def named_parameters(self):
-        return list(self._items)
-
-    def parameters(self):
-        return [p for _, p in self._items]
-
-
 def test_grad_clip_rescales_to_threshold():
     cfg = dt.TrainConfig(grad_clip=1.0)
-    p1 = Parameter("a", np.zeros((1, 2)))
-    p2 = Parameter("b", np.zeros((1, 2)))
-    p1.gradient.data[:] = [[3.0, 0.0]]
-    p2.gradient.data[:] = [[0.0, 4.0]]
-    params = _ParamsStub([("a", p1), ("b", p2)])
+    params = _store({A: np.zeros((1, 2)), B: np.zeros((1, 2))})
+    params[A].gradient.data[:] = [[3.0, 0.0]]
+    params[B].gradient.data[:] = [[0.0, 4.0]]
     state = dt.TrainState()
     # global norm is 5; after clipping the first moment sees gradients / 5
     dt.adam_step(params, state, cfg)
-    assert_close(state.moments["a"][0], 0.1 * np.array([[0.6, 0.0]]), 1e-14, "clipped m")
-    assert_close(state.moments["b"][0], 0.1 * np.array([[0.0, 0.8]]), 1e-14, "clipped m")
+    assert_close(_moment(params, state, A), 0.1 * np.array([[0.6, 0.0]]), 1e-14, "clipped m")
+    assert_close(_moment(params, state, B), 0.1 * np.array([[0.0, 0.8]]), 1e-14, "clipped m")
 
 
 @pytest.mark.parametrize("grad_clip", [None, 1.0])
@@ -106,53 +115,103 @@ def test_grad_clip_rescales_to_threshold():
 def test_adam_rejects_nonfinite_gradient(grad_clip, bad):
     """A non-finite gradient raises before any parameter or moment is written."""
     cfg = dt.TrainConfig(learning_rate=0.01, grad_clip=grad_clip)
-    p1 = Parameter("a", np.array([[1.0, -2.0]]))
-    p2 = Parameter("b", np.array([[0.5, 0.25]]))
-    params = _ParamsStub([("a", p1), ("b", p2)])
+    params = _store({A: [[1.0, -2.0]], B: [[0.5, 0.25]]})
+    p1, p2 = params[A], params[B]
     state = dt.TrainState()
     p1.gradient.data[:] = [[0.3, -0.7]]
     p2.gradient.data[:] = [[0.1, 0.2]]
     dt.adam_step(params, state, cfg)
     values = [p.value.data.copy() for p in (p1, p2)]
-    moments = {k: [m.copy() for m in mv] for k, mv in state.moments.items()}
+    moments = state.moments.copy()
     p1.gradient.data[:] = [[0.3, -0.7]]
     p2.gradient.data[:] = [[0.1, bad]]
     with pytest.raises(dt.NonFiniteLossError) as exc:
         dt.adam_step(params, state, cfg)
-    assert exc.value.term == "gradient of b" and exc.value.step == 2
+    assert exc.value.term == f"gradient of {B}" and exc.value.step == 2
     assert state.step == 1
     for p, before in zip((p1, p2), values):
         assert np.array_equal(p.value.data, before)
-    for k, mv in state.moments.items():
-        assert all(np.array_equal(m, m0) for m, m0 in zip(mv, moments[k]))
+    for name in params.views(moments[0]):
+        for which in (0, 1):
+            assert np.array_equal(_moment(params, state, name, which), params.views(moments[which])[name])
 
 
 def test_adam_accepts_finite_gradient_whose_square_overflows():
+    """A gradient whose sum of squares overflows is still clipped to norm
+    grad_clip, not zeroed by an infinite norm."""
     cfg = dt.TrainConfig(grad_clip=1.0)
-    p = Parameter("w", np.zeros((1, 2)))
+    params = _store({A: np.zeros((1, 2))})
+    p = params[A]
     p.gradient.data[:] = [[1e200, 0.0]]
+    state = dt.TrainState()
     with np.errstate(over="ignore"):
-        dt.adam_step(_ParamsStub([("w", p)]), dt.TrainState(), cfg)
+        dt.adam_step(params, state, cfg)
     assert np.isfinite(p.value.data).all()
+    assert_close(_moment(params, state, A), 0.1 * np.array([[1.0, 0.0]]), 1e-14, "clipped m")
 
 
 def test_adam_rejects_update_that_leaves_nonfinite_value():
     """An update that overflows raises, naming the parameter, and leaves
     that parameter as it was."""
     top = np.finfo(np.float64).max
-    p = Parameter("w", np.array([[top, 0.0]]))
+    params = _store({A: [[top, 0.0]]})
+    p = params[A]
     p.gradient.data[:] = [[-1.0, 0.5]]
     with np.errstate(over="ignore"), pytest.raises(dt.NonFiniteLossError) as exc:
-        dt.adam_step(_ParamsStub([("w", p)]), dt.TrainState(), dt.TrainConfig(learning_rate=1e300))
-    assert exc.value.term == "update of w" and exc.value.step == 1
+        dt.adam_step(params, dt.TrainState(), dt.TrainConfig(learning_rate=1e300))
+    assert exc.value.term == f"update of {A}" and exc.value.step == 1
     assert np.array_equal(p.value.data, [[top, 0.0]])
 
 
-def test_one_motion_kernel_per_train_step(tmp_path, monkeypatch):
-    """Both CCRL directions of a step share one kernel; none without CCRL."""
+def test_failing_update_writes_no_parameter():
+    """When one parameter's update overflows, the parameters before it in
+    registration order, whose updates are finite, are not written either."""
+    top = np.finfo(np.float64).max
+    params = _store({A: [[1.0, -2.0]], B: [[top, 0.0]]})
+    params[A].gradient.data[:] = [[0.3, -0.7]]
+    params[B].gradient.data[:] = [[-1.0, 0.5]]
+    before = params.values.copy()
+    with np.errstate(over="ignore"), pytest.raises(dt.NonFiniteLossError) as exc:
+        dt.adam_step(params, dt.TrainState(), dt.TrainConfig(learning_rate=1e300))
+    assert exc.value.term == f"update of {B}"
+    assert np.array_equal(params.values, before)
+
+
+@pytest.mark.parametrize("grad_clip", [None, 50.0])
+def test_flat_adam_equals_per_parameter_adam(grad_clip):
+    """At the default scale, 60 steps of random gradients give bit-identical
+    values and moments to the per-parameter oracle, with and without a clip
+    that fires (the random gradients' norm is about 246)."""
+    cfg_model = ModelConfig(audio_dim=32, vertex_count=120, n_speakers=8, max_frames=60)
+    cfg = dt.TrainConfig(learning_rate=1e-3, grad_clip=grad_clip)
+    flat, ref = (ModelParams(cfg_model, np.random.default_rng(8)) for _ in range(2))
+    assert flat.values.size == 60_720
+    state, ref_state = dt.TrainState(), SimpleNamespace(step=0, moments={})
+    rng = np.random.default_rng(9)
+    for _ in range(60):
+        grads = rng.standard_normal(flat.gradients.size)
+        if grad_clip is not None:
+            assert np.sqrt(np.dot(grads, grads)) > grad_clip
+        flat.gradients[...] = grads
+        for (_, p), g in zip(ref.named_parameters(), ref.views(grads).values()):
+            p.gradient.data[...] = g
+        dt.adam_step(flat, state, cfg)
+        oracles.adam_step(ref, ref_state, cfg)
+    assert state.step == ref_state.step == 60
+    assert np.array_equal(flat.values, ref.values)
+    for name, (m, v) in ref_state.moments.items():
+        assert np.array_equal(_moment(flat, state, name, 0), m), name
+        assert np.array_equal(_moment(flat, state, name, 1), v), name
+
+
+def test_one_motion_kernel_per_sequence_per_train_call(tmp_path, monkeypatch):
+    """train builds one CCRL motion kernel per training sequence, however
+    many epochs it runs, and none when CCRL or the dual pass is off; a bare
+    train_step builds the one its two CCRL directions share."""
     from dualface import losses
 
-    ds = tiny_dataset(tmp_path)
+    ds = tiny_dataset(tmp_path / "data")
+    n_train = len(ds.split("train"))
     calls = []
     kernel = losses.motion_kernel
 
@@ -161,6 +220,14 @@ def test_one_motion_kernel_per_train_step(tmp_path, monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(losses, "motion_kernel", counting)
+    for run in ("a", "b"):
+        calls.clear()
+        dt.train(ds, tiny_model(ds), dt.TrainConfig(epochs=2, seed=0), tmp_path / run)
+        assert len(calls) == n_train
+    for weights in (LossWeights(ccrl=0.0), LossWeights(dual=0.0, dr=0.0, ccrl=0.0)):
+        calls.clear()
+        dt.train(ds, tiny_model(ds), dt.TrainConfig(epochs=2, seed=0, weights=weights), tmp_path / "c")
+        assert calls == []
     seq = ds.split("train")[0]
     for ccrl, want in ((LossWeights().ccrl, 1), (0.0, 0)):
         calls.clear()
