@@ -138,12 +138,6 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 
-# Side channel for the gradient checker: when not None, relu appends its
-# activation pattern here so kink crossings between the +h and -h
-# evaluations can be detected.
-_relu_pattern_sink: list[bytes] | None = None
-
-
 # ---------------------------------------------------------------------------
 # forward rules: (arrays, attrs) -> (output array, saved-for-backward)
 
@@ -186,8 +180,6 @@ def _fw_scalar_multiply(arrays, attrs):
 
 def _fw_relu(arrays, attrs):
     (a,) = arrays
-    if _relu_pattern_sink is not None:
-        _relu_pattern_sink.append((a > 0.0).tobytes())
     return np.maximum(a, 0.0), None
 
 
@@ -567,7 +559,6 @@ class GradCheckReport:
     max_rel_err: float = 0.0
     passed: bool = True
     worst: list[GradCheckEntry] = field(default_factory=list)
-    flagged: list[GradCheckEntry] = field(default_factory=list)
 
     def format(self) -> str:
         lines = [
@@ -587,17 +578,17 @@ def _relative_error(a: float, n: float) -> float:
     return abs(a - n) / max(1e-8, abs(a) + abs(n))
 
 
-def _eval_scalar_with_pattern(build) -> tuple[float, bytes]:
-    global _relu_pattern_sink
-    _relu_pattern_sink = []
-    try:
-        out = build()
-        pattern = b"".join(_relu_pattern_sink)
-    finally:
-        _relu_pattern_sink = None
-    if out.data.size != 1:
-        raise ShapeMismatchError("gradient check builder must produce a scalar")
-    return float(out.data.reshape(-1)[0]), pattern
+def _replay(records: Sequence[TapeRecord], out: Tensor) -> tuple[float, list[bytes]]:
+    """Re-evaluates records in tape order, reading the replayed tensor of an
+    input where there is one; returns out and each relu input's sign pattern."""
+    fresh: dict[Tensor, Tensor] = {}
+    patterns = []
+    for r in records:
+        inputs = [fresh.get(t, t) for t in r.inputs]
+        if r.kind is PrimitiveKind.RELU:
+            patterns.append((inputs[0].data > 0.0).tobytes())
+        fresh[r.output] = evaluate(r.kind, inputs, **r.attrs)
+    return float(fresh.get(out, out).data.reshape(-1)[0]), patterns
 
 
 def check_gradients(
@@ -608,10 +599,14 @@ def check_gradients(
 ) -> GradCheckReport:
     """Compare tape gradients of build() against central finite differences.
 
-    `build` must construct a scalar from the current parameter values. Every
-    parameter entry is perturbed by +/-step; entries whose relu activation
-    pattern differs between the two perturbed evaluations sit on a kink and
-    are flagged rather than judged. Raises NonFiniteError, before anything is
+    `build` must construct a scalar from the current parameter values by
+    composing primitives only, so every value that depends on a parameter
+    is a record's output. It is called once, under a tape. Every parameter
+    entry is then perturbed by +/-step, and each perturbed value comes from
+    replaying only the records downstream of that parameter; the rest keep
+    their recorded outputs. Entries whose relu activation pattern differs
+    between the two perturbed evaluations sit on a kink and are counted as
+    flagged rather than judged. Raises NonFiniteError, before anything is
     built, if a perturbed value would not be finite.
     """
     with np.errstate(over="ignore"):
@@ -625,28 +620,32 @@ def check_gradients(
     if out.data.size != 1:
         raise ShapeMismatchError("gradient check builder must produce a scalar")
     backpropagate(tape, out, np.ones_like(out.data))
-    analytic = {p.id: p.gradient.data.copy() for p in parameters}
 
     report = GradCheckReport(tolerance=tolerance, step=step)
     entries: list[GradCheckEntry] = []
     for p in parameters:
+        # The records downstream of p: each reads p or an earlier one's output.
+        reached, records = {p}, []
+        for r in tape.records:
+            if not reached.isdisjoint(r.inputs):
+                records.append(r)
+                reached.add(r.output)
         flat = p.value.data.reshape(-1)
-        a_flat = analytic[p.id].reshape(-1)
+        a_flat = p.gradient.data.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             try:
                 flat[i] = orig + step
-                f_plus, pat_plus = _eval_scalar_with_pattern(build)
+                f_plus, pat_plus = _replay(records, out)
                 flat[i] = orig - step
-                f_minus, pat_minus = _eval_scalar_with_pattern(build)
+                f_minus, pat_minus = _replay(records, out)
             finally:
                 flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            idx = tuple(map(int, np.unravel_index(i, p.value.data.shape)))
             if pat_plus != pat_minus:
                 report.n_flagged += 1
-                report.flagged.append(GradCheckEntry(p.id, idx, float(a_flat[i]), numeric, 0.0))
                 continue
+            numeric = (f_plus - f_minus) / (2.0 * step)
+            idx = tuple(map(int, np.unravel_index(i, p.value.data.shape)))
             rel = _relative_error(float(a_flat[i]), numeric)
             report.n_entries += 1
             entries.append(GradCheckEntry(p.id, idx, float(a_flat[i]), numeric, rel))

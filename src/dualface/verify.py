@@ -2,6 +2,7 @@
 
 Every check is a name and a scalar builder, and perturbs the Parameter
 leaves of one taped build, so no parameter a builder reads goes unchecked.
+Each builder composes primitives only, as `check_gradients` requires.
 Op and block outputs reach a scalar through a fixed random projection.
 """
 

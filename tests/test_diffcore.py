@@ -258,9 +258,93 @@ def test_gradcheck_flags_relu_kink():
         return dc.sum_all(dc.relu(p.value))
 
     report = dc.check_gradients([p], build, tolerance=1e-4, step=1e-5)
-    flagged = {e.index for e in report.flagged}
-    assert (0, 0) in flagged
-    assert report.passed  # the kink entry is excluded, the smooth one passes
+    assert report.n_flagged == 1 and report.n_entries == 1
+    assert [e.index for e in report.worst] == [(0, 1)]  # the kink entry is not judged
+    assert report.passed
+
+
+def test_gradcheck_flags_kink_of_relu_reading_a_record():
+    """The kink test reads the replayed relu input, not the recorded one."""
+    p = dc.Parameter("p", np.array([[0.0, 1.0]]))
+    report = dc.check_gradients([p], lambda: dc.sum_all(dc.relu(dc.scalar_multiply(p.value, 2.0))))
+    assert report.n_flagged == 1 and [e.index for e in report.worst] == [(0, 1)]
+    assert report.passed
+
+
+def test_gradcheck_builds_once():
+    """The checker builds once, under a tape, and replays that tape for
+    every perturbed evaluation."""
+    p = dc.Parameter("p", np.arange(6.0).reshape(2, 3) / 4.0)
+    builds = []
+
+    def build():
+        builds.append(1)
+        return dc.sum_all(dc.tanh(dc.multiply(p.value, p.value)))
+
+    report = dc.check_gradients([p], build)
+    assert report.passed and report.n_entries == 6
+    assert len(builds) == 1
+
+
+def test_gradcheck_parameter_the_output_never_reaches():
+    """No record is downstream of b, so each of its entries reads a numeric
+    gradient of exactly 0, as its tape gradient does."""
+    a = dc.Parameter("a", [[1.0, 2.0]])
+    b = dc.Parameter("b", [[3.0, 4.0], [5.0, 6.0]])
+    report = dc.check_gradients([a, b], lambda: dc.sum_all(a))
+    assert report.passed and report.n_entries == 6
+    unreached = [e for e in report.worst if e.param == "b"]
+    assert sorted(e.index for e in unreached) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(e.numeric == 0.0 and e.analytic == 0.0 for e in unreached)
+
+
+def test_gradcheck_replay_equals_fresh_build(monkeypatch):
+    """Every value the checker replays from its tape equals a fresh build at
+    the same perturbation, at the first and last entry of each parameter of
+    every check of the full scope."""
+    real = dc._replay
+    for suite in verify._SUITES["full"]:
+        for name, build in suite(np.random.default_rng(1234)):
+            for p in verify._leaves(build):
+                flat = p.value.data.reshape(-1)
+                ends = flat[[0, -1]].copy()
+                compared = []
+
+                def spy(records, out):
+                    f, patterns = real(records, out)
+                    if not np.array_equal(flat[[0, -1]], ends):
+                        assert f == build().item(), f"{name}: {p.id} at {flat[[0, -1]]}"
+                        compared.append(f)
+                    return f, patterns
+
+                monkeypatch.setattr(dc, "_replay", spy)
+                dc.check_gradients([p], build, step=1e-5)
+                assert len(compared) == (4 if flat.size > 1 else 2), f"{name}: {p.id}"
+
+
+def _tanh_one_minus_t(r, g):
+    return [g * (1.0 - r.output.data)]
+
+
+def _layer_norm_without_gm(r, g):
+    normed, inv = r.saved
+    gn = np.add.reduce(g * normed, axis=-1, keepdims=True) / g.shape[-1]
+    return [inv * (g - normed * gn)]
+
+
+@pytest.mark.parametrize("kind,backward,failing", [
+    (dc.PrimitiveKind.TANH, _tanh_one_minus_t, {"op tanh"}),
+    (dc.PrimitiveKind.LAYER_NORM_ROWS, _layer_norm_without_gm, {
+        "op layer-normalize-per-row", "block self_attend primal", "block self_attend dual",
+        "block cross_attend primal", "block cross_attend dual", "full model + all losses"}),
+], ids=["tanh", "layer-norm"])
+def test_gradcheck_fails_sabotaged_backward(monkeypatch, kind, backward, failing):
+    """A wrong backward rule fails every full-scope check that reaches it:
+    replaying the tape leaves no wrong gradient unseen."""
+    monkeypatch.setattr(kind, "backward", backward)
+    ok, lines = verify.run_gradcheck("full", 1e-4, 1e-5)
+    assert not ok
+    assert {ln[5:].split(":")[0] for ln in lines if ln.startswith("FAIL ")} == failing
 
 
 def test_relu_subgradient_zero_at_kink():
