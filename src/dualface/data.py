@@ -599,6 +599,8 @@ def load_dataset(manifest_path) -> LoadedDataset:
         motion = load_motion(root / e.motion)
         if motion.vertex_count != template.vertex_count:
             raise ValueError(f"{e.motion}: vertex count differs from template")
+        if sequences and feats.dim != sequences[0].features.dim:
+            raise ValueError(f"{e.features}: {feats.dim} feature bands, the first sequence has {sequences[0].features.dim}")
         if feats.frames != motion.frames:
             feats = resample_features(feats, motion.frames)
         sequences.append(SequenceRecord(e.speaker, feats, motion, e.split, Path(e.features).stem))

@@ -40,23 +40,21 @@ def all_finite(a: np.ndarray) -> bool:
 
 
 class Tensor:
-    """Dense, C-contiguous float64 array, optionally owned by a Parameter.
-    NaN/Inf values are rejected."""
+    """Dense, C-contiguous float64 array. NaN/Inf values are rejected."""
 
-    __slots__ = ("data", "owner")
+    __slots__ = ("data",)
 
     def __init__(self, values):
         arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
         if not all_finite(arr):
             raise NonFiniteError("tensor construction received non-finite values")
         self.data = arr
-        self.owner = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
         """Takes a C-contiguous, finite float64 array as it is, unchecked."""
         t = object.__new__(cls)
-        t.data, t.owner = arr, None
+        t.data = arr
         return t
 
     @property
@@ -73,31 +71,24 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable tensor with an accumulated gradient and a stable name.
+    """Trainable tensor with a stable name and a gradient, a plain array of
+    the value's shape into which backpropagate adds.
 
-    A parameter is its own value tensor and its own owner, so it holds no
-    reference cycle: a store's parameters, and the buffers their values
-    view, are freed as soon as the store is. A store that lays parameters
-    out in one buffer passes each value as a C-contiguous float64 view,
-    which is kept as it is, and a zeroed gradient view of the same shape."""
+    A parameter holds no reference cycle, so a store's parameters, and the
+    buffers they view, are freed as soon as the store is. A store that lays
+    parameters out in one buffer passes each value as a C-contiguous float64
+    view, which is kept as it is, and a zeroed gradient view of the same shape."""
 
     __slots__ = ("id", "gradient")
 
     def __init__(self, name: str, values, gradient: np.ndarray | None = None):
-        self.data = Tensor(values).data
+        super().__init__(values)
         self.id = name
-        self.gradient = Tensor._wrap(np.zeros_like(self.data) if gradient is None else gradient)
+        self.gradient = np.zeros_like(self.data) if gradient is None else gradient
 
     @property
     def value(self) -> Tensor:
         return self
-
-    @property
-    def owner(self) -> Parameter:
-        return self
-
-    def zero_gradient(self):
-        self.gradient.data[...] = 0.0
 
     def __repr__(self):
         return f"Parameter({self.id!r}, shape={self.shape})"
@@ -509,30 +500,29 @@ def layer_norm_rows(a):
     return evaluate(PrimitiveKind.LAYER_NORM_ROWS, (a,))
 
 
-def backpropagate(tape: Tape, output: Tensor, seed) -> None:
-    """Reverse-accumulate d(output)/d(parameter) * seed into parameter grads.
+def backpropagate(tape: Tape, output: Tensor) -> None:
+    """Reverse-accumulate d(sum of output)/d(parameter) into parameter
+    gradients; the output's own gradient is seeded with ones.
 
     Gradient buffers are keyed by tensor identity, and an intermediate one is
     dropped as soon as its producing record has been processed. A gradient
-    reaching a parameter's tensor is added to the parameter as it arrives;
-    one reaching a constant (a tensor no record outputs) is dropped at once.
+    reaching a Parameter is added to its gradient as it arrives; one
+    reaching a constant (a tensor no record outputs) is dropped at once.
     """
     if not any(r.output is output or output in r.inputs for r in reversed(tape.records)):
         raise DanglingNodeError("output tensor was not recorded on this tape")
-    seed_arr = np.array(getattr(seed, "data", seed), dtype=np.float64)
-    if seed_arr.shape != output.data.shape:
-        raise ShapeMismatchError(f"seed shape {seed_arr.shape} != output shape {output.data.shape}")
-    if output.owner is not None:
-        output.owner.gradient.data += seed_arr
-    grads: dict[int, np.ndarray] = {id(output): seed_arr}
+    seed = np.ones_like(output.data)
+    if isinstance(output, Parameter):
+        output.gradient += seed
+    grads: dict[int, np.ndarray] = {id(output): seed}
     produced = {id(r.output) for r in tape.records}
     for r in reversed(tape.records):
         g = grads.pop(id(r.output), None)
         if g is None:
             continue
         for t, ig in zip(r.inputs, r.kind.backward(r, g)):
-            if t.owner is not None:
-                t.owner.gradient.data += ig
+            if isinstance(t, Parameter):
+                t.gradient += ig
             elif id(t) in produced:
                 acc = grads.get(id(t))
                 grads[id(t)] = ig if acc is None else acc + ig
@@ -611,15 +601,15 @@ def check_gradients(
     """
     with np.errstate(over="ignore"):
         for p in parameters:
-            if not (all_finite(p.value.data + step) and all_finite(p.value.data - step)):
+            if not (all_finite(p.data + step) and all_finite(p.data - step)):
                 raise NonFiniteError(f"gradient check: {p.id} +/- {step:g} is not finite")
     for p in parameters:
-        p.zero_gradient()
+        p.gradient.fill(0.0)
     with Tape() as tape:
         out = build()
     if out.data.size != 1:
         raise ShapeMismatchError("gradient check builder must produce a scalar")
-    backpropagate(tape, out, np.ones_like(out.data))
+    backpropagate(tape, out)
 
     report = GradCheckReport(tolerance=tolerance, step=step)
     entries: list[GradCheckEntry] = []
@@ -630,8 +620,8 @@ def check_gradients(
             if not reached.isdisjoint(r.inputs):
                 records.append(r)
                 reached.add(r.output)
-        flat = p.value.data.reshape(-1)
-        a_flat = p.gradient.data.reshape(-1)
+        flat = p.data.reshape(-1)
+        a_flat = p.gradient.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             try:
@@ -645,7 +635,7 @@ def check_gradients(
                 report.n_flagged += 1
                 continue
             numeric = (f_plus - f_minus) / (2.0 * step)
-            idx = tuple(map(int, np.unravel_index(i, p.value.data.shape)))
+            idx = tuple(map(int, np.unravel_index(i, p.data.shape)))
             rel = _relative_error(float(a_flat[i]), numeric)
             report.n_entries += 1
             entries.append(GradCheckEntry(p.id, idx, float(a_flat[i]), numeric, rel))

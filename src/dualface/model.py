@@ -167,9 +167,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> dc.Parameter:
         return self._params[name]
 
-    def t(self, name: str) -> dc.Tensor:
-        return self._params[name].value
-
     def named_parameters(self) -> list[tuple[str, dc.Parameter]]:
         return list(self._params.items())
 
@@ -182,13 +179,13 @@ class ModelParams:
     def motion_decoder_weight(self) -> dc.Tensor:
         """(d, 3V) decoder weight; the transpose of the encoder when tied."""
         if self.config.share_transpose_codec:
-            return dc.transpose_last_two(self.t("motion_encoder.weight"))
-        return self.t("motion_decoder.weight")
+            return dc.transpose_last_two(self["motion_encoder.weight"])
+        return self["motion_decoder.weight"]
 
     def audio_decoder_out_weight(self) -> dc.Tensor:
         if self.config.share_transpose_codec:
-            return dc.transpose_last_two(self.t("audio_encoder.weight"))
-        return self.t("audio_decoder.out.weight")
+            return dc.transpose_last_two(self["audio_encoder.weight"])
+        return self["audio_decoder.out.weight"]
 
 
 @dataclass
@@ -275,8 +272,8 @@ def _encode(params: ModelParams, x, modality: str, start: int) -> dc.Tensor:
         raise dc.ShapeMismatchError(f"{what}: expected {width} columns, got {cols}")
     t = x.data.shape[0]
     _check_frames(params, start + t, what)
-    pos = dc.slice_axis(params.t("positional_table"), 0, start, start + t)
-    return dc.add(_affine(x, params.t(f"{modality}_encoder.weight"), params.t(f"{modality}_encoder.bias")), pos)
+    pos = dc.slice_axis(params["positional_table"], 0, start, start + t)
+    return dc.add(_affine(x, params[f"{modality}_encoder.weight"], params[f"{modality}_encoder.bias"]), pos)
 
 
 def encode_audio(params: ModelParams, features, start: int = 0) -> dc.Tensor:
@@ -299,18 +296,18 @@ def style_embed(params: ModelParams, speaker: int) -> dc.Tensor:
     n = params.config.n_speakers
     if not 0 <= speaker < n:
         raise ValueError(f"speaker {speaker} out of range [0, {n})")
-    return dc.slice_axis(params.t("style_table"), 0, speaker, speaker + 1)
+    return dc.slice_axis(params["style_table"], 0, speaker, speaker + 1)
 
 
 def _decode_motion(params: ModelParams, fused: dc.Tensor) -> dc.Tensor:
     """(T, d) fused rows to (T, 3V) flattened displacements."""
-    return _affine(fused, params.motion_decoder_weight(), params.t("motion_decoder.bias"))
+    return _affine(fused, params.motion_decoder_weight(), params["motion_decoder.bias"])
 
 
 def _decode_audio(params: ModelParams, fused: dc.Tensor) -> dc.Tensor:
     """(T, d) fused rows to (T, audio_dim) features through a relu layer."""
-    hidden = dc.relu(_affine(fused, params.t("audio_decoder.hidden.weight"), params.t("audio_decoder.hidden.bias")))
-    return _affine(hidden, params.audio_decoder_out_weight(), params.t("audio_decoder.out.bias"))
+    hidden = dc.relu(_affine(fused, params["audio_decoder.hidden.weight"], params["audio_decoder.hidden.bias"]))
+    return _affine(hidden, params.audio_decoder_out_weight(), params["audio_decoder.out.bias"])
 
 
 @dataclass(frozen=True)
@@ -343,9 +340,9 @@ def self_attend(params: ModelParams, stream: dc.Tensor, direction: str, cache: l
     with a per-head cache, `stream` is the one newest history row."""
     name = _direction(direction).target
     _check_frames(params, stream.data.shape[0], "self_attend")
-    qw, kw, vw = ([params.t(f"self_attn.{name}.h{h}.{p}") for h in range(params.config.self_heads)] for p in "qkv")
+    qw, kw, vw = ([params[f"self_attn.{name}.h{h}.{p}"] for h in range(params.config.self_heads)] for p in "qkv")
     heads = attention_heads(stream, stream, qw, kw, vw, cache)
-    ctx = dc.matmul(dc.concat_last(*heads), params.t(f"self_attn.{name}.out"))
+    ctx = dc.matmul(dc.concat_last(*heads), params[f"self_attn.{name}.out"])
     return dc.layer_norm_rows(dc.add(stream, ctx))
 
 
@@ -354,8 +351,8 @@ def speaker_modulate(params: ModelParams, stream: dc.Tensor, style: dc.Tensor, d
     name = _direction(direction).target
     t = stream.data.shape[0]
     joint = dc.concat_last(_repeat_row(style, t), stream)
-    hidden = dc.relu(_affine(joint, params.t(f"speaker_gate.{name}.fc1.weight"), params.t(f"speaker_gate.{name}.fc1.bias")))
-    gate = dc.sigmoid(_affine(hidden, params.t(f"speaker_gate.{name}.fc2.weight"), params.t(f"speaker_gate.{name}.fc2.bias")))
+    hidden = dc.relu(_affine(joint, params[f"speaker_gate.{name}.fc1.weight"], params[f"speaker_gate.{name}.fc1.bias"]))
+    gate = dc.sigmoid(_affine(hidden, params[f"speaker_gate.{name}.fc2.weight"], params[f"speaker_gate.{name}.fc2.bias"]))
     return dc.multiply(gate, stream)
 
 
@@ -370,12 +367,12 @@ def cross_attend(params: ModelParams, queries: dc.Tensor, kv: dc.Tensor, directi
         raise dc.ShapeMismatchError(f"cross_attend expects equal lengths, got {tq} and {tk}")
     own = f"fusion.{d.name}"
     roles = (f"fusion.qk_{d.source}", f"fusion.qk_{d.target}", f"{own}.v")
-    qw, kw, vw = ([params.t(f"{role}.h{h}") for h in range(params.config.fusion_heads)] for role in roles)
+    qw, kw, vw = ([params[f"{role}.h{h}"] for h in range(params.config.fusion_heads)] for role in roles)
     heads = attention_heads(queries, kv, qw, kw, vw, cache)
-    ctx = dc.matmul(dc.concat_last(*heads), params.t(f"{own}.out"))
+    ctx = dc.matmul(dc.concat_last(*heads), params[f"{own}.out"])
     x = dc.layer_norm_rows(dc.add(queries, ctx))
-    hidden = dc.relu(_affine(x, params.t(f"{own}.ff1.weight"), params.t(f"{own}.ff1.bias")))
-    ff = _affine(hidden, params.t(f"{own}.ff2.weight"), params.t(f"{own}.ff2.bias"))
+    hidden = dc.relu(_affine(x, params[f"{own}.ff1.weight"], params[f"{own}.ff1.bias"]))
+    ff = _affine(hidden, params[f"{own}.ff2.weight"], params[f"{own}.ff2.bias"])
     return dc.layer_norm_rows(dc.add(x, ff))
 
 
@@ -385,7 +382,7 @@ def _shifted_history(params: ModelParams, encoded: dc.Tensor, start_name: str) -
     unit column. Each entry sums one nonzero term, so the rows are exact."""
     t = encoded.data.shape[0]
     shifted = dc.matmul(dc.Tensor(np.eye(t, k=-1)), encoded)
-    return dc.add(shifted, dc.matmul(dc.Tensor(np.eye(t, 1)), params.t(start_name)))
+    return dc.add(shifted, dc.matmul(dc.Tensor(np.eye(t, 1)), params[start_name]))
 
 
 def _forward(params: ModelParams, d: Direction, source, speaker: int, target) -> ForwardOutputs:
@@ -412,7 +409,7 @@ def _generate(params: ModelParams, d: Direction, source, speaker: int) -> np.nda
     style = style_embed(params, speaker)
     self_cache = [KVCache(frames, c.d // c.self_heads) for _ in range(c.self_heads)]
     fusion_cache = [KVCache(frames, c.d // c.fusion_heads) for _ in range(c.fusion_heads)]
-    out, history = [], params.t(f"start_token.{d.target}")
+    out, history = [], params[f"start_token.{d.target}"]
     for t in range(frames):
         ctx = self_attend(params, history, d.name, self_cache)
         gated = speaker_modulate(params, ctx, style, d.name)
@@ -459,10 +456,10 @@ def save_checkpoint(path, params: ModelParams):
     blob = json.dumps({"config": asdict(params.config), "dtype": "f64"}, sort_keys=True).encode("utf-8")
     stored = []
     for name, p in params.named_parameters():
-        values = np.ascontiguousarray(p.value.data, dtype=_F8)
+        values = np.ascontiguousarray(p.data, dtype=_F8)
         if not np.isfinite(values).all():
             raise ValueError(f"{path}: parameter {name!r} holds non-finite values")
-        stored.append((name, p.value.data.shape, values))
+        stored.append((name, p.shape, values))
     with open(path, "wb") as f:
         f.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob)))
         f.write(blob)

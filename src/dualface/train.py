@@ -73,7 +73,6 @@ class TrainState:
     moments: np.ndarray | None = None
     scratch: np.ndarray | None = None
     best_val_lve: float = float("inf")
-    best_checkpoint: str | None = None
 
 
 def _first_nonfinite(params: ModelParams, flat: np.ndarray) -> str:
@@ -86,7 +85,7 @@ def _clip_gradients(params: ModelParams, clip: float):
     overflows, the norm is that of the gradients divided by their largest
     magnitude, times that magnitude."""
     top = 1.0
-    total = sum(float((p.gradient.data**2).sum()) for p in params.parameters())
+    total = sum(float((p.gradient**2).sum()) for p in params.parameters())
     if not math.isfinite(total):
         top = float(np.abs(params.gradients).max())
         scaled = params.gradients / top
@@ -155,7 +154,7 @@ def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state
             bundle, total = total_loss(primal, dual, seq.motion, seq.features, w, cfg.ccrl, kernel)
     except dc.NonFiniteError as e:
         raise NonFiniteLossError("forward pass", state.step + 1, cfg.grad_clip) from e
-    dc.backpropagate(tape, total, np.ones_like(total.data))
+    dc.backpropagate(tape, total)
     adam_step(params, state, cfg)
     return bundle
 
@@ -204,14 +203,19 @@ def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_
     """Train from a fresh seeded initialization; returns the best-validation
     checkpoint path (final parameters if the val split is empty)."""
     cfg.validate()
+    train_rows = dataset.split("train")
+    if not train_rows:
+        raise ValueError("train split is empty")
+    if cfg.weights.ccrl:
+        for seq in train_rows:
+            if seq.motion.frames < 2:
+                raise ValueError(f"training sequence {seq.name!r} has {seq.motion.frames} frame; "
+                                 "the CCRL loss (train.weights.ccrl) needs at least 2")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams(model_cfg, rng)
     state = TrainState()
-    train_rows = dataset.split("train")
-    if not train_rows:
-        raise ValueError("train split is empty")
     # The CCRL motion kernel depends only on ground truth, so each training
     # sequence's is built at its first step and kept only while a later
     # epoch will use it: a one-epoch run holds one kernel at a time.
@@ -235,10 +239,8 @@ def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_
                 if report.lve < state.best_val_lve:
                     state.best_val_lve = report.lve
                     save_checkpoint(ckpt_path, params)
-                    state.best_checkpoint = str(ckpt_path)
-    if state.best_checkpoint is None:
+    if state.best_val_lve == float("inf"):
         save_checkpoint(ckpt_path, params)
-        state.best_checkpoint = str(ckpt_path)
     return TrainResult(str(ckpt_path), str(log_path), state)
 
 

@@ -39,8 +39,8 @@ _OPS: dict[dc.PrimitiveKind, tuple[list[tuple[int, int]], dict]] = {
 }
 
 
-def _inputs(rng: np.random.Generator, *shapes, kind: dc.PrimitiveKind | None = None) -> list[dc.Tensor]:
-    """Parameter-owned input tensors. Relu inputs stay clear of the kink at
+def _inputs(rng: np.random.Generator, *shapes, kind: dc.PrimitiveKind | None = None) -> list[dc.Parameter]:
+    """Parameter input tensors. Relu inputs stay clear of the kink at
     0 and log inputs positive, where both are differentiable."""
     def draw(shape):
         if kind is _K.RELU:
@@ -49,7 +49,7 @@ def _inputs(rng: np.random.Generator, *shapes, kind: dc.PrimitiveKind | None = N
             return rng.uniform(0.5, 2.0, shape)
         return rng.standard_normal(shape)
 
-    return [dc.Parameter(f"input{i}", draw(s)).value for i, s in enumerate(shapes)]
+    return [dc.Parameter(f"input{i}", draw(s)) for i, s in enumerate(shapes)]
 
 
 def _projected(output: Callable[[], dc.Tensor], proj: np.ndarray) -> Callable[[], dc.Tensor]:
@@ -141,7 +141,7 @@ def _leaves(build: Callable[[], dc.Tensor]) -> list[dc.Parameter]:
     """The parameters a taped build reads, in the order it first reads them."""
     with dc.Tape() as tape:
         build()
-    return list(dict.fromkeys(t.owner for r in tape.records for t in r.inputs if t.owner is not None))
+    return list(dict.fromkeys(t for r in tape.records for t in r.inputs if isinstance(t, dc.Parameter)))
 
 
 def run_gradcheck(scope: str, tolerance: float, step: float) -> tuple[bool, list[str]]:

@@ -250,25 +250,25 @@ def adam_step(params, state, cfg):
     and `moments`, a dict of name -> [m, v]; a non-finite gradient or update
     raises FloatingPointError naming the parameter."""
     for name, p in params.named_parameters():
-        if not np.isfinite(p.gradient.data).all():
+        if not np.isfinite(p.gradient).all():
             raise FloatingPointError(f"gradient of {name}")
     state.step += 1
     t = state.step
     c1 = 1.0 - cfg.beta1**t
     c2 = 1.0 - cfg.beta2**t
     if cfg.grad_clip is not None:
-        total = sum(float((p.gradient.data**2).sum()) for p in params.parameters())
+        total = sum(float((p.gradient**2).sum()) for p in params.parameters())
         norm = np.sqrt(total)
         if norm > cfg.grad_clip:
             scale = cfg.grad_clip / norm
             for p in params.parameters():
-                p.gradient.data *= scale
+                p.gradient *= scale
     for name, p in params.named_parameters():
         mv = state.moments.get(name)
         if mv is None:
             mv = [np.zeros_like(p.value.data), np.zeros_like(p.value.data)]
             state.moments[name] = mv
-        g = p.gradient.data
+        g = p.gradient
         mv[0] = cfg.beta1 * mv[0] + (1.0 - cfg.beta1) * g
         mv[1] = cfg.beta2 * mv[1] + (1.0 - cfg.beta2) * (g * g)
         m_hat = mv[0] / c1
@@ -277,4 +277,4 @@ def adam_step(params, state, cfg):
         if not np.isfinite(updated).all():
             raise FloatingPointError(f"update of {name}")
         p.value.data[...] = updated
-        p.zero_gradient()
+        p.gradient.fill(0.0)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dualface import cli
 from dualface import diffcore as dc
-from dualface.data import load_features, load_manifest, load_motion, load_template
+from dualface.data import FeatureSequence, load_features, load_manifest, load_motion, load_template, save_features
 from dualface.model import load_checkpoint
 from dualface.train import file_sha256
 
@@ -296,6 +296,35 @@ def test_cut_checkpoint_exits_3(trained, tmp_path, capsys):
         assert run(["lipread", "--checkpoint", cut, "--motion", manifest.parent / "seq000_motion.bin",
                     "--out", tmp_path / "lips"]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_feature_files_with_different_band_counts_exit_3(trained, tmp_path, capsys):
+    """A feature file whose band count differs from the first sequence's is
+    a data error when the dataset loads: train and eval exit 3, name the
+    file, and write nothing."""
+    _, ckpt = trained
+    manifest = make_dataset(tmp_path)
+    odd = next(e.features for e in load_manifest(manifest).entries if e.split == "val")
+    save_features(manifest.parent / odd, FeatureSequence(load_features(manifest.parent / odd).values[:, :5]))
+    assert run(["train", "--data", manifest, "--out", tmp_path / "run", "--set", "train.epochs=2", *SMALL_MODEL]) == 3
+    assert run(["eval", "--checkpoint", ckpt, "--data", manifest, "--split", "val", "--out", tmp_path / "eval"]) == 3
+    err = capsys.readouterr().err
+    assert err.count(f"{odd}: 5 feature bands") == 2, err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
+
+
+def test_one_frame_training_sequence_needs_ccrl_off(tmp_path, capsys):
+    """CCRL contrasts frames, so with train.weights.ccrl nonzero a one-frame
+    training sequence exits 3, named, before the run directory exists; with
+    train.weights.ccrl=0 the same data trains."""
+    manifest = make_dataset(tmp_path, frames=1)
+    first = next(Path(e.features).stem for e in load_manifest(manifest).entries if e.split == "train")
+    argv = ["train", "--data", manifest, "--set", "train.epochs=1", *SMALL_MODEL]
+    assert run([*argv, "--out", tmp_path / "run"]) == 3
+    assert f"training sequence {first!r} has 1 frame" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    assert run([*argv, "--out", tmp_path / "run", "--set", "train.weights.ccrl=0"]) == 0
+    assert (tmp_path / "run" / "best.ckpt").exists()
 
 
 # The checkpoint has 2 speakers and max_frames 10; each strategy mixes in valid values.

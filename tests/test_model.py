@@ -255,7 +255,7 @@ def test_shifted_history_is_exact(t):
     rng = np.random.default_rng(16)
     params = dm.ModelParams(small_config(), rng)
     encoded = dc.Tensor(rng.standard_normal((t, params.config.d)))
-    start = params.t("start_token.motion").data
+    start = params["start_token.motion"].data
     out = dm._shifted_history(params, encoded, "start_token.motion")
     assert np.array_equal(out.data, np.vstack([start, encoded.data[:-1]]))
 
@@ -284,7 +284,7 @@ def _assert_flat_store(params):
     names = [name for name, _, _ in dm._layout(params.config)]
     assert [name for name, _ in params.named_parameters()] == names
     for name, p in params.named_parameters():
-        for view, flat in ((p.value.data, params.values), (p.gradient.data, params.gradients)):
+        for view, flat in ((p.value.data, params.values), (p.gradient, params.gradients)):
             assert view.flags.c_contiguous and view.dtype == np.float64, name
             assert view.base is flat, name
             start = (view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]) // 8
@@ -310,14 +310,14 @@ def test_parameters_are_views_into_one_flat_store(tmp_path, tied):
         name, p = store.named_parameters()[3]
         p.value.data[0, 0] = 123.5
         assert store.views(store.values)[name][0, 0] == 123.5
-        p.gradient.data[...] = 1.0
+        p.gradient[...] = 1.0
         assert store.views(store.gradients)[name].all()
         store.zero_gradients()
         assert not store.gradients.any()
 
 
 def test_store_is_freed_without_the_cycle_collector(tmp_path):
-    """A parameter is its own value tensor and owner, so dropping the last
+    """A parameter is its own value tensor and holds no cycle, so dropping the last
     reference to a store frees its values at once, cycle collector or not."""
     dm.save_checkpoint(tmp_path / "model.ckpt", dm.ModelParams(small_config(), np.random.default_rng(23)))
     gc.disable()

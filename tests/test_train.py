@@ -86,7 +86,7 @@ def test_adam_step_matches_hand_formula():
     params = _store({A: [[1.0, -2.0]]})
     param = params[A]
     grad = np.array([[0.3, -0.7]])
-    param.gradient.data[:] = grad
+    param.gradient[:] = grad
     state = dt.TrainState()
     dt.adam_step(params, state, cfg)  # advances to step 1 itself
     m = 0.1 * grad
@@ -95,14 +95,14 @@ def test_adam_step_matches_hand_formula():
     v_hat = v / (1 - 0.999)
     expect = np.array([[1.0, -2.0]]) - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
     assert_close(param.value.data, expect, 1e-14, "adam")
-    assert not np.any(param.gradient.data)  # cleared after the step
+    assert not np.any(param.gradient)  # cleared after the step
 
 
 def test_grad_clip_rescales_to_threshold():
     cfg = dt.TrainConfig(grad_clip=1.0)
     params = _store({A: np.zeros((1, 2)), B: np.zeros((1, 2))})
-    params[A].gradient.data[:] = [[3.0, 0.0]]
-    params[B].gradient.data[:] = [[0.0, 4.0]]
+    params[A].gradient[:] = [[3.0, 0.0]]
+    params[B].gradient[:] = [[0.0, 4.0]]
     state = dt.TrainState()
     # global norm is 5; after clipping the first moment sees gradients / 5
     dt.adam_step(params, state, cfg)
@@ -118,13 +118,13 @@ def test_adam_rejects_nonfinite_gradient(grad_clip, bad):
     params = _store({A: [[1.0, -2.0]], B: [[0.5, 0.25]]})
     p1, p2 = params[A], params[B]
     state = dt.TrainState()
-    p1.gradient.data[:] = [[0.3, -0.7]]
-    p2.gradient.data[:] = [[0.1, 0.2]]
+    p1.gradient[:] = [[0.3, -0.7]]
+    p2.gradient[:] = [[0.1, 0.2]]
     dt.adam_step(params, state, cfg)
     values = [p.value.data.copy() for p in (p1, p2)]
     moments = state.moments.copy()
-    p1.gradient.data[:] = [[0.3, -0.7]]
-    p2.gradient.data[:] = [[0.1, bad]]
+    p1.gradient[:] = [[0.3, -0.7]]
+    p2.gradient[:] = [[0.1, bad]]
     with pytest.raises(dt.NonFiniteLossError) as exc:
         dt.adam_step(params, state, cfg)
     assert exc.value.term == f"gradient of {B}" and exc.value.step == 2
@@ -142,7 +142,7 @@ def test_adam_accepts_finite_gradient_whose_square_overflows():
     cfg = dt.TrainConfig(grad_clip=1.0)
     params = _store({A: np.zeros((1, 2))})
     p = params[A]
-    p.gradient.data[:] = [[1e200, 0.0]]
+    p.gradient[:] = [[1e200, 0.0]]
     state = dt.TrainState()
     with np.errstate(over="ignore"):
         dt.adam_step(params, state, cfg)
@@ -156,7 +156,7 @@ def test_adam_rejects_update_that_leaves_nonfinite_value():
     top = np.finfo(np.float64).max
     params = _store({A: [[top, 0.0]]})
     p = params[A]
-    p.gradient.data[:] = [[-1.0, 0.5]]
+    p.gradient[:] = [[-1.0, 0.5]]
     with np.errstate(over="ignore"), pytest.raises(dt.NonFiniteLossError) as exc:
         dt.adam_step(params, dt.TrainState(), dt.TrainConfig(learning_rate=1e300))
     assert exc.value.term == f"update of {A}" and exc.value.step == 1
@@ -168,8 +168,8 @@ def test_failing_update_writes_no_parameter():
     registration order, whose updates are finite, are not written either."""
     top = np.finfo(np.float64).max
     params = _store({A: [[1.0, -2.0]], B: [[top, 0.0]]})
-    params[A].gradient.data[:] = [[0.3, -0.7]]
-    params[B].gradient.data[:] = [[-1.0, 0.5]]
+    params[A].gradient[:] = [[0.3, -0.7]]
+    params[B].gradient[:] = [[-1.0, 0.5]]
     before = params.values.copy()
     with np.errstate(over="ignore"), pytest.raises(dt.NonFiniteLossError) as exc:
         dt.adam_step(params, dt.TrainState(), dt.TrainConfig(learning_rate=1e300))
@@ -194,7 +194,7 @@ def test_flat_adam_equals_per_parameter_adam(grad_clip):
             assert np.sqrt(np.dot(grads, grads)) > grad_clip
         flat.gradients[...] = grads
         for (_, p), g in zip(ref.named_parameters(), ref.views(grads).values()):
-            p.gradient.data[...] = g
+            p.gradient[...] = g
         dt.adam_step(flat, state, cfg)
         oracles.adam_step(ref, ref_state, cfg)
     assert state.step == ref_state.step == 60
@@ -256,6 +256,30 @@ def test_best_checkpoint_tracks_validation(tmp_path):
     params = load_checkpoint(res.checkpoint)
     report = dt.evaluate_params(params, ds, "val")
     assert_close(report.lve, res.state.best_val_lve, 1e-12, "best lve reproducible")
+
+
+def test_no_val_split_checkpoints_final_parameters(tmp_path, monkeypatch):
+    """Without val entries nothing is validated: best_val_lve stays inf and
+    best.ckpt holds the parameters the last step left."""
+    generate_synthetic(SyntheticSpec(n_speakers=2, n_sequences=6, frames=8, vertex_count=24, bands=6), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    for entry in manifest["entries"]:
+        entry["split"] = "test" if entry["split"] == "val" else entry["split"]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    ds = load_dataset(tmp_path / "manifest.json")
+    assert not ds.split("val")
+    stores, real_step = [], dt.train_step
+
+    def spy(params, *args):
+        stores.append(params)
+        return real_step(params, *args)
+
+    monkeypatch.setattr(dt, "train_step", spy)
+    res = dt.train(ds, tiny_model(ds), dt.TrainConfig(epochs=2, seed=6), tmp_path / "run")
+    assert res.state.best_val_lve == float("inf")
+    assert Path(res.checkpoint) == tmp_path / "run" / "best.ckpt"
+    assert np.array_equal(load_checkpoint(res.checkpoint).values, stores[-1].values)
+    assert res.state.step == len(stores) == 2 * len(ds.split("train"))
 
 
 def test_evaluate_predict_gt_is_zero(tmp_path):
