@@ -197,9 +197,25 @@ def cmd_train(args, resolved: dict) -> int:
     return 0
 
 
+def _check_fits(params: ModelParams, checkpoint, source, frames: int, **widths):
+    """Raises ValueError (a data error) naming `checkpoint` and `source` when
+    the input's frame count, or a width in `widths` (audio_dim,
+    vertex_count), does not fit the checkpoint's model."""
+    c = params.config
+    wrong = [f"{name} {got} where the checkpoint has {getattr(c, name)}"
+             for name, got in widths.items() if got != getattr(c, name)]
+    if frames > c.max_frames:
+        wrong.append(f"{frames} frames where the checkpoint's max_frames is {c.max_frames}")
+    if wrong:
+        raise ValueError(f"{source} does not fit checkpoint {checkpoint}: " + "; ".join(wrong))
+
+
 def cmd_eval(args, resolved: dict) -> int:
     dataset = load_dataset(args.data)
     params = load_checkpoint(args.checkpoint)
+    frames = max((s.motion.frames for s in dataset.split(args.split)), default=0)
+    _check_fits(params, args.checkpoint, args.data, frames, audio_dim=dataset.audio_dim,
+                vertex_count=dataset.template.vertex_count)
     report = evaluate_params(params, dataset, args.split, predict_gt=args.predict_gt)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -236,6 +252,7 @@ def cmd_animate(args, resolved: dict) -> int:
     features = load_features(args.features)
     if args.frames is not None:
         features = resample_features(features, args.frames)
+    _check_fits(params, args.checkpoint, args.features, features.frames, audio_dim=features.dim)
     motion = generate_motion(params, features, args.speaker, args.fps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -256,6 +273,7 @@ def cmd_animate(args, resolved: dict) -> int:
 def cmd_lipread(args, resolved: dict) -> int:
     params = _checkpoint_for_speaker(args)
     motion = load_motion(args.motion)
+    _check_fits(params, args.checkpoint, args.motion, motion.frames, vertex_count=motion.vertex_count)
     features = generate_audio(params, motion, args.speaker)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -410,6 +410,15 @@ class PrimitiveKind(Enum):
     LAYER_NORM_ROWS = "layer-normalize-per-row", _fw_layer_norm_rows, _bw_layer_norm_rows
 
 
+def _apply(kind: PrimitiveKind, arrays: list, attrs: dict) -> tuple:
+    """kind's forward rule on arrays; returns (output, saved). A non-finite
+    output raises NonFiniteError naming the primitive."""
+    out, saved = kind.forward(arrays, attrs)
+    if not all_finite(out):
+        raise NonFiniteError(f"{kind.value}: produced non-finite values")
+    return out, saved
+
+
 def evaluate(kind: PrimitiveKind, inputs: Sequence[Tensor], **attrs) -> Tensor:
     """Apply one primitive; records onto the active tape if one is open.
 
@@ -417,9 +426,7 @@ def evaluate(kind: PrimitiveKind, inputs: Sequence[Tensor], **attrs) -> Tensor:
     checked output, a Tensor checked at construction, or a view of checked
     data, and each in-place writer of checked data checks what it writes.
     """
-    out_arr, saved = kind.forward([t.data for t in inputs], attrs)
-    if not all_finite(out_arr):
-        raise NonFiniteError(f"{kind.value}: produced non-finite values")
+    out_arr, saved = _apply(kind, [t.data for t in inputs], attrs)
     out = Tensor._wrap(out_arr)
     if _TAPE_STACK:
         _TAPE_STACK[-1].records.append(TapeRecord(kind, tuple(inputs), out, attrs, saved))
@@ -568,17 +575,21 @@ def _relative_error(a: float, n: float) -> float:
     return abs(a - n) / max(1e-8, abs(a) + abs(n))
 
 
-def _replay(records: Sequence[TapeRecord], out: Tensor) -> tuple[float, list[bytes]]:
-    """Re-evaluates records in tape order, reading the replayed tensor of an
-    input where there is one; returns out and each relu input's sign pattern."""
-    fresh: dict[Tensor, Tensor] = {}
-    patterns = []
-    for r in records:
-        inputs = [fresh.get(t, t) for t in r.inputs]
-        if r.kind is PrimitiveKind.RELU:
-            patterns.append((inputs[0].data > 0.0).tobytes())
-        fresh[r.output] = evaluate(r.kind, inputs, **r.attrs)
-    return float(fresh.get(out, out).data.reshape(-1)[0]), patterns
+def _replay(program: Sequence[tuple], out_slot: int | None, recorded: np.ndarray) -> tuple[float, list[bytes]]:
+    """Runs a replay program in order: each step's inputs are its recorded
+    arrays, with the outputs of earlier steps written into the positions it
+    fills, through the forward rule and finite check evaluate uses. Returns
+    out (its step's output, or the recorded value when no step outputs it)
+    and each relu input's sign pattern."""
+    outputs, patterns = [], []
+    for kind, attrs, arrays, fills, is_relu in program:
+        for position, slot in fills:
+            arrays[position] = outputs[slot]
+        if is_relu:
+            patterns.append((arrays[0] > 0.0).tobytes())
+        outputs.append(_apply(kind, arrays, attrs)[0])
+    out = recorded if out_slot is None else outputs[out_slot]
+    return float(out.reshape(-1)[0]), patterns
 
 
 def check_gradients(
@@ -593,11 +604,12 @@ def check_gradients(
     composing primitives only, so every value that depends on a parameter
     is a record's output. It is called once, under a tape. Every parameter
     entry is then perturbed by +/-step, and each perturbed value comes from
-    replaying only the records downstream of that parameter; the rest keep
-    their recorded outputs. Entries whose relu activation pattern differs
-    between the two perturbed evaluations sit on a kink and are counted as
-    flagged rather than judged. Raises NonFiniteError, before anything is
-    built, if a perturbed value would not be finite.
+    replaying only the records downstream of that parameter, as a program
+    over their arrays; the rest keep their recorded outputs. Entries whose
+    relu activation pattern differs between the two perturbed evaluations
+    sit on a kink and are counted as flagged rather than judged. Raises
+    NonFiniteError, before anything is built, if a perturbed value would
+    not be finite.
     """
     with np.errstate(over="ignore"):
         for p in parameters:
@@ -614,21 +626,24 @@ def check_gradients(
     report = GradCheckReport(tolerance=tolerance, step=step)
     entries: list[GradCheckEntry] = []
     for p in parameters:
-        # The records downstream of p: each reads p or an earlier one's output.
-        reached, records = {p}, []
+        # One step per record downstream of p, which reads p or an earlier
+        # step's output. p is read through its own array, perturbed in place.
+        slots, program = {}, []
         for r in tape.records:
-            if not reached.isdisjoint(r.inputs):
-                records.append(r)
-                reached.add(r.output)
+            fills = [(i, slots[t]) for i, t in enumerate(r.inputs) if t in slots]
+            if fills or p in r.inputs:
+                slots[r.output] = len(program)
+                program.append((r.kind, r.attrs, [t.data for t in r.inputs], fills, r.kind is PrimitiveKind.RELU))
+        out_slot = slots.get(out)
         flat = p.data.reshape(-1)
         a_flat = p.gradient.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             try:
                 flat[i] = orig + step
-                f_plus, pat_plus = _replay(records, out)
+                f_plus, pat_plus = _replay(program, out_slot, out.data)
                 flat[i] = orig - step
-                f_minus, pat_minus = _replay(records, out)
+                f_minus, pat_minus = _replay(program, out_slot, out.data)
             finally:
                 flat[i] = orig
             if pat_plus != pat_minus:

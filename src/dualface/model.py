@@ -201,16 +201,18 @@ class ForwardOutputs:
 class KVCache:
     """One attention head's keys and values of the rows decoded so far, in
     preallocated (T, dk) arrays. Each row is written once from a checked
-    primitive output; the views handed out are tape leaves (generation only)."""
+    primitive output; what it hands out is a tape leaf (generation only)."""
 
     def __init__(self, frames: int, dk: int):
         self.keys, self.values, self.rows = np.empty((frames, dk)), np.empty((frames, dk)), 0
 
     def extend(self, k: dc.Tensor, v: dc.Tensor) -> tuple[dc.Tensor, dc.Tensor]:
-        """Store the newest row's key and value; returns every row so far."""
+        """Store the newest row's key and value; returns the keys of every
+        row so far transposed, (dk, rows), as a C-contiguous copy, the array
+        transpose-last-two would give, and a view of their values."""
         self.keys[self.rows], self.values[self.rows] = k.data[0], v.data[0]
         self.rows += 1
-        return dc.Tensor._wrap(self.keys[: self.rows]), dc.Tensor._wrap(self.values[: self.rows])
+        return dc.Tensor._wrap(self.keys[: self.rows].T.copy()), dc.Tensor._wrap(self.values[: self.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +244,8 @@ def attention_heads(q_src, kv_src, q_weights, k_weights, v_weights, cache: list[
         q = dc.matmul(q_src, qw)
         k = dc.matmul(kv_src, kw)
         v = dc.matmul(kv_src, vw)
-        if cache is not None:
-            k, v = cache[h].extend(k, v)
-        logits = dc.scalar_multiply(dc.matmul(q, dc.transpose_last_two(k)), scale)
+        k_t, v = cache[h].extend(k, v) if cache is not None else (dc.transpose_last_two(k), v)
+        logits = dc.scalar_multiply(dc.matmul(q, k_t), scale)
         if mask is not None:
             logits = dc.add(logits, mask)
         heads.append(dc.matmul(dc.softmax_rows(logits), v))
@@ -413,7 +414,8 @@ def _generate(params: ModelParams, d: Direction, source, speaker: int) -> np.nda
     for t in range(frames):
         ctx = self_attend(params, history, d.name, self_cache)
         gated = speaker_modulate(params, ctx, style, d.name)
-        fused = cross_attend(params, dc.slice_axis(source_latent, 0, t, t + 1), gated, d.name, fusion_cache)
+        # Row t read in place: a generation-only leaf of checked data.
+        fused = cross_attend(params, dc.Tensor._wrap(source_latent.data[t:t + 1]), gated, d.name, fusion_cache)
         pred = d.decode(params, fused)
         out.append(pred.data)
         if t + 1 < frames:

@@ -199,18 +199,26 @@ def _bundle_line(step: int, bundle: LossBundle) -> str:
     return json.dumps({"step": step, **asdict(bundle)})
 
 
+def trainable_rows(dataset: LoadedDataset, cfg: TrainConfig) -> list[SequenceRecord]:
+    """The train split, once it is known that cfg can train on it: the split
+    is not empty and, with the CCRL loss on, every sequence has at least 2
+    frames. Raises ValueError otherwise."""
+    rows = dataset.split("train")
+    if not rows:
+        raise ValueError("train split is empty")
+    if cfg.weights.ccrl:
+        for seq in rows:
+            if seq.motion.frames < 2:
+                raise ValueError(f"training sequence {seq.name!r} has {seq.motion.frames} frame; "
+                                 "the CCRL loss (train.weights.ccrl) needs at least 2")
+    return rows
+
+
 def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_dir) -> TrainResult:
     """Train from a fresh seeded initialization; returns the best-validation
     checkpoint path (final parameters if the val split is empty)."""
     cfg.validate()
-    train_rows = dataset.split("train")
-    if not train_rows:
-        raise ValueError("train split is empty")
-    if cfg.weights.ccrl:
-        for seq in train_rows:
-            if seq.motion.frames < 2:
-                raise ValueError(f"training sequence {seq.name!r} has {seq.motion.frames} frame; "
-                                 "the CCRL loss (train.weights.ccrl) needs at least 2")
+    train_rows = trainable_rows(dataset, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
@@ -291,7 +299,11 @@ def ablate(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, see
 
     Also writes one per-seed CSV tracing the upper-lip/lower-lip centroid
     distance over the first val sequence for ground truth and each variant.
+    Data that some variant cannot train on raises ValueError before
+    out_dir is created.
     """
+    for variant in ABLATION_VARIANTS:
+        trainable_rows(dataset, _variant_configs(model_cfg, cfg, variant)[1])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lips = list(dataset.manifest.lip_indices)

@@ -327,6 +327,46 @@ def test_one_frame_training_sequence_needs_ccrl_off(tmp_path, capsys):
     assert (tmp_path / "run" / "best.ckpt").exists()
 
 
+def test_ablate_one_frame_data_needs_ccrl_off(tmp_path, capsys):
+    """ablate checks that every variant can train on the data before it
+    creates --out: with CCRL on, one-frame sequences exit 3 and write
+    nothing; with train.weights.ccrl=0 every variant trains."""
+    manifest = make_dataset(tmp_path, frames=1)
+    argv = ["ablate", "--data", manifest, "--seeds", 1, "--out", tmp_path / "abl", "--set", "train.epochs=1",
+            *SMALL_MODEL]
+    assert run(argv) == 3
+    assert "has 1 frame" in capsys.readouterr().err
+    assert not (tmp_path / "abl").exists()
+    assert run([*argv, "--set", "train.weights.ccrl=0"]) == 0
+    assert (tmp_path / "abl" / "ablation.json").exists()
+
+
+def test_input_that_does_not_fit_the_checkpoint_exits_3(trained, tmp_path, capsys):
+    """eval, animate and lipread compare the checkpoint's widths and
+    max_frames with their input before generating: a mismatch exits 3,
+    names both files, and writes nothing."""
+    _, ckpt = trained  # 6 bands, 24 vertices, max_frames 10
+    narrow = make_dataset(tmp_path / "narrow", bands=5, vertex_count=18)
+    long = make_dataset(tmp_path / "long", frames=30)
+    bands, vertices = "audio_dim 5 where the checkpoint has 6", "vertex_count 18 where the checkpoint has 24"
+    frames = "30 frames where the checkpoint's max_frames is 10"
+    for manifest, wrong in ((narrow, {"eval": f"{bands}; {vertices}", "animate": bands, "lipread": vertices}),
+                            (long, dict.fromkeys(("eval", "animate", "lipread"), frames))):
+        features, motion = manifest.parent / "seq000_features.bin", manifest.parent / "seq000_motion.bin"
+        for argv, source in (
+            (["eval", "--data", manifest, "--split", "val"], manifest),
+            (["animate", "--features", features], features),
+            (["lipread", "--motion", motion], motion),
+        ):
+            out = tmp_path / argv[0]
+            assert run([*argv, "--checkpoint", ckpt, "--out", out]) == 3
+            err = capsys.readouterr().err
+            assert f"data error: {source} does not fit checkpoint {ckpt}: {wrong[argv[0]]}\n" in err, err
+            assert not out.exists()
+    assert run(["animate", "--features", features, "--frames", 10, "--checkpoint", ckpt,
+                "--out", tmp_path / "animate"]) == 0  # resampled to fit
+
+
 # The checkpoint has 2 speakers and max_frames 10; each strategy mixes in valid values.
 SPEAKER = st.integers(0, 1) | st.integers(-2, 3)
 OPTIONAL_INT = st.none() | st.integers(-3, 14)

@@ -303,8 +303,8 @@ def test_gradcheck_replay_equals_fresh_build(monkeypatch):
                 ends = flat[[0, -1]].copy()
                 compared = []
 
-                def spy(records, out):
-                    f, patterns = real(records, out)
+                def spy(*args):
+                    f, patterns = real(*args)
                     if not np.array_equal(flat[[0, -1]], ends):
                         assert f == build().item(), f"{name}: {p.id} at {flat[[0, -1]]}"
                         compared.append(f)
@@ -525,8 +525,9 @@ _POSITIVE_OPS = {"exp", "sigmoid", "softmax"}
 def _graphs(draw):
     """A DAG over 1 or 2 parameters of one shape: 3 to 12 drawn operations,
     always with multiply(a, a) and add(a, a), each reading earlier nodes (a
-    log with no positive node to read gets an exp first). Every node
-    nothing reads feeds the scalar through a fixed projection."""
+    log with no positive node to read gets an exp first); a binary
+    operation's second operand may be a constant instead (input None).
+    Every node nothing reads feeds the scalar through a fixed projection."""
     rows, cols, n_params = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 2))
     names = [n for n in _GRAPH_OPS if rows == cols or n not in ("matmul", "transpose")]
     ops = draw(st.lists(st.sampled_from(names), min_size=1, max_size=10))
@@ -539,7 +540,10 @@ def _graphs(draw):
             positive.append(n_nodes)
             n_nodes += 1
         pool = positive if op == "log" else range(n_nodes)
-        steps.append((op, tuple(draw(st.sampled_from(pool)) for _ in range(_GRAPH_OPS[op][0]))))
+        inputs = [draw(st.sampled_from(pool)) for _ in range(_GRAPH_OPS[op][0])]
+        if len(inputs) == 2 and draw(st.booleans()):
+            inputs[1] = None
+        steps.append((op, tuple(inputs)))
         if op in _POSITIVE_OPS:
             positive.append(n_nodes)
         n_nodes += 1
@@ -551,14 +555,18 @@ def _graphs(draw):
 
 def _graph_builder(graph, params, dangling=()):
     """build() of a drawn graph; each index in `dangling` adds two records
-    that read that node and that nothing reads."""
+    that read that node and that nothing reads. Step k's constant operand
+    is a plain Tensor, the same one in every build."""
     shape, _, steps, sinks, _, seed = graph
-    projections = [dc.Tensor(w) for w in np.random.default_rng(seed).standard_normal((len(sinks), *shape))]
+    rng = np.random.default_rng(seed)
+    projections = [dc.Tensor(w) for w in rng.standard_normal((len(sinks), *shape))]
+    size = (len(steps), *shape)
+    constants = [dc.Tensor(c) for c in rng.choice([-1.0, 1.0], size) * rng.uniform(0.2, 1.5, size)]
 
     def build():
         nodes = list(params)
-        for op, inputs in steps:
-            nodes.append(_GRAPH_OPS[op][1](*(nodes[i] for i in inputs)))
+        for k, (op, inputs) in enumerate(steps):
+            nodes.append(_GRAPH_OPS[op][1](*(constants[k] if i is None else nodes[i] for i in inputs)))
         for i in dangling:
             dc.multiply(dc.exp(dc.tanh(nodes[i])), nodes[i])
         reduce = (dc.sum_all, dc.mean_all)

@@ -222,6 +222,22 @@ def test_generation_work_per_frame_is_flat(monkeypatch):
         assert per_frame[0] == per_frame[1], f"{generate.__name__}: rows per frame {per_frame}"
 
 
+def test_kv_cache_hands_out_keys_transposed():
+    """After each extend, the cache's keys are transpose-last-two of the rows
+    stored so far, bit for bit and C-contiguous, and its values are those
+    rows; so cached attention evaluates no transpose of its own."""
+    rng = np.random.default_rng(622)
+    cache, rows = dm.KVCache(6, 3), []
+    for _ in range(6):
+        k, v = dc.Tensor(rng.standard_normal((1, 3))), dc.Tensor(rng.standard_normal((1, 3)))
+        rows.append((k.data[0], v.data[0]))
+        keys_t, values = cache.extend(k, v)
+        expect = dc.transpose_last_two(dc.Tensor(np.array([key for key, _ in rows])))
+        assert keys_t.data.flags.c_contiguous and keys_t.shape == expect.shape
+        assert keys_t.data.tobytes() == expect.data.tobytes()
+        assert np.array_equal(values.data, [value for _, value in rows])
+
+
 def test_generation_broadcasts_no_row_to_one_row(monkeypatch):
     """Decoding one row per frame adds each bias and style row as it is:
     no broadcast-row primitive with rows=1 is evaluated."""
