@@ -45,6 +45,10 @@ class Tensor:
     __slots__ = ("data",)
 
     def __init__(self, values):
+        self.assign(values)
+
+    def assign(self, values):
+        """Binds new values, checked as at construction."""
         arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
         if not all_finite(arr):
             raise NonFiniteError("tensor construction received non-finite values")
@@ -95,7 +99,9 @@ class Parameter(Tensor):
 
 
 class TapeRecord:
-    __slots__ = ("kind", "inputs", "output", "attrs", "saved")
+    # needs: per input, whether the backward rule computes its gradient
+    # (every input until a backward plan clears the constant ones)
+    __slots__ = ("kind", "inputs", "output", "attrs", "saved", "needs")
 
     def __init__(self, kind, inputs, output, attrs, saved):
         self.kind = kind
@@ -103,6 +109,7 @@ class TapeRecord:
         self.output = output
         self.attrs = attrs
         self.saved = saved
+        self.needs = (True,) * len(inputs)
 
 
 class Tape:
@@ -115,6 +122,7 @@ class Tape:
 
     def __init__(self):
         self.records: list[TapeRecord] = []
+        self.plan = None  # ((id(output), len(records)), _plan(self, output)) of the last backward pass
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -283,11 +291,13 @@ def _fw_layer_norm_rows(arrays, attrs):
 
 
 # ---------------------------------------------------------------------------
-# backward rules: (record, upstream grad) -> one gradient per input
+# backward rules: (record, upstream grad) -> one gradient per input; matmul
+# and multiply skip the product (None) for an input the record does not need
 
 def _bw_matmul(r, g):
     a, b = (t.data for t in r.inputs)
-    return [g @ b.T, a.T @ g]
+    need_a, need_b = r.needs
+    return [g @ b.T if need_a else None, a.T @ g if need_b else None]
 
 
 def _bw_add(r, g):
@@ -300,7 +310,8 @@ def _bw_subtract(r, g):
 
 def _bw_multiply(r, g):
     a, b = (t.data for t in r.inputs)
-    return [g * b, g * a]
+    need_a, need_b = r.needs
+    return [g * b if need_a else None, g * a if need_b else None]
 
 
 def _bw_scalar_multiply(r, g):
@@ -507,32 +518,56 @@ def layer_norm_rows(a):
     return evaluate(PrimitiveKind.LAYER_NORM_ROWS, (a,))
 
 
+def replay(tape: Tape) -> None:
+    """Re-runs the records on their inputs' current values, in place."""
+    for r in tape.records:
+        r.output.data, r.saved = _apply(r.kind, [t.data for t in r.inputs], r.attrs)
+
+
+def _plan(tape: Tape, output: Tensor) -> tuple[list[tuple], int | None]:
+    """Where each record input's gradient goes: its Parameter, the slot
+    (index) of the record that made it from a parameter, or nowhere (None,
+    which clears its `needs` flag); and the slot of `output`."""
+    if not any(r.output is output or output in r.inputs for r in reversed(tape.records)):
+        raise DanglingNodeError("output tensor was not recorded on this tape")
+    slots, plan = {}, []
+    for i, r in enumerate(tape.records):
+        plan.append(tuple(t if isinstance(t, Parameter) else slots.get(id(t)) for t in r.inputs))
+        r.needs = tuple(d is not None for d in plan[-1])
+        if any(r.needs):
+            slots[id(r.output)] = i
+    return plan, slots.get(id(output))
+
+
 def backpropagate(tape: Tape, output: Tensor) -> None:
     """Reverse-accumulate d(sum of output)/d(parameter) into parameter
     gradients; the output's own gradient is seeded with ones.
 
-    Gradient buffers are keyed by tensor identity, and an intermediate one is
-    dropped as soon as its producing record has been processed. A gradient
-    reaching a Parameter is added to its gradient as it arrives; one
-    reaching a constant (a tensor no record outputs) is dropped at once.
-    """
-    if not any(r.output is output or output in r.inputs for r in reversed(tape.records)):
-        raise DanglingNodeError("output tensor was not recorded on this tape")
+    Walks the records in reverse by the tape's plan, made once per output
+    while the tape gains no record, with one gradient buffer per slot,
+    dropped once its record is processed; a gradient reaching a Parameter
+    is added to its gradient as it arrives."""
+    key = (id(output), len(tape.records))
+    if tape.plan is None or tape.plan[0] != key:
+        tape.plan = key, _plan(tape, output)
+    plan, out_slot = tape.plan[1]
     seed = np.ones_like(output.data)
     if isinstance(output, Parameter):
         output.gradient += seed
-    grads: dict[int, np.ndarray] = {id(output): seed}
-    produced = {id(r.output) for r in tape.records}
-    for r in reversed(tape.records):
-        g = grads.pop(id(r.output), None)
+    grads = [None] * len(plan)
+    if out_slot is not None:
+        grads[out_slot] = seed
+    for i in range(len(plan) - 1, -1, -1):
+        g, grads[i] = grads[i], None
         if g is None:
             continue
-        for t, ig in zip(r.inputs, r.kind.backward(r, g)):
-            if isinstance(t, Parameter):
-                t.gradient += ig
-            elif id(t) in produced:
-                acc = grads.get(id(t))
-                grads[id(t)] = ig if acc is None else acc + ig
+        r = tape.records[i]
+        for dest, ig in zip(plan[i], r.kind.backward(r, g)):
+            if type(dest) is int:
+                acc = grads[dest]
+                grads[dest] = ig if acc is None else acc + ig
+            elif dest is not None:
+                dest.gradient += ig
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +627,15 @@ def _replay(program: Sequence[tuple], out_slot: int | None, recorded: np.ndarray
     return float(out.reshape(-1)[0]), patterns
 
 
+def _check_perturbable(parameters: Sequence[Parameter], step: float):
+    with np.errstate(over="ignore"):
+        for p in parameters:
+            if not (all_finite(p.data + step) and all_finite(p.data - step)):
+                raise NonFiniteError(f"gradient check: {p.id} +/- {step:g} is not finite")
+
+
 def check_gradients(
-    parameters: Sequence[Parameter],
+    parameters: Sequence[Parameter] | None,
     build: Callable[[], Tensor],
     tolerance: float = 1e-4,
     step: float = 1e-5,
@@ -602,25 +644,28 @@ def check_gradients(
 
     `build` must construct a scalar from the current parameter values by
     composing primitives only, so every value that depends on a parameter
-    is a record's output. It is called once, under a tape. Every parameter
-    entry is then perturbed by +/-step, and each perturbed value comes from
-    replaying only the records downstream of that parameter, as a program
-    over their arrays; the rest keep their recorded outputs. Entries whose
-    relu activation pattern differs between the two perturbed evaluations
-    sit on a kink and are counted as flagged rather than judged. Raises
-    NonFiniteError, before anything is built, if a perturbed value would
-    not be finite.
+    is a record's output. It is called once, under a tape. `parameters`
+    None checks every Parameter the build reads, in the order it first
+    reads them. Every parameter entry is then perturbed by +/-step, and
+    each perturbed value comes from replaying only the records downstream
+    of that parameter, as a program over their arrays; the rest keep their
+    recorded outputs. Entries whose relu activation pattern differs between
+    the two perturbed evaluations sit on a kink and are counted as flagged
+    rather than judged. Raises NonFiniteError, before anything is
+    perturbed, if a perturbed value would not be finite; given parameters
+    are checked before anything is built.
     """
-    with np.errstate(over="ignore"):
-        for p in parameters:
-            if not (all_finite(p.data + step) and all_finite(p.data - step)):
-                raise NonFiniteError(f"gradient check: {p.id} +/- {step:g} is not finite")
-    for p in parameters:
-        p.gradient.fill(0.0)
+    if parameters is not None:
+        _check_perturbable(parameters, step)
     with Tape() as tape:
         out = build()
+    if parameters is None:
+        parameters = list(dict.fromkeys(t for r in tape.records for t in r.inputs if isinstance(t, Parameter)))
+        _check_perturbable(parameters, step)
     if out.data.size != 1:
         raise ShapeMismatchError("gradient check builder must produce a scalar")
+    for p in parameters:
+        p.gradient.fill(0.0)
     backpropagate(tape, out)
 
     report = GradCheckReport(tolerance=tolerance, step=step)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 from . import diffcore as dc
 from .data import FeatureSequence, MotionSequence, NonNegative, Positive, check_field_types
-from .model import ForwardOutputs
+from .model import ForwardOutputs, sequence_rows
 
 _NORM_FLOOR = 1e-12
 
@@ -56,6 +56,11 @@ class LossBundle:
     l_dr: float = 0.0
     l_ccrl: float = 0.0
     total: float = 0.0
+
+    @classmethod
+    def read(cls, terms: dict[str, dc.Tensor], total: dc.Tensor) -> "LossBundle":
+        """The current values of total_loss's term tensors and total."""
+        return cls(total=total.item(), **{f"l_{name}": term.item() for name, term in terms.items()})
 
 
 def mse(prediction: dc.Tensor, target: dc.Tensor) -> dc.Tensor:
@@ -123,6 +128,20 @@ def _row_normalize(m: dc.Tensor) -> dc.Tensor:
     return dc.multiply(m, dc.matmul(inv_norm, ones_row))
 
 
+def ccrl_constants(gt_motion: MotionSequence, cfg: CCRLConfig, kernel: np.ndarray | None = None) -> list[np.ndarray]:
+    """The per-sequence constants of the CCRL loss under gt_motion's kernel
+    weights w (`kernel`, if the caller holds them): 1 - w and, with kernel
+    anchor weighting, the (T, 1) anchor weights, each row's mass of w
+    normalized to sum 1."""
+    if kernel is None:
+        kernel, _ = motion_kernel(gt_motion, cfg)
+    constants = [1.0 - kernel]
+    if cfg.anchor_weighting == "kernel":
+        anchor_mass = kernel.mean(axis=1)
+        constants.append((anchor_mass / anchor_mass.sum()).reshape(-1, 1))
+    return constants
+
+
 def ccrl_direction(p: dc.Tensor, q: dc.Tensor, gt_motion: MotionSequence, cfg: CCRLConfig) -> dc.Tensor:
     """Contrastive consistency with anchor rows from p against q (inter) and
     p itself (intra); motion-kernel weights soften temporally close negatives.
@@ -131,36 +150,32 @@ def ccrl_direction(p: dc.Tensor, q: dc.Tensor, gt_motion: MotionSequence, cfg: C
     + exp(s_intra[k,t]*(1-w[k,t]))), averaged uniformly over anchors (or with
     normalized kernel-mass anchor weights when configured).
     """
-    weights, _ = motion_kernel(gt_motion, cfg)
-    return _ccrl([(p, q)], weights, cfg.anchor_weighting)
+    return _ccrl([(p, q)], gt_motion, cfg)
 
 
 def ccrl_total(x, y, x_round, y_round, gt_motion: MotionSequence, cfg: CCRLConfig,
-               kernel: np.ndarray | None = None) -> dc.Tensor:
+               leaves: list[dc.Tensor] | None = None) -> dc.Tensor:
     """Consistency on encoder latents plus consistency on fused predictions;
-    both directions share one motion kernel: `kernel`, the weights of
-    motion_kernel(gt_motion, cfg) when the caller holds them, else built."""
-    if kernel is None:
-        kernel, _ = motion_kernel(gt_motion, cfg)
-    return _ccrl([(x, y), (x_round, y_round)], kernel, cfg.anchor_weighting)
+    both directions share one motion kernel. `leaves`, if the caller holds
+    them, are the tensors of ccrl_constants(gt_motion, cfg)."""
+    return _ccrl([(x, y), (x_round, y_round)], gt_motion, cfg, leaves)
 
 
-def _ccrl(pairs, weights: np.ndarray, anchor_weighting: str) -> dc.Tensor:
-    """Sum of ccrl_direction over (p, q) pairs under precomputed (T, T)
-    kernel weights; the constant tensors are built once for all pairs."""
-    t = weights.shape[0]
+def _ccrl(pairs, gt_motion: MotionSequence, cfg: CCRLConfig, leaves: list[dc.Tensor] | None = None) -> dc.Tensor:
+    """Sum of ccrl_direction over (p, q) pairs; the constant tensors are
+    built once for all pairs, and `leaves` as in ccrl_total."""
+    if leaves is None:
+        leaves = [dc.Tensor(c) for c in ccrl_constants(gt_motion, cfg)]
+    one_minus_w, *anchor = leaves
+    t = one_minus_w.data.shape[0]
     for p, q in pairs:
         if p.data.shape[0] != t or q.data.shape[0] != t:
             raise dc.ShapeMismatchError("ccrl_direction: feature rows and motion frames must align")
     if t < 2:
         raise ValueError("ccrl_direction needs at least 2 frames")
-    one_minus_w = dc.Tensor(1.0 - weights)
     off_diag = dc.Tensor(1.0 - np.eye(t))
     eye = dc.Tensor(np.eye(t))
     ones_col = dc.Tensor(np.ones((t, 1)))
-    if anchor_weighting == "kernel":
-        anchor_mass = weights.mean(axis=1)
-        anchor_w = dc.Tensor((anchor_mass / anchor_mass.sum()).reshape(t, 1))
     total = None
     for p, q in pairs:
         pn = _row_normalize(p)
@@ -174,8 +189,8 @@ def _ccrl(pairs, weights: np.ndarray, anchor_weighting: str) -> dc.Tensor:
         denom = dc.matmul(dc.multiply(energy, off_diag), ones_col)  # (T, 1)
         diag = dc.matmul(dc.multiply(s_inter, eye), ones_col)  # (T, 1)
         per_anchor = dc.subtract(dc.log(denom), diag)
-        if anchor_weighting == "kernel":
-            term = dc.sum_all(dc.multiply(per_anchor, anchor_w))
+        if anchor:
+            term = dc.sum_all(dc.multiply(per_anchor, anchor[0]))
         else:
             term = dc.mean_all(per_anchor)
         total = term if total is None else dc.add(total, term)
@@ -185,31 +200,34 @@ def _ccrl(pairs, weights: np.ndarray, anchor_weighting: str) -> dc.Tensor:
 def total_loss(
     primal: ForwardOutputs,
     dual: ForwardOutputs | None,
-    gt_motion: MotionSequence,
-    gt_features: FeatureSequence,
+    gt_motion: MotionSequence | dc.Tensor,
+    gt_features: FeatureSequence | dc.Tensor,
     weights: LossWeights,
     ccrl_cfg: CCRLConfig,
-    kernel: np.ndarray | None = None,
+    ccrl_leaves: list[dc.Tensor] | None = None,
+    terms: dict[str, dc.Tensor] | None = None,
 ) -> tuple[LossBundle, dc.Tensor]:
     """Assemble the weighted objective; returns the bundle of component
     values and the scalar node to backpropagate from.
 
     With no dual outputs (dual-path ablation) the dual, round-trip, and
     consistency terms are dropped and reported as 0. The terms are summed in
-    LossWeights field order, skipping any whose weight is 0. `kernel`, if
-    given, is the motion kernel's weights for gt_motion (see ccrl_total).
+    LossWeights field order, skipping any whose weight is 0. The targets
+    are sequences or their rows; `ccrl_leaves` as in ccrl_total, which needs
+    gt_motion's sequence without them. `terms`, if given, receives each
+    term's tensor by name, for LossBundle.read.
     """
-    t = gt_motion.frames
-    terms = {"primal": mse(primal.prediction, dc.Tensor(gt_motion.displacements.reshape(t, -1)))}
+    terms = {} if terms is None else terms
+    terms["primal"] = mse(primal.prediction, sequence_rows(gt_motion, "total_loss"))
     if dual is not None:
-        terms["dual"] = mse(dual.prediction, dc.Tensor(gt_features.values))
+        terms["dual"] = mse(dual.prediction, sequence_rows(gt_features, "total_loss"))
         if weights.dr != 0.0:
             terms["dr"] = duality_regularizer(
                 primal.audio_latent, dual.fused, primal.motion_latent, primal.fused
             )
         if weights.ccrl != 0.0:
             terms["ccrl"] = ccrl_total(
-                primal.audio_latent, primal.motion_latent, dual.fused, primal.fused, gt_motion, ccrl_cfg, kernel
+                primal.audio_latent, primal.motion_latent, dual.fused, primal.fused, gt_motion, ccrl_cfg, ccrl_leaves
             )
     total = None
     for name, term in terms.items():
@@ -219,5 +237,4 @@ def total_loss(
             total = piece if total is None else dc.add(total, piece)
     if total is None:
         raise ValueError("no loss terms to combine")
-    bundle = LossBundle(total=total.item(), **{f"l_{name}": term.item() for name, term in terms.items()})
-    return bundle, total
+    return LossBundle.read(terms, total), total

@@ -259,14 +259,21 @@ def _check_frames(params: ModelParams, t: int, what: str):
         raise ValueError(f"{what}: {t} frames exceeds max_frames={params.config.max_frames}")
 
 
+def sequence_rows(x, what: str) -> dc.Tensor:
+    """A sequence's (T, width) feature or flattened-displacement rows; a
+    Tensor as it is."""
+    if isinstance(x, FeatureSequence):
+        return dc.Tensor(x.values)
+    if isinstance(x, MotionSequence):
+        return dc.Tensor(x.displacements.reshape(x.frames, 3 * x.vertex_count))
+    if isinstance(x, dc.Tensor):
+        return x
+    raise TypeError(f"{what}: unsupported input type {type(x).__name__}")
+
+
 def _encode(params: ModelParams, x, modality: str, start: int) -> dc.Tensor:
     what, c = f"encode_{modality}", params.config
-    if isinstance(x, FeatureSequence):
-        x = dc.Tensor(x.values)
-    elif isinstance(x, MotionSequence):
-        x = dc.Tensor(x.displacements.reshape(x.frames, 3 * x.vertex_count))
-    elif not isinstance(x, dc.Tensor):
-        raise TypeError(f"{what}: unsupported input type {type(x).__name__}")
+    x = sequence_rows(x, what)
     cols = x.data.shape[1] if x.data.ndim == 2 else -1
     width = c.audio_dim if modality == "audio" else 3 * c.vertex_count
     if cols != width:
@@ -292,23 +299,26 @@ def _encoder(modality: str):
     return encode_audio if modality == "audio" else encode_motion
 
 
+def check_speaker(config: ModelConfig, speaker: int):
+    if not 0 <= speaker < config.n_speakers:
+        raise ValueError(f"speaker {speaker} out of range [0, {config.n_speakers})")
+
+
 def style_embed(params: ModelParams, speaker: int) -> dc.Tensor:
     """(1, d) style row; gradients reach only the selected row."""
-    n = params.config.n_speakers
-    if not 0 <= speaker < n:
-        raise ValueError(f"speaker {speaker} out of range [0, {n})")
+    check_speaker(params.config, speaker)
     return dc.slice_axis(params["style_table"], 0, speaker, speaker + 1)
 
 
-def _decode_motion(params: ModelParams, fused: dc.Tensor) -> dc.Tensor:
+def _decode_motion(params: ModelParams, fused: dc.Tensor, out_weight: dc.Tensor) -> dc.Tensor:
     """(T, d) fused rows to (T, 3V) flattened displacements."""
-    return _affine(fused, params.motion_decoder_weight(), params["motion_decoder.bias"])
+    return _affine(fused, out_weight, params["motion_decoder.bias"])
 
 
-def _decode_audio(params: ModelParams, fused: dc.Tensor) -> dc.Tensor:
+def _decode_audio(params: ModelParams, fused: dc.Tensor, out_weight: dc.Tensor) -> dc.Tensor:
     """(T, d) fused rows to (T, audio_dim) features through a relu layer."""
     hidden = dc.relu(_affine(fused, params["audio_decoder.hidden.weight"], params["audio_decoder.hidden.bias"]))
-    return _affine(hidden, params.audio_decoder_out_weight(), params["audio_decoder.out.bias"])
+    return _affine(hidden, out_weight, params["audio_decoder.out.bias"])
 
 
 @dataclass(frozen=True)
@@ -321,12 +331,13 @@ class Direction:
     name: str    # "primal" or "dual"; prefixes its own fusion.{name}.* parameters
     source: str  # modality of the conditioning input, encoded in full
     target: str  # modality predicted and fed back as history
-    decode: Callable[[ModelParams, dc.Tensor], dc.Tensor]
+    decode: Callable[[ModelParams, dc.Tensor, dc.Tensor], dc.Tensor]  # (params, fused rows, out_weight)
+    out_weight: Callable[[ModelParams], dc.Tensor]  # the decoder's last weight
 
 
 DIRECTIONS = {
-    "primal": Direction("primal", "audio", "motion", _decode_motion),
-    "dual": Direction("dual", "motion", "audio", _decode_audio),
+    "primal": Direction("primal", "audio", "motion", _decode_motion, ModelParams.motion_decoder_weight),
+    "dual": Direction("dual", "motion", "audio", _decode_audio, ModelParams.audio_decoder_out_weight),
 }
 
 
@@ -395,7 +406,7 @@ def _forward(params: ModelParams, d: Direction, source, speaker: int, target) ->
     ctx = self_attend(params, history, d.name)
     gated = speaker_modulate(params, ctx, style_embed(params, speaker), d.name)
     fused = cross_attend(params, latents[d.source], gated, d.name)
-    return ForwardOutputs(d.decode(params, fused), fused, latents["audio"], latents["motion"])
+    return ForwardOutputs(d.decode(params, fused, d.out_weight(params)), fused, latents["audio"], latents["motion"])
 
 
 def _generate(params: ModelParams, d: Direction, source, speaker: int) -> np.ndarray:
@@ -411,12 +422,13 @@ def _generate(params: ModelParams, d: Direction, source, speaker: int) -> np.nda
     self_cache = [KVCache(frames, c.d // c.self_heads) for _ in range(c.self_heads)]
     fusion_cache = [KVCache(frames, c.d // c.fusion_heads) for _ in range(c.fusion_heads)]
     out, history = [], params[f"start_token.{d.target}"]
+    out_weight = d.out_weight(params)  # constant: a tied codec transposes once
     for t in range(frames):
         ctx = self_attend(params, history, d.name, self_cache)
         gated = speaker_modulate(params, ctx, style, d.name)
         # Row t read in place: a generation-only leaf of checked data.
         fused = cross_attend(params, dc.Tensor._wrap(source_latent.data[t:t + 1]), gated, d.name, fusion_cache)
-        pred = d.decode(params, fused)
+        pred = d.decode(params, fused, out_weight)
         out.append(pred.data)
         if t + 1 < frames:
             history = _encoder(d.target)(params, pred, start=t)

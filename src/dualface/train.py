@@ -26,6 +26,7 @@ from .metrics import MetricReport, RegionSet, SequenceMetrics, build_report, fdd
 from .model import (
     ModelConfig,
     ModelParams,
+    check_speaker,
     forward_dual,
     forward_primal,
     generate_motion,
@@ -64,8 +65,41 @@ class TrainConfig:
         check_field_types(self)
 
 
+class _StepProgram:
+    """One training step traced on a tape, with the data leaves a replay
+    rebinds (features, flattened motion, any CCRL constants) and the
+    style-table slices that select the speaker."""
+
+    def __init__(self, params: ModelParams, speaker: int, data: list[np.ndarray], cfg: TrainConfig):
+        w = cfg.weights
+        self.leaves = [dc.Tensor(a) for a in data]
+        features, motion = self.leaves[:2]
+        self.terms = {}
+        with dc.Tape() as self.tape:
+            primal = forward_primal(params, features, speaker, motion)
+            dual = None
+            if w.dual or w.dr or w.ccrl:
+                dual = forward_dual(params, motion, speaker, features)
+            _, self.total = total_loss(primal, dual, motion, features, w, cfg.ccrl, self.leaves[2:], self.terms)
+        style = params["style_table"]
+        self.styles = [r for r in self.tape.records if r.kind is dc.PrimitiveKind.SLICE and r.inputs[0] is style]
+        self.config = params.config
+
+    def replay(self, data: list[np.ndarray], speaker: int):
+        for leaf, values in zip(self.leaves, data):
+            leaf.assign(values)
+        check_speaker(self.config, speaker)
+        for r in self.styles:
+            r.attrs["start"], r.attrs["stop"] = speaker, speaker + 1
+        dc.replay(self.tape)
+
+
 @dataclass
 class TrainState:
+    """Optimizer state for one parameter store under one TrainConfig: the
+    moments are laid out for that store, and the step programs read its
+    parameters and build that config's loss terms."""
+
     step: int = 0
     # (2, n) first and second moments, laid out like ModelParams.values,
     # and (2, n) scratch for the update, kept so that no step allocates;
@@ -73,6 +107,22 @@ class TrainState:
     moments: np.ndarray | None = None
     scratch: np.ndarray | None = None
     best_val_lve: float = float("inf")
+    # One traced step per shape of step data, replayed at each later step of
+    # that shape. Only `held`, the last to run, keeps its per-step arrays (a
+    # replay that overwrites them reuses their memory) until another runs
+    # or release() is called, as train does before validating.
+    programs: dict[tuple, _StepProgram] = field(default_factory=dict)
+    held: _StepProgram | None = None
+
+    def release(self):
+        """Leaves every program only its records and the constants that
+        depend on the frame count alone."""
+        if self.held is not None:
+            for r in self.held.tape.records:
+                r.output.data = r.saved = None
+            for leaf in self.held.leaves:
+                leaf.data = None
+            self.held = None
 
 
 def _first_nonfinite(params: ModelParams, flat: np.ndarray) -> str:
@@ -143,20 +193,31 @@ def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state
                kernel: np.ndarray | None = None) -> LossBundle:
     """One Adam step; the dual pass runs only when a dual-side loss weight
     is nonzero. `kernel` is seq's CCRL motion-kernel weights, if the caller
-    holds them (see total_loss)."""
-    w = cfg.weights
+    holds them; with the CCRL term on, it is built here otherwise.
+
+    The first step of each shape of data traces the model and losses; later
+    ones replay the traced records on their own data and speaker, with the
+    same forward rules and finite checks, so every value is the one a new
+    trace would give (see TrainState.programs)."""
+    data = [seq.features.values, seq.motion.displacements.reshape(seq.motion.frames, -1)]
+    if cfg.weights.ccrl:
+        data += losses.ccrl_constants(seq.motion, cfg.ccrl, kernel)
+    key = tuple(a.shape for a in data)
+    program = state.programs.get(key)
+    if state.held is not program:
+        state.release()
     try:
-        with dc.Tape() as tape:
-            primal = forward_primal(params, seq.features, seq.speaker, seq.motion)
-            dual = None
-            if w.dual or w.dr or w.ccrl:
-                dual = forward_dual(params, seq.motion, seq.speaker, seq.features)
-            bundle, total = total_loss(primal, dual, seq.motion, seq.features, w, cfg.ccrl, kernel)
+        if program is None:
+            program = state.programs[key] = _StepProgram(params, seq.speaker, data, cfg)
+        else:
+            program.replay(data, seq.speaker)
     except dc.NonFiniteError as e:
         raise NonFiniteLossError("forward pass", state.step + 1, cfg.grad_clip) from e
-    dc.backpropagate(tape, total)
+    finally:
+        state.held = program
+    dc.backpropagate(program.tape, program.total)
     adam_step(params, state, cfg)
-    return bundle
+    return LossBundle.read(program.terms, program.total)
 
 
 def _regions(dataset: LoadedDataset) -> tuple[RegionSet, RegionSet]:
@@ -242,6 +303,7 @@ def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_
                     kernels[idx] = kernel
                 bundle = train_step(params, train_rows[idx], cfg, state, kernel)
                 log.write(_bundle_line(state.step, bundle) + "\n")
+            state.release()
             if val_rows and ((epoch + 1) % cfg.val_every == 0 or epoch + 1 == cfg.epochs):
                 report = evaluate_params(params, dataset, "val")
                 if report.lve < state.best_val_lve:

@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -279,6 +277,28 @@ def test_gradcheck_builds_once():
     assert len(builds) == 1
 
 
+def test_gradcheck_without_parameters_checks_what_the_build_reads():
+    """Given no parameters, the checker perturbs every Parameter its one
+    build reads and no other; it still refuses a perturbation that overflows
+    before any entry is perturbed."""
+    p, q, unread = (dc.Parameter(n, np.arange(1.0, 5.0).reshape(2, 2) / 3.0) for n in "pqu")
+    builds = []
+
+    def build():
+        builds.append(1)
+        return dc.sum_all(dc.tanh(dc.matmul(q.value, p.value)))
+
+    report = dc.check_gradients(None, build)
+    assert report.passed and report.n_entries == 8 and len(builds) == 1
+    assert {e.param for e in report.worst} == {"p", "q"}
+    assert not unread.gradient.any()
+    top = np.finfo(np.float64).max
+    p.value.data[0, 1] = top  # q @ p stays finite; top + 1e300 does not
+    with pytest.raises(dc.NonFiniteError, match="^gradient check: p "):
+        dc.check_gradients(None, build, step=1e300)
+    assert p.value.data[0, 1] == top and len(builds) == 2
+
+
 def test_gradcheck_parameter_the_output_never_reaches():
     """No record is downstream of b, so each of its entries reads a numeric
     gradient of exactly 0, as its tape gradient does."""
@@ -298,7 +318,10 @@ def test_gradcheck_replay_equals_fresh_build(monkeypatch):
     real = dc._replay
     for suite in verify._SUITES["full"]:
         for name, build in suite(np.random.default_rng(1234)):
-            for p in verify._leaves(build):
+            with dc.Tape() as tape:
+                build()
+            leaves = dict.fromkeys(t for r in tape.records for t in r.inputs if isinstance(t, dc.Parameter))
+            for p in leaves:
                 flat = p.value.data.reshape(-1)
                 ends = flat[[0, -1]].copy()
                 compared = []
@@ -357,24 +380,25 @@ def test_gradcheck_report_format():
 
 
 def test_constant_operand_gradient_released_at_once(monkeypatch):
-    """A gradient reaching a constant (an operand no record outputs) is
-    dropped as soon as it is returned, not kept until backprop ends."""
+    """A gradient reaching a constant (an operand no record outputs) is not
+    kept until backprop ends: the backward plan marks the operand, and
+    matmul does not even compute its product."""
     w = dc.Parameter("w", np.ones((4, 4)))
     with dc.Tape() as tape:
         h = dc.matmul(dc.Tensor(np.ones((3, 4))), w.value)
         out = dc.mean_all(dc.matmul(dc.Tensor(np.ones((2, 3))), h))
     real = dc.PrimitiveKind.MATMUL.backward
-    constant_grads, alive_at_call = [], []
+    constant_grads = []
 
     def spy(record, g):
-        alive_at_call.append([ref() is not None for ref in constant_grads])
         grads = real(record, g)
-        constant_grads.append(weakref.ref(grads[0]))
+        constant_grads.append(grads[0])
         return grads
 
     monkeypatch.setattr(dc.PrimitiveKind.MATMUL, "backward", spy)
     dc.backpropagate(tape, out)
-    assert alive_at_call == [[], [False]]
+    assert constant_grads == [None, None]
+    assert [r.needs for r in tape.records] == [(False, True), (False, True), (True,)]
     assert np.array_equal(w.gradient, np.full((4, 4), 0.75))
 
 

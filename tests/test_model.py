@@ -258,6 +258,30 @@ def test_generation_broadcasts_no_row_to_one_row(monkeypatch):
     assert one_row == []
 
 
+def test_tied_generation_transposes_each_weight_once(monkeypatch):
+    """With a tied codec, generation transposes the encoder weight once per
+    call, not once per decoded frame: the count is the same at T=3 and T=12."""
+    params = dm.ModelParams(small_config(share_transpose_codec=True), np.random.default_rng(623))
+    rng = np.random.default_rng(723)
+    real = dc.evaluate
+    transposes = []
+
+    def counted(kind, inputs, **attrs):
+        if kind is dc.PrimitiveKind.TRANSPOSE_LAST_TWO:
+            transposes.append(inputs[0])
+        return real(kind, inputs, **attrs)
+
+    monkeypatch.setattr(dc, "evaluate", counted)
+    for generate, make, encoder in (
+        (dm.generate_motion, lambda t: FeatureSequence(rng.standard_normal((t, 5))), "motion_encoder.weight"),
+        (dm.generate_audio, lambda t: MotionSequence(0.1 * rng.standard_normal((t, 6, 3)), 25.0), "audio_encoder.weight"),
+    ):
+        for t in (3, 12):
+            transposes.clear()
+            generate(params, make(t), 0)
+            assert transposes == [params[encoder]], f"{generate.__name__} at T={t}"
+
+
 def test_speaker_conditioning_changes_output():
     params = dm.ModelParams(small_config(), np.random.default_rng(14))
     feats = FeatureSequence(np.random.default_rng(15).standard_normal((4, 5)))

@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 from pathlib import Path
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dualface import train as dt
-from dualface.data import SyntheticSpec, generate_synthetic, load_dataset
+from dualface.data import FeatureSequence, MotionSequence, SequenceRecord, SyntheticSpec, generate_synthetic, load_dataset
 from dualface.diffcore import NonFiniteError
 from dualface.losses import CCRLConfig, LossWeights
 from dualface.model import ModelConfig, ModelParams, forward_primal, load_checkpoint
@@ -355,6 +355,100 @@ def test_nonfinite_first_step_numbered_as_logged(tmp_path):
         dt.train_step(params, ds.split("train")[0], dt.TrainConfig(grad_clip=1.0), dt.TrainState())
     assert exc.value.step == 1 and "at step 1;" in str(exc.value)
     assert "grad_clip" not in str(exc.value)
+
+
+def _two_length_rows(seed=30):
+    """Eight sequences of 5 or 8 frames, both speakers at each length."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i, (frames, speaker) in enumerate([(5, 0), (8, 1), (5, 1), (8, 0), (5, 0), (8, 0), (5, 1), (8, 1)]):
+        features = FeatureSequence(rng.standard_normal((frames, 6)))
+        motion = MotionSequence(0.1 * rng.standard_normal((frames, 4, 3)), 25.0)
+        rows.append(SequenceRecord(speaker, features, motion, "train", f"seq{i}"))
+    return rows
+
+
+_REPLAY_MODEL = ModelConfig(d=8, audio_dim=6, vertex_count=4, n_speakers=2, max_frames=8,
+                            fusion_heads=2, self_heads=2, squeeze_ratio=4, ff_dim=12)
+
+
+def _replay_configs():
+    model_cfg = _REPLAY_MODEL
+    base = dt.TrainConfig(learning_rate=1e-2, weights=LossWeights(1.0, 0.5, 0.1, 0.2))
+    yield "default", model_cfg, base
+    yield "grad_clip", model_cfg, replace(base, grad_clip=0.05)
+    for variant in dt.ABLATION_VARIANTS[1:]:
+        yield variant, *dt._variant_configs(model_cfg, base, variant)
+    yield "kernel anchors sigma=0.5", model_cfg, replace(base, ccrl=CCRLConfig(sigma=0.5, anchor_weighting="kernel"))
+
+
+@pytest.mark.parametrize("model_cfg, cfg", [pytest.param(m, c, id=name) for name, m, c in _replay_configs()])
+def test_replayed_steps_equal_fresh_traces(model_cfg, cfg):
+    """Two epochs over two sequence lengths and both speakers: steps that
+    replay the traced step of their length give the same loss bundles,
+    parameters and Adam moments, bit for bit, as steps that each trace
+    anew; and only the program that ran last holds per-step arrays."""
+    rows = _two_length_rows()
+    order = np.random.default_rng(31).permutation(2 * len(rows)) % len(rows)
+    runs = []
+    for fresh in (False, True):
+        params, state = ModelParams(model_cfg, np.random.default_rng(32)), dt.TrainState()
+        bundles = []
+        for i in order:
+            if fresh:
+                state.programs.clear()
+            bundles.append(dt.train_step(params, rows[i], cfg, state))
+        runs.append((bundles, params.values, state.moments, state))
+    (bundles, values, moments, state), (fresh_bundles, fresh_values, fresh_moments, _) = runs
+    assert len(state.programs) == 2
+    assert bundles == fresh_bundles
+    assert np.array_equal(values, fresh_values) and np.array_equal(moments, fresh_moments)
+
+    def holds_arrays(program):
+        return any(r.output.data is not None or r.saved is not None for r in program.tape.records) or any(
+            leaf.data is not None for leaf in program.leaves)
+
+    assert [holds_arrays(p) for p in state.programs.values()].count(True) == 1 and holds_arrays(state.held)
+    state.release()
+    assert not any(holds_arrays(p) for p in state.programs.values())
+
+
+def test_nonfinite_value_in_replayed_step():
+    """A replayed step fails as a fresh trace does: NonFiniteLossError
+    "forward pass" with the step's number, chained to the same primitive's
+    NonFiniteError, and nothing written before it."""
+    rows = [r for r in _two_length_rows() if r.motion.frames == 5]
+    cfg = dt.TrainConfig(seed=6)
+    params = ModelParams(_REPLAY_MODEL, np.random.default_rng(33))
+    state = dt.TrainState()
+    for seq in rows[:3]:
+        dt.train_step(params, seq, cfg, state)
+    params["audio_encoder.weight"].value.data[0, 0] = 1e308
+    values, moments = params.values.copy(), state.moments.copy()
+    with pytest.raises(dt.NonFiniteLossError) as replayed:
+        dt.train_step(params, rows[3], cfg, state)
+    assert replayed.value.term == "forward pass" and replayed.value.step == 4
+    with pytest.raises(dt.NonFiniteLossError) as traced:
+        dt.train_step(params, rows[3], cfg, dt.TrainState())
+    assert isinstance(replayed.value.__cause__, NonFiniteError)
+    assert str(replayed.value.__cause__) == str(traced.value.__cause__)
+    assert np.array_equal(params.values, values) and np.array_equal(state.moments, moments)
+    assert state.step == 3 and not params.gradients.any()
+
+
+def test_replayed_step_rejects_a_speaker_as_a_trace_does():
+    rows = [r for r in _two_length_rows() if r.motion.frames == 5]
+    params, state = ModelParams(_REPLAY_MODEL, np.random.default_rng(34)), dt.TrainState()
+    dt.train_step(params, rows[0], dt.TrainConfig(), state)
+    values = params.values.copy()
+    for speaker in (2, -1):
+        bad = replace(rows[1], speaker=speaker)
+        with pytest.raises(ValueError) as replayed:
+            dt.train_step(params, bad, dt.TrainConfig(), state)
+        with pytest.raises(ValueError) as traced:
+            dt.train_step(params, bad, dt.TrainConfig(), dt.TrainState())
+        assert str(replayed.value) == str(traced.value) == f"speaker {speaker} out of range [0, 2)"
+    assert np.array_equal(params.values, values) and state.step == 1
 
 
 def test_variant_configs():
