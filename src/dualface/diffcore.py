@@ -530,13 +530,13 @@ def _plan(tape: Tape, output: Tensor) -> tuple[list[tuple], int | None]:
     which clears its `needs` flag); and the slot of `output`."""
     if not any(r.output is output or output in r.inputs for r in reversed(tape.records)):
         raise DanglingNodeError("output tensor was not recorded on this tape")
-    slots, plan = {}, []
+    slots, plan = {}, []  # slots keyed by the output tensors themselves
     for i, r in enumerate(tape.records):
-        plan.append(tuple(t if isinstance(t, Parameter) else slots.get(id(t)) for t in r.inputs))
-        r.needs = tuple(d is not None for d in plan[-1])
-        if any(r.needs):
-            slots[id(r.output)] = i
-    return plan, slots.get(id(output))
+        plan.append(tuple([t if isinstance(t, Parameter) else slots.get(t) for t in r.inputs]))
+        r.needs = tuple([d is not None for d in plan[-1]])
+        if True in r.needs:
+            slots[r.output] = i
+    return plan, slots.get(output)
 
 
 def backpropagate(tape: Tape, output: Tensor) -> None:

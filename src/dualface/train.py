@@ -93,6 +93,18 @@ class _StepProgram:
             r.attrs["start"], r.attrs["stop"] = speaker, speaker + 1
         dc.replay(self.tape)
 
+    def release(self):
+        """Drops the step's arrays (record outputs, saved values and the
+        rebound leaves), keeping the records and the constants that depend
+        on the frame count alone."""
+        for r in self.tape.records:
+            r.output.data = r.saved = None
+        for leaf in self.leaves:
+            leaf.data = None
+
+
+_MAX_PROGRAMS = 2
+
 
 @dataclass
 class TrainState:
@@ -108,21 +120,9 @@ class TrainState:
     scratch: np.ndarray | None = None
     best_val_lve: float = float("inf")
     # One traced step per shape of step data, replayed at each later step of
-    # that shape. Only `held`, the last to run, keeps its per-step arrays (a
-    # replay that overwrites them reuses their memory) until another runs
-    # or release() is called, as train does before validating.
+    # that shape; between steps each holds no per-step array. At most
+    # _MAX_PROGRAMS are kept, the least recently run dropped first.
     programs: dict[tuple, _StepProgram] = field(default_factory=dict)
-    held: _StepProgram | None = None
-
-    def release(self):
-        """Leaves every program only its records and the constants that
-        depend on the frame count alone."""
-        if self.held is not None:
-            for r in self.held.tape.records:
-                r.output.data = r.saved = None
-            for leaf in self.held.leaves:
-                leaf.data = None
-            self.held = None
 
 
 def _first_nonfinite(params: ModelParams, flat: np.ndarray) -> str:
@@ -203,21 +203,22 @@ def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state
     if cfg.weights.ccrl:
         data += losses.ccrl_constants(seq.motion, cfg.ccrl, kernel)
     key = tuple(a.shape for a in data)
-    program = state.programs.get(key)
-    if state.held is not program:
-        state.release()
+    program = state.programs.pop(key, None)  # a step that raises drops it
     try:
         if program is None:
-            program = state.programs[key] = _StepProgram(params, seq.speaker, data, cfg)
+            program = _StepProgram(params, seq.speaker, data, cfg)
         else:
             program.replay(data, seq.speaker)
     except dc.NonFiniteError as e:
         raise NonFiniteLossError("forward pass", state.step + 1, cfg.grad_clip) from e
-    finally:
-        state.held = program
     dc.backpropagate(program.tape, program.total)
     adam_step(params, state, cfg)
-    return LossBundle.read(program.terms, program.total)
+    bundle = LossBundle.read(program.terms, program.total)
+    program.release()
+    state.programs[key] = program
+    if len(state.programs) > _MAX_PROGRAMS:
+        del state.programs[next(iter(state.programs))]
+    return bundle
 
 
 def _regions(dataset: LoadedDataset) -> tuple[RegionSet, RegionSet]:
@@ -303,12 +304,12 @@ def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_
                     kernels[idx] = kernel
                 bundle = train_step(params, train_rows[idx], cfg, state, kernel)
                 log.write(_bundle_line(state.step, bundle) + "\n")
-            state.release()
             if val_rows and ((epoch + 1) % cfg.val_every == 0 or epoch + 1 == cfg.epochs):
                 report = evaluate_params(params, dataset, "val")
                 if report.lve < state.best_val_lve:
                     state.best_val_lve = report.lve
                     save_checkpoint(ckpt_path, params)
+    state.programs.clear()  # traced for this run's parameters only
     if state.best_val_lve == float("inf"):
         save_checkpoint(ckpt_path, params)
     return TrainResult(str(ckpt_path), str(log_path), state)

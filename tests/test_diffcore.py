@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -381,24 +383,33 @@ def test_gradcheck_report_format():
 
 def test_constant_operand_gradient_released_at_once(monkeypatch):
     """A gradient reaching a constant (an operand no record outputs) is not
-    kept until backprop ends: the backward plan marks the operand, and
-    matmul does not even compute its product."""
+    kept until backprop ends: one its rule computes anyway (subtract's) is
+    dropped as soon as it is returned, and matmul, told by the backward
+    plan that the operand needs none, does not compute it."""
     w = dc.Parameter("w", np.ones((4, 4)))
     with dc.Tape() as tape:
-        h = dc.matmul(dc.Tensor(np.ones((3, 4))), w.value)
-        out = dc.mean_all(dc.matmul(dc.Tensor(np.ones((2, 3))), h))
-    real = dc.PrimitiveKind.MATMUL.backward
-    constant_grads = []
+        h = dc.subtract(dc.matmul(dc.Tensor(np.ones((3, 4))), w.value), dc.Tensor(np.ones((3, 4))))
+        out = dc.mean_all(dc.subtract(dc.matmul(dc.Tensor(np.ones((2, 3))), h), dc.Tensor(np.ones((2, 4)))))
+    matmul, subtract = dc.PrimitiveKind.MATMUL.backward, dc.PrimitiveKind.SUBTRACT.backward
+    matmul_constant_grads, subtract_constant_grads, alive_at_call = [], [], []
 
-    def spy(record, g):
-        grads = real(record, g)
-        constant_grads.append(grads[0])
+    def spy_matmul(record, g):
+        grads = matmul(record, g)
+        matmul_constant_grads.append(grads[0])
         return grads
 
-    monkeypatch.setattr(dc.PrimitiveKind.MATMUL, "backward", spy)
+    def spy_subtract(record, g):
+        alive_at_call.append([ref() is not None for ref in subtract_constant_grads])
+        grads = subtract(record, g)
+        subtract_constant_grads.append(weakref.ref(grads[1]))
+        return grads
+
+    monkeypatch.setattr(dc.PrimitiveKind.MATMUL, "backward", spy_matmul)
+    monkeypatch.setattr(dc.PrimitiveKind.SUBTRACT, "backward", spy_subtract)
     dc.backpropagate(tape, out)
-    assert constant_grads == [None, None]
-    assert [r.needs for r in tape.records] == [(False, True), (False, True), (True,)]
+    assert alive_at_call == [[], [False]]
+    assert matmul_constant_grads == [None, None]
+    assert [r.needs for r in tape.records] == [(False, True), (True, False), (False, True), (True, False), (True,)]
     assert np.array_equal(w.gradient, np.full((4, 4), 0.75))
 
 

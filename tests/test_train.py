@@ -387,7 +387,7 @@ def test_replayed_steps_equal_fresh_traces(model_cfg, cfg):
     """Two epochs over two sequence lengths and both speakers: steps that
     replay the traced step of their length give the same loss bundles,
     parameters and Adam moments, bit for bit, as steps that each trace
-    anew; and only the program that ran last holds per-step arrays."""
+    anew; and between steps no program holds a per-step array."""
     rows = _two_length_rows()
     order = np.random.default_rng(31).permutation(2 * len(rows)) % len(rows)
     runs = []
@@ -398,19 +398,32 @@ def test_replayed_steps_equal_fresh_traces(model_cfg, cfg):
             if fresh:
                 state.programs.clear()
             bundles.append(dt.train_step(params, rows[i], cfg, state))
+            assert not any(_holds_arrays(p) for p in state.programs.values())
         runs.append((bundles, params.values, state.moments, state))
     (bundles, values, moments, state), (fresh_bundles, fresh_values, fresh_moments, _) = runs
     assert len(state.programs) == 2
     assert bundles == fresh_bundles
     assert np.array_equal(values, fresh_values) and np.array_equal(moments, fresh_moments)
 
-    def holds_arrays(program):
-        return any(r.output.data is not None or r.saved is not None for r in program.tape.records) or any(
-            leaf.data is not None for leaf in program.leaves)
 
-    assert [holds_arrays(p) for p in state.programs.values()].count(True) == 1 and holds_arrays(state.held)
-    state.release()
-    assert not any(holds_arrays(p) for p in state.programs.values())
+def _holds_arrays(program):
+    return any(r.output.data is not None or r.saved is not None for r in program.tape.records) or any(
+        leaf.data is not None for leaf in program.leaves)
+
+
+def test_program_cache_keeps_the_most_recently_run(monkeypatch):
+    """With room for one program, alternating lengths retrace each step and
+    give the same bundles as with room for both; the cache keeps the most
+    recently run."""
+    rows = _two_length_rows()
+    cfg = dt.TrainConfig(learning_rate=1e-2)
+    runs = []
+    for room in (1, 2):
+        monkeypatch.setattr(dt, "_MAX_PROGRAMS", room)
+        params, state = ModelParams(_REPLAY_MODEL, np.random.default_rng(35)), dt.TrainState()
+        runs.append([dt.train_step(params, seq, cfg, state) for seq in rows + rows])
+        assert [key[0] for key in state.programs] == [(5, 6), (8, 6)][-room:]
+    assert runs[0] == runs[1]
 
 
 def test_nonfinite_value_in_replayed_step():
