@@ -197,7 +197,7 @@ def cmd_train(args, resolved: dict) -> int:
     return 0
 
 
-def _check_fits(params: ModelParams, checkpoint, source, frames: int, **widths):
+def _check_fits(params: ModelParams, checkpoint, source, frames: int = 0, **widths):
     """Raises ValueError (a data error) naming `checkpoint` and `source` when
     the input's frame count, or a width in `widths` (audio_dim,
     vertex_count), does not fit the checkpoint's model."""
@@ -253,6 +253,9 @@ def cmd_animate(args, resolved: dict) -> int:
     if args.frames is not None:
         features = resample_features(features, args.frames)
     _check_fits(params, args.checkpoint, args.features, features.frames, audio_dim=features.dim)
+    if args.obj_every is not None:
+        template = load_template(args.template)
+        _check_fits(params, args.checkpoint, args.template, vertex_count=template.vertex_count)
     motion = generate_motion(params, features, args.speaker, args.fps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -260,7 +263,6 @@ def cmd_animate(args, resolved: dict) -> int:
     save_motion(motion_path, motion)
     files = [motion_path]
     if args.obj_every is not None:
-        template = load_template(args.template)
         for t in range(0, motion.frames, args.obj_every):
             obj_path = out / f"frame{t:04d}.obj"
             export_obj(obj_path, template, motion, t)

@@ -565,11 +565,11 @@ class LoadedDataset:
     upper_indices: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        # Compared as Python ints first: an index past int64 must not overflow.
+        if max(self.manifest.lip_indices + self.manifest.upper_indices) >= self.template.vertex_count:
+            raise ValueError("region indices exceed template vertex count")
         self.lip_indices = np.asarray(self.manifest.lip_indices, dtype=np.int64)
         self.upper_indices = np.asarray(self.manifest.upper_indices, dtype=np.int64)
-        v = self.template.vertex_count
-        if self.lip_indices.max() >= v or self.upper_indices.max() >= v:
-            raise ValueError("region indices exceed template vertex count")
 
     def split(self, name: str) -> list[SequenceRecord]:
         return [s for s in self.sequences if s.split == name]

@@ -518,9 +518,10 @@ def layer_norm_rows(a):
     return evaluate(PrimitiveKind.LAYER_NORM_ROWS, (a,))
 
 
-def replay(tape: Tape) -> None:
-    """Re-runs the records on their inputs' current values, in place."""
-    for r in tape.records:
+def replay(records: Sequence[TapeRecord]) -> None:
+    """Re-runs records in order on their inputs' current values, writing
+    each output and saved value in place, checked as evaluate checks."""
+    for r in records:
         r.output.data, r.saved = _apply(r.kind, [t.data for t in r.inputs], r.attrs)
 
 
@@ -610,23 +611,6 @@ def _relative_error(a: float, n: float) -> float:
     return abs(a - n) / max(1e-8, abs(a) + abs(n))
 
 
-def _replay(program: Sequence[tuple], out_slot: int | None, recorded: np.ndarray) -> tuple[float, list[bytes]]:
-    """Runs a replay program in order: each step's inputs are its recorded
-    arrays, with the outputs of earlier steps written into the positions it
-    fills, through the forward rule and finite check evaluate uses. Returns
-    out (its step's output, or the recorded value when no step outputs it)
-    and each relu input's sign pattern."""
-    outputs, patterns = [], []
-    for kind, attrs, arrays, fills, is_relu in program:
-        for position, slot in fills:
-            arrays[position] = outputs[slot]
-        if is_relu:
-            patterns.append((arrays[0] > 0.0).tobytes())
-        outputs.append(_apply(kind, arrays, attrs)[0])
-    out = recorded if out_slot is None else outputs[out_slot]
-    return float(out.reshape(-1)[0]), patterns
-
-
 def _check_perturbable(parameters: Sequence[Parameter], step: float):
     with np.errstate(over="ignore"):
         for p in parameters:
@@ -646,14 +630,14 @@ def check_gradients(
     composing primitives only, so every value that depends on a parameter
     is a record's output. It is called once, under a tape. `parameters`
     None checks every Parameter the build reads, in the order it first
-    reads them. Every parameter entry is then perturbed by +/-step, and
-    each perturbed value comes from replaying only the records downstream
-    of that parameter, as a program over their arrays; the rest keep their
-    recorded outputs. Entries whose relu activation pattern differs between
-    the two perturbed evaluations sit on a kink and are counted as flagged
-    rather than judged. Raises NonFiniteError, before anything is
-    perturbed, if a perturbed value would not be finite; given parameters
-    are checked before anything is built.
+    reads them. Every parameter entry is then perturbed by +/-step in
+    place, and each perturbed value comes from `replay` over only the
+    records downstream of that parameter; once the parameter is done, or
+    raises, their recorded outputs are bound back. Entries whose relu
+    activation pattern differs between the two perturbed evaluations sit on
+    a kink and are counted as flagged rather than judged. Raises
+    NonFiniteError, before anything is perturbed, if a perturbed value would
+    not be finite; given parameters are checked before anything is built.
     """
     if parameters is not None:
         _check_perturbable(parameters, step)
@@ -671,34 +655,39 @@ def check_gradients(
     report = GradCheckReport(tolerance=tolerance, step=step)
     entries: list[GradCheckEntry] = []
     for p in parameters:
-        # One step per record downstream of p, which reads p or an earlier
-        # step's output. p is read through its own array, perturbed in place.
-        slots, program = {}, []
+        # The records downstream of p, each reading p or the output of one
+        # kept before it; p is read through its own array, perturbed in place.
+        reached, downstream = {p}, []
         for r in tape.records:
-            fills = [(i, slots[t]) for i, t in enumerate(r.inputs) if t in slots]
-            if fills or p in r.inputs:
-                slots[r.output] = len(program)
-                program.append((r.kind, r.attrs, [t.data for t in r.inputs], fills, r.kind is PrimitiveKind.RELU))
-        out_slot = slots.get(out)
+            if any(t in reached for t in r.inputs):
+                reached.add(r.output)
+                downstream.append(r)
+        relus = [r.inputs[0] for r in downstream if r.kind is PrimitiveKind.RELU]
+        recorded = [(r, r.output.data, r.saved) for r in downstream]
         flat = p.data.reshape(-1)
         a_flat = p.gradient.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            try:
+        values = flat.copy()
+        try:
+            for i, orig in enumerate(values):
                 flat[i] = orig + step
-                f_plus, pat_plus = _replay(program, out_slot, out.data)
+                replay(downstream)
+                f_plus, pat_plus = out.item(), [(t.data > 0.0).tobytes() for t in relus]
                 flat[i] = orig - step
-                f_minus, pat_minus = _replay(program, out_slot, out.data)
-            finally:
+                replay(downstream)
+                f_minus, pat_minus = out.item(), [(t.data > 0.0).tobytes() for t in relus]
                 flat[i] = orig
-            if pat_plus != pat_minus:
-                report.n_flagged += 1
-                continue
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            idx = tuple(map(int, np.unravel_index(i, p.data.shape)))
-            rel = _relative_error(float(a_flat[i]), numeric)
-            report.n_entries += 1
-            entries.append(GradCheckEntry(p.id, idx, float(a_flat[i]), numeric, rel))
+                if pat_plus != pat_minus:
+                    report.n_flagged += 1
+                    continue
+                numeric = (f_plus - f_minus) / (2.0 * step)
+                idx = tuple(map(int, np.unravel_index(i, p.data.shape)))
+                rel = _relative_error(float(a_flat[i]), numeric)
+                report.n_entries += 1
+                entries.append(GradCheckEntry(p.id, idx, float(a_flat[i]), numeric, rel))
+        finally:  # p and the downstream outputs as recorded, also after a raise
+            flat[:] = values
+            for r, data, saved in recorded:
+                r.output.data, r.saved = data, saved
     entries.sort(key=lambda e: e.rel_err, reverse=True)
     report.worst = entries[:10]
     report.max_rel_err = entries[0].rel_err if entries else 0.0

@@ -91,7 +91,7 @@ class _StepProgram:
         check_speaker(self.config, speaker)
         for r in self.styles:
             r.attrs["start"], r.attrs["stop"] = speaker, speaker + 1
-        dc.replay(self.tape)
+        dc.replay(self.tape.records)
 
     def release(self):
         """Drops the step's arrays (record outputs, saved values and the

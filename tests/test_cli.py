@@ -484,6 +484,36 @@ def test_animate_frames_resample(tmp_path):
     assert load_motion(tmp_path / "anim" / "motion.bin").frames == 7
 
 
+def test_animate_checks_template_before_writing(trained, tmp_path, capsys):
+    """A --template that is missing, or whose vertex count differs from the
+    checkpoint's, exits 3 before anything is generated: no --out directory."""
+    _, ckpt = trained  # 24 vertices
+    narrow = make_dataset(tmp_path / "narrow", vertex_count=18)
+    argv = ["animate", "--checkpoint", ckpt, "--features", narrow.parent / "seq000_features.bin",
+            "--obj-every", 2, "--out", tmp_path / "anim"]
+    template = narrow.parent / "template.bin"
+    assert run([*argv, "--template", template]) == 3
+    err = capsys.readouterr().err
+    assert f"{template} does not fit checkpoint {ckpt}: vertex_count 18 where the checkpoint has 24" in err, err
+    assert run([*argv, "--template", tmp_path / "missing.bin"]) == 3
+    assert not (tmp_path / "anim").exists()
+
+
+@pytest.mark.parametrize("index", [pytest.param(24, id="vertex_count"), pytest.param(10**30, id="past_int64")])
+def test_region_index_past_the_template_exits_3(trained, tmp_path, capsys, index):
+    """A manifest region index at or past the template's vertex count, even
+    one too large for int64, is a data error for train and eval: exit 3."""
+    _, ckpt = trained
+    manifest = make_dataset(tmp_path)  # 24 vertices
+    raw = json.loads(manifest.read_text())
+    raw["lip_indices"].append(index)
+    manifest.write_text(json.dumps(raw))
+    assert run(["train", "--data", manifest, "--out", tmp_path / "run", "--set", "train.epochs=1", *SMALL_MODEL]) == 3
+    assert run(["eval", "--checkpoint", ckpt, "--data", manifest, "--split", "val", "--out", tmp_path / "eval"]) == 3
+    assert capsys.readouterr().err.count("region indices exceed template vertex count") == 2
+    assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
+
+
 def test_animate_obj_needs_template(tmp_path):
     manifest = make_dataset(tmp_path)
     run(["train", "--data", manifest, "--out", tmp_path / "run",

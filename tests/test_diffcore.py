@@ -131,9 +131,16 @@ def test_gradcheck_restores_entry_when_perturbed_build_fails():
     """A build that fails at a perturbed entry leaves the parameter as it
     found it, so the checks that follow read the unperturbed values."""
     p = dc.Parameter("w", [[1.0, 709.0]])
+    kept = []
+
+    def build():
+        kept.append(dc.exp(p.value))
+        return dc.sum_all(kept[0])
+
     with pytest.raises(dc.NonFiniteError, match="^exp: "):
-        dc.check_gradients([p], lambda: dc.sum_all(dc.exp(p.value)), step=1.0)
+        dc.check_gradients([p], build, step=1.0)
     assert np.array_equal(p.value.data, [[1.0, 709.0]])
+    assert np.array_equal(kept[0].data, np.exp([[1.0, 709.0]]))  # replayed at [0, 709], then rebound
 
 
 def test_gradcheck_rejects_nonfinite_perturbation():
@@ -316,8 +323,9 @@ def test_gradcheck_parameter_the_output_never_reaches():
 def test_gradcheck_replay_equals_fresh_build(monkeypatch):
     """Every value the checker replays from its tape equals a fresh build at
     the same perturbation, at the first and last entry of each parameter of
-    every check of the full scope."""
-    real = dc._replay
+    every check of the full scope; once the check returns, every record
+    output of its tape holds the value it recorded."""
+    real = dc.replay
     for suite in verify._SUITES["full"]:
         for name, build in suite(np.random.default_rng(1234)):
             with dc.Tape() as tape:
@@ -326,18 +334,26 @@ def test_gradcheck_replay_equals_fresh_build(monkeypatch):
             for p in leaves:
                 flat = p.value.data.reshape(-1)
                 ends = flat[[0, -1]].copy()
-                compared = []
+                compared, traced = [], []
 
-                def spy(*args):
-                    f, patterns = real(*args)
+                def traced_build():
+                    out = build()
+                    records = dc._TAPE_STACK[-1].records
+                    traced.append((out, records, [r.output.data.copy() for r in records]))
+                    return out
+
+                def spy(records):
+                    real(records)
                     if not np.array_equal(flat[[0, -1]], ends):
+                        f = traced[0][0].item()
                         assert f == build().item(), f"{name}: {p.id} at {flat[[0, -1]]}"
                         compared.append(f)
-                    return f, patterns
 
-                monkeypatch.setattr(dc, "_replay", spy)
-                dc.check_gradients([p], build, step=1e-5)
+                monkeypatch.setattr(dc, "replay", spy)
+                dc.check_gradients([p], traced_build, step=1e-5)
                 assert len(compared) == (4 if flat.size > 1 else 2), f"{name}: {p.id}"
+                _, records, recorded = traced[0]
+                assert all(np.array_equal(r.output.data, a) for r, a in zip(records, recorded)), f"{name}: {p.id}"
 
 
 def _tanh_one_minus_t(r, g):
