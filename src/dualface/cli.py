@@ -253,7 +253,7 @@ def cmd_animate(args, resolved: dict) -> int:
     if args.frames is not None:
         features = resample_features(features, args.frames)
     _check_fits(params, args.checkpoint, args.features, features.frames, audio_dim=features.dim)
-    if args.obj_every is not None:
+    if args.template:
         template = load_template(args.template)
         _check_fits(params, args.checkpoint, args.template, vertex_count=template.vertex_count)
     motion = generate_motion(params, features, args.speaker, args.fps)
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, help="resample features to this many frames first")
     p.add_argument("--fps", type=float, default=25.0)
     p.add_argument("--obj-every", type=int, help="export every Nth frame as OBJ (needs --template)")
-    p.add_argument("--template", help="template file for OBJ export")
+    p.add_argument("--template", help="template file for OBJ export; checked against the checkpoint")
     p.add_argument("--out", required=True)
     common(p)
 

@@ -201,18 +201,24 @@ class ForwardOutputs:
 class KVCache:
     """One attention head's keys and values of the rows decoded so far, in
     preallocated (T, dk) arrays. Each row is written once from a checked
-    primitive output; what it hands out is a tape leaf (generation only)."""
+    primitive output; what it hands out are two tape leaves, rebound on each
+    extend, so a traced frame's records read the rows cached since
+    (generation only)."""
 
     def __init__(self, frames: int, dk: int):
         self.keys, self.values, self.rows = np.empty((frames, dk)), np.empty((frames, dk)), 0
+        self.leaves = dc.Tensor._wrap(self.keys[:0].T), dc.Tensor._wrap(self.values[:0])
+        self.fed = None  # the (k, v) tensors of the last extend
 
     def extend(self, k: dc.Tensor, v: dc.Tensor) -> tuple[dc.Tensor, dc.Tensor]:
         """Store the newest row's key and value; returns the keys of every
         row so far transposed, (dk, rows), as a C-contiguous copy, the array
         transpose-last-two would give, and a view of their values."""
         self.keys[self.rows], self.values[self.rows] = k.data[0], v.data[0]
-        self.rows += 1
-        return dc.Tensor._wrap(self.keys[: self.rows].T.copy()), dc.Tensor._wrap(self.values[: self.rows])
+        self.rows, self.fed = self.rows + 1, (k, v)
+        keys_t, values = self.leaves
+        keys_t.data, values.data = self.keys[: self.rows].T.copy(), self.values[: self.rows]
+        return self.leaves
 
 
 # ---------------------------------------------------------------------------
@@ -414,24 +420,48 @@ def _generate(params: ModelParams, d: Direction, source, speaker: int) -> np.nda
     sends one history row (the start token, or frame t-1 encoded at position
     t-1) through every block, attending over per-head K/V caches. Only
     attention mixes rows, and the caches hold exactly the rows frame t may
-    see, so frame t equals row t of teacher forcing on the output."""
+    see, so frame t equals row t of teacher forcing on the output.
+
+    Frame 0 runs the model code; frame 1 runs it under a tape; every later
+    frame rebinds the traced frame's inputs (the previous prediction, the
+    source row, the positional slice) and replays its records. They are cut
+    after each head's k/v matmuls, where the replay extends that head's
+    cache as the traced frame did: the same forward rules on the same
+    operands in the same order, so the output is bit-identical."""
     c = params.config
     source_latent = _encoder(d.source)(params, source)
     frames = source_latent.data.shape[0]
     style = style_embed(params, speaker)
     self_cache = [KVCache(frames, c.d // c.self_heads) for _ in range(c.self_heads)]
     fusion_cache = [KVCache(frames, c.d // c.fusion_heads) for _ in range(c.fusion_heads)]
-    out, history = [], params[f"start_token.{d.target}"]
     out_weight = d.out_weight(params)  # constant: a tied codec transposes once
-    for t in range(frames):
+    row = dc.Tensor._wrap(source_latent.data[:1])  # source row t read in place: a leaf of checked data
+
+    def frame(history: dc.Tensor) -> dc.Tensor:
         ctx = self_attend(params, history, d.name, self_cache)
         gated = speaker_modulate(params, ctx, style, d.name)
-        # Row t read in place: a generation-only leaf of checked data.
-        fused = cross_attend(params, dc.Tensor._wrap(source_latent.data[t:t + 1]), gated, d.name, fusion_cache)
-        pred = d.decode(params, fused, out_weight)
+        return d.decode(params, cross_attend(params, row, gated, d.name, fusion_cache), out_weight)
+
+    prev = frame(params[f"start_token.{d.target}"])
+    out = [prev.data]
+    if frames > 1:
+        row.data = source_latent.data[1:2]
+        with dc.Tape() as tape:
+            pred = frame(_encoder(d.target)(params, prev, start=0))
         out.append(pred.data)
-        if t + 1 < frames:
-            history = _encoder(d.target)(params, pred, start=t)
+        records, caches = tape.records, self_cache + fusion_cache
+        pos = next(r for r in records if r.inputs[0] is params["positional_table"])
+        ends = {r.output: i + 1 for i, r in enumerate(records)}
+        cuts = [0, *(max(ends[t] for t in cache.fed) for cache in caches), len(records)]
+        segments = [(records[a:b], cache) for a, b, cache in zip(cuts, cuts[1:], [*caches, None])]
+    for t in range(2, frames):
+        prev.data, row.data = pred.data, source_latent.data[t:t + 1]
+        pos.attrs["start"], pos.attrs["stop"] = t - 1, t
+        for part, cache in segments:
+            dc.replay(part)
+            if cache is not None:
+                cache.extend(*cache.fed)  # the k/v outputs the replay just rebound
+        out.append(pred.data)
     return np.concatenate(out)
 
 

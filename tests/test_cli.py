@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -497,6 +500,33 @@ def test_animate_checks_template_before_writing(trained, tmp_path, capsys):
     assert f"{template} does not fit checkpoint {ckpt}: vertex_count 18 where the checkpoint has 24" in err, err
     assert run([*argv, "--template", tmp_path / "missing.bin"]) == 3
     assert not (tmp_path / "anim").exists()
+
+
+def test_animate_checks_template_without_obj_export(trained, tmp_path, capsys):
+    """A --template is read and checked even when no OBJ frame is exported:
+    a mismatched or missing one exits 3 with no --out directory, and a
+    fitting one writes the same motion as no template at all."""
+    manifest, ckpt = trained  # 24 vertices
+    narrow = make_dataset(tmp_path / "narrow", vertex_count=18)
+    argv = ["animate", "--checkpoint", ckpt, "--features", manifest.parent / "seq000_features.bin"]
+    template = narrow.parent / "template.bin"
+    assert run([*argv, "--template", template, "--out", tmp_path / "anim"]) == 3
+    assert "vertex_count 18 where the checkpoint has 24" in capsys.readouterr().err
+    assert run([*argv, "--template", tmp_path / "missing.bin", "--out", tmp_path / "anim"]) == 3
+    assert not (tmp_path / "anim").exists()
+    assert run([*argv, "--template", manifest.parent / "template.bin", "--out", tmp_path / "fit"]) == 0
+    assert run([*argv, "--out", tmp_path / "plain"]) == 0
+    assert (tmp_path / "fit" / "motion.bin").read_bytes() == (tmp_path / "plain" / "motion.bin").read_bytes()
+
+
+def test_python_m_dualface_runs_the_cli(tmp_path):
+    """`python -m dualface` from a source checkout runs the same CLI."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-m", "dualface", "gradcheck", "--scope", "op"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "gradcheck: PASS"
 
 
 @pytest.mark.parametrize("index", [pytest.param(24, id="vertex_count"), pytest.param(10**30, id="past_int64")])
