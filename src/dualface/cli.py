@@ -420,6 +420,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:  # an array the given sizes or data ask for does not fit
+        print("data error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ import numpy as np
 from dataclasses import asdict, dataclass
 
 from . import diffcore as dc
-from .data import FeatureSequence, MotionSequence, NonNegative, Positive, check_field_types
-from .model import ForwardOutputs, sequence_rows
+from .data import MotionSequence, NonNegative, Positive, check_field_types
+from .model import ForwardOutputs
 
 _NORM_FLOOR = 1e-12
 
@@ -45,6 +45,8 @@ class CCRLConfig:
         check_field_types(self)
         if self.anchor_weighting not in ("uniform", "kernel"):
             raise ValueError("anchor_weighting must be 'uniform' or 'kernel'")
+        if self.sigma is not None and 2.0 * self.sigma * self.sigma == 0.0:
+            raise ValueError(f"CCRLConfig.sigma must be large enough that 2*sigma^2 is not 0, got {self.sigma!r}")
 
 
 @dataclass
@@ -128,13 +130,11 @@ def _row_normalize(m: dc.Tensor) -> dc.Tensor:
     return dc.multiply(m, dc.matmul(inv_norm, ones_row))
 
 
-def ccrl_constants(gt_motion: MotionSequence, cfg: CCRLConfig, kernel: np.ndarray | None = None) -> list[np.ndarray]:
+def ccrl_constants(gt_motion: MotionSequence, cfg: CCRLConfig) -> list[np.ndarray]:
     """The per-sequence constants of the CCRL loss under gt_motion's kernel
-    weights w (`kernel`, if the caller holds them): 1 - w and, with kernel
-    anchor weighting, the (T, 1) anchor weights, each row's mass of w
-    normalized to sum 1."""
-    if kernel is None:
-        kernel, _ = motion_kernel(gt_motion, cfg)
+    weights w: 1 - w and, with kernel anchor weighting, the (T, 1) anchor
+    weights, each row's mass of w normalized to sum 1."""
+    kernel, _ = motion_kernel(gt_motion, cfg)
     constants = [1.0 - kernel]
     if cfg.anchor_weighting == "kernel":
         anchor_mass = kernel.mean(axis=1)
@@ -150,23 +150,18 @@ def ccrl_direction(p: dc.Tensor, q: dc.Tensor, gt_motion: MotionSequence, cfg: C
     + exp(s_intra[k,t]*(1-w[k,t]))), averaged uniformly over anchors (or with
     normalized kernel-mass anchor weights when configured).
     """
-    return _ccrl([(p, q)], gt_motion, cfg)
+    return _ccrl([(p, q)], [dc.Tensor(c) for c in ccrl_constants(gt_motion, cfg)])
 
 
-def ccrl_total(x, y, x_round, y_round, gt_motion: MotionSequence, cfg: CCRLConfig,
-               leaves: list[dc.Tensor] | None = None) -> dc.Tensor:
-    """Consistency on encoder latents plus consistency on fused predictions;
-    both directions share one motion kernel. `leaves`, if the caller holds
-    them, are the tensors of ccrl_constants(gt_motion, cfg)."""
-    return _ccrl([(x, y), (x_round, y_round)], gt_motion, cfg, leaves)
+def ccrl_total(x, y, x_round, y_round, constants: list[dc.Tensor]) -> dc.Tensor:
+    """Consistency on encoder latents plus consistency on fused predictions,
+    both under the tensors of one motion's ccrl_constants."""
+    return _ccrl([(x, y), (x_round, y_round)], constants)
 
 
-def _ccrl(pairs, gt_motion: MotionSequence, cfg: CCRLConfig, leaves: list[dc.Tensor] | None = None) -> dc.Tensor:
-    """Sum of ccrl_direction over (p, q) pairs; the constant tensors are
-    built once for all pairs, and `leaves` as in ccrl_total."""
-    if leaves is None:
-        leaves = [dc.Tensor(c) for c in ccrl_constants(gt_motion, cfg)]
-    one_minus_w, *anchor = leaves
+def _ccrl(pairs, constants: list[dc.Tensor]) -> dc.Tensor:
+    """Sum of ccrl_direction over (p, q) pairs under the same constants."""
+    one_minus_w, *anchor = constants
     t = one_minus_w.data.shape[0]
     for p, q in pairs:
         if p.data.shape[0] != t or q.data.shape[0] != t:
@@ -182,53 +177,34 @@ def _ccrl(pairs, gt_motion: MotionSequence, cfg: CCRLConfig, leaves: list[dc.Ten
         qn = _row_normalize(q)
         s_inter = dc.matmul(pn, dc.transpose_last_two(qn))
         s_intra = dc.matmul(pn, dc.transpose_last_two(pn))
-        energy = dc.add(
-            dc.exp(dc.multiply(s_inter, one_minus_w)),
-            dc.exp(dc.multiply(s_intra, one_minus_w)),
-        )
+        energy = dc.add(dc.exp(dc.multiply(s_inter, one_minus_w)), dc.exp(dc.multiply(s_intra, one_minus_w)))
         denom = dc.matmul(dc.multiply(energy, off_diag), ones_col)  # (T, 1)
         diag = dc.matmul(dc.multiply(s_inter, eye), ones_col)  # (T, 1)
         per_anchor = dc.subtract(dc.log(denom), diag)
-        if anchor:
-            term = dc.sum_all(dc.multiply(per_anchor, anchor[0]))
-        else:
-            term = dc.mean_all(per_anchor)
+        term = dc.sum_all(dc.multiply(per_anchor, anchor[0])) if anchor else dc.mean_all(per_anchor)
         total = term if total is None else dc.add(total, term)
     return total
 
 
-def total_loss(
-    primal: ForwardOutputs,
-    dual: ForwardOutputs | None,
-    gt_motion: MotionSequence | dc.Tensor,
-    gt_features: FeatureSequence | dc.Tensor,
-    weights: LossWeights,
-    ccrl_cfg: CCRLConfig,
-    ccrl_leaves: list[dc.Tensor] | None = None,
-    terms: dict[str, dc.Tensor] | None = None,
-) -> tuple[LossBundle, dc.Tensor]:
-    """Assemble the weighted objective; returns the bundle of component
-    values and the scalar node to backpropagate from.
+def total_loss(primal: ForwardOutputs, dual: ForwardOutputs | None, features: dc.Tensor, motion: dc.Tensor,
+               ccrl: list[dc.Tensor], weights: LossWeights) -> tuple[dict[str, dc.Tensor], dc.Tensor]:
+    """Assemble the weighted objective against the target feature and
+    flattened-motion rows; returns each term's tensor by name (for
+    LossBundle.read) and the scalar node to backpropagate from.
 
     With no dual outputs (dual-path ablation) the dual, round-trip, and
     consistency terms are dropped and reported as 0. The terms are summed in
-    LossWeights field order, skipping any whose weight is 0. The targets
-    are sequences or their rows; `ccrl_leaves` as in ccrl_total, which needs
-    gt_motion's sequence without them. `terms`, if given, receives each
-    term's tensor by name, for LossBundle.read.
+    LossWeights field order, skipping any whose weight is 0. `ccrl` holds
+    the tensors of the target motion's ccrl_constants, read only when the
+    consistency term is built.
     """
-    terms = {} if terms is None else terms
-    terms["primal"] = mse(primal.prediction, sequence_rows(gt_motion, "total_loss"))
+    terms = {"primal": mse(primal.prediction, motion)}
     if dual is not None:
-        terms["dual"] = mse(dual.prediction, sequence_rows(gt_features, "total_loss"))
+        terms["dual"] = mse(dual.prediction, features)
         if weights.dr != 0.0:
-            terms["dr"] = duality_regularizer(
-                primal.audio_latent, dual.fused, primal.motion_latent, primal.fused
-            )
+            terms["dr"] = duality_regularizer(primal.audio_latent, dual.fused, primal.motion_latent, primal.fused)
         if weights.ccrl != 0.0:
-            terms["ccrl"] = ccrl_total(
-                primal.audio_latent, primal.motion_latent, dual.fused, primal.fused, gt_motion, ccrl_cfg, ccrl_leaves
-            )
+            terms["ccrl"] = ccrl_total(primal.audio_latent, primal.motion_latent, dual.fused, primal.fused, ccrl)
     total = None
     for name, term in terms.items():
         lam = getattr(weights, name)
@@ -237,4 +213,4 @@ def total_loss(
             total = piece if total is None else dc.add(total, piece)
     if total is None:
         raise ValueError("no loss terms to combine")
-    return LossBundle.read(terms, total), total
+    return terms, total

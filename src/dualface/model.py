@@ -265,21 +265,14 @@ def _check_frames(params: ModelParams, t: int, what: str):
         raise ValueError(f"{what}: {t} frames exceeds max_frames={params.config.max_frames}")
 
 
-def sequence_rows(x, what: str) -> dc.Tensor:
-    """A sequence's (T, width) feature or flattened-displacement rows; a
-    Tensor as it is."""
-    if isinstance(x, FeatureSequence):
-        return dc.Tensor(x.values)
-    if isinstance(x, MotionSequence):
-        return dc.Tensor(x.displacements.reshape(x.frames, 3 * x.vertex_count))
-    if isinstance(x, dc.Tensor):
-        return x
-    raise TypeError(f"{what}: unsupported input type {type(x).__name__}")
-
-
 def _encode(params: ModelParams, x, modality: str, start: int) -> dc.Tensor:
     what, c = f"encode_{modality}", params.config
-    x = sequence_rows(x, what)
+    if isinstance(x, FeatureSequence):
+        x = dc.Tensor(x.values)
+    elif isinstance(x, MotionSequence):
+        x = dc.Tensor(x.displacements.reshape(x.frames, 3 * x.vertex_count))
+    elif not isinstance(x, dc.Tensor):
+        raise TypeError(f"{what}: unsupported input type {type(x).__name__}")
     cols = x.data.shape[1] if x.data.ndim == 2 else -1
     width = c.audio_dim if modality == "audio" else 3 * c.vertex_count
     if cols != width:

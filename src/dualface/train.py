@@ -20,7 +20,8 @@ from pathlib import Path
 
 from . import diffcore as dc
 from . import losses
-from .data import Count, Fraction, Index, LoadedDataset, Positive, SequenceRecord, check_field_types
+from .data import (Count, FeatureSequence, Fraction, Index, LoadedDataset, MotionSequence, Positive, SequenceRecord,
+                   check_field_types)
 from .losses import CCRLConfig, LossBundle, LossWeights, total_loss
 from .metrics import MetricReport, RegionSet, SequenceMetrics, build_report, fdd, lip_distance, lip_vertex_error
 from .model import (
@@ -65,22 +66,35 @@ class TrainConfig:
         check_field_types(self)
 
 
+def step_arrays(features: FeatureSequence, motion: MotionSequence, cfg: TrainConfig) -> list[np.ndarray]:
+    """A sequence's step data: its feature rows, its flattened motion rows
+    and, with the CCRL term on, the motion's ccrl_constants."""
+    arrays = [features.values, motion.displacements.reshape(motion.frames, -1)]
+    if cfg.weights.ccrl:
+        arrays += losses.ccrl_constants(motion, cfg.ccrl)
+    return arrays
+
+
+def step_loss(params: ModelParams, speaker: int, leaves: list[dc.Tensor], cfg: TrainConfig):
+    """The training objective over the tensors of step_arrays: the primal
+    pass, the dual pass when a dual-side weight is nonzero, then total_loss;
+    returns its terms by name and the total."""
+    w = cfg.weights
+    features, motion, *ccrl = leaves
+    primal = forward_primal(params, features, speaker, motion)
+    dual = forward_dual(params, motion, speaker, features) if w.dual or w.dr or w.ccrl else None
+    return total_loss(primal, dual, features, motion, ccrl, w)
+
+
 class _StepProgram:
-    """One training step traced on a tape, with the data leaves a replay
-    rebinds (features, flattened motion, any CCRL constants) and the
-    style-table slices that select the speaker."""
+    """One training step traced on a tape, with the leaves of its
+    step_arrays that a replay rebinds and the style-table slices that
+    select the speaker."""
 
     def __init__(self, params: ModelParams, speaker: int, data: list[np.ndarray], cfg: TrainConfig):
-        w = cfg.weights
         self.leaves = [dc.Tensor(a) for a in data]
-        features, motion = self.leaves[:2]
-        self.terms = {}
         with dc.Tape() as self.tape:
-            primal = forward_primal(params, features, speaker, motion)
-            dual = None
-            if w.dual or w.dr or w.ccrl:
-                dual = forward_dual(params, motion, speaker, features)
-            _, self.total = total_loss(primal, dual, motion, features, w, cfg.ccrl, self.leaves[2:], self.terms)
+            self.terms, self.total = step_loss(params, speaker, self.leaves, cfg)
         style = params["style_table"]
         self.styles = [r for r in self.tape.records if r.kind is dc.PrimitiveKind.SLICE and r.inputs[0] is style]
         self.config = params.config
@@ -190,18 +204,15 @@ def adam_step(params: ModelParams, state: TrainState, cfg: TrainConfig):
 
 
 def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state: TrainState,
-               kernel: np.ndarray | None = None) -> LossBundle:
-    """One Adam step; the dual pass runs only when a dual-side loss weight
-    is nonzero. `kernel` is seq's CCRL motion-kernel weights, if the caller
-    holds them; with the CCRL term on, it is built here otherwise.
+               arrays: list[np.ndarray] | None = None) -> LossBundle:
+    """One Adam step on seq's step_arrays (`arrays`, if the caller holds
+    them); the dual pass runs only when a dual-side loss weight is nonzero.
 
-    The first step of each shape of data traces the model and losses; later
-    ones replay the traced records on their own data and speaker, with the
+    The first step of each shape of data traces step_loss; later ones
+    replay the traced records on their own data and speaker, with the
     same forward rules and finite checks, so every value is the one a new
     trace would give (see TrainState.programs)."""
-    data = [seq.features.values, seq.motion.displacements.reshape(seq.motion.frames, -1)]
-    if cfg.weights.ccrl:
-        data += losses.ccrl_constants(seq.motion, cfg.ccrl, kernel)
+    data = step_arrays(seq.features, seq.motion, cfg) if arrays is None else arrays
     key = tuple(a.shape for a in data)
     program = state.programs.pop(key, None)  # a step that raises drops it
     try:
@@ -286,10 +297,10 @@ def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams(model_cfg, rng)
     state = TrainState()
-    # The CCRL motion kernel depends only on ground truth, so each training
-    # sequence's is built at its first step and kept only while a later
-    # epoch will use it: a one-epoch run holds one kernel at a time.
-    kernels: dict[int, np.ndarray] = {}
+    # Step data depends only on the sequence, so each training sequence's
+    # step_arrays (with its CCRL motion kernel) are built at its first step
+    # and kept only while a later epoch will use them.
+    cache: dict[int, list[np.ndarray]] = {}
     val_rows = dataset.split("val")
     ckpt_path = out / "best.ckpt"
     log_path = out / "train_log.jsonl"
@@ -297,12 +308,11 @@ def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_
         for epoch in range(cfg.epochs):
             order = rng.permutation(len(train_rows))
             for idx in order:
-                kernel = kernels.pop(idx, None)
-                if kernel is None and cfg.weights.ccrl:
-                    kernel = losses.motion_kernel(train_rows[idx].motion, cfg.ccrl)[0]
-                if kernel is not None and epoch + 1 < cfg.epochs:
-                    kernels[idx] = kernel
-                bundle = train_step(params, train_rows[idx], cfg, state, kernel)
+                seq = train_rows[idx]
+                arrays = cache.pop(idx, None) or step_arrays(seq.features, seq.motion, cfg)
+                if epoch + 1 < cfg.epochs:
+                    cache[idx] = arrays
+                bundle = train_step(params, seq, cfg, state, arrays)
                 log.write(_bundle_line(state.step, bundle) + "\n")
             if val_rows and ((epoch + 1) % cfg.val_every == 0 or epoch + 1 == cfg.epochs):
                 report = evaluate_params(params, dataset, "val")

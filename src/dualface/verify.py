@@ -14,9 +14,11 @@ from typing import Callable
 
 from . import diffcore as dc
 from .data import FeatureSequence, MotionSequence
-from .losses import CCRLConfig, LossWeights, ccrl_direction, ccrl_total, duality_regularizer, mse, smooth_l1, total_loss
-from .model import (DIRECTIONS, ModelConfig, ModelParams, cross_attend, encode_audio, encode_motion,
-                    forward_dual, forward_primal, self_attend, speaker_modulate, style_embed)
+from .losses import (CCRLConfig, LossWeights, ccrl_constants, ccrl_direction, ccrl_total, duality_regularizer, mse,
+                     smooth_l1)
+from .model import (DIRECTIONS, ModelConfig, ModelParams, cross_attend, encode_audio, encode_motion, self_attend,
+                    speaker_modulate, style_embed)
+from .train import TrainConfig, step_arrays, step_loss
 
 _K = dc.PrimitiveKind
 
@@ -109,12 +111,9 @@ def _full_checks(rng: np.random.Generator):
     # where the relative-error formula amplifies finite-difference noise;
     # derivative correctness does not depend on the weights.
     unit = LossWeights(1.0, 1.0, 1.0, 1.0)
-
-    def build_total():
-        primal = forward_primal(params, feats, 1, gt_motion)
-        dual = forward_dual(params, gt_motion, 1, feats)
-        return total_loss(primal, dual, gt_motion, feats, unit, uniform)[1]
-
+    cfg = TrainConfig(weights=unit, ccrl=uniform)
+    leaves = [dc.Tensor(a) for a in step_arrays(feats, gt_motion, cfg)]
+    ccrl = [dc.Tensor(c) for c in ccrl_constants(motion, uniform)]
     tied = _small_model(rng, tied=True)
     (fused,) = _inputs(rng, (t, 8))
     decoders = []
@@ -128,9 +127,10 @@ def _full_checks(rng: np.random.Generator):
         ("loss ccrl_direction", lambda: ccrl_direction(p1, p2, motion, uniform)),
         # sigma=0.5 over 0.1-scale motion gives off-diagonal kernel weights near 0.7, not ~0
         ("loss ccrl_direction kernel anchors sigma=0.5", lambda: ccrl_direction(p1, p2, gt_motion, kernel)),
-        ("loss ccrl_total", lambda: ccrl_total(p1, p2, p3, p4, motion, uniform)),
+        ("loss ccrl_total", lambda: ccrl_total(p1, p2, p3, p4, ccrl)),
         *decoders,
-        ("full model + all losses", build_total),
+        # the objective a training step traces, on unit weights
+        ("full model + all losses", lambda: step_loss(params, 1, leaves, cfg)[1]),
     ]
 
 

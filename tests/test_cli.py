@@ -316,6 +316,35 @@ def test_feature_files_with_different_band_counts_exit_3(trained, tmp_path, caps
     assert not (tmp_path / "run").exists() and not (tmp_path / "eval").exists()
 
 
+def test_ccrl_sigma_whose_square_underflows_exits_2(tmp_path, capsys):
+    """A CCRL bandwidth whose 2*sigma^2 is 0 would make the motion kernel's
+    diagonal 0/0: it is a config error, found before anything is written.
+    A small sigma whose square is still above 0 trains."""
+    manifest = make_dataset(tmp_path)
+    argv = ["train", "--data", manifest, "--out", tmp_path / "run", "--set", "train.epochs=1", *SMALL_MODEL]
+    for sigma in ("1e-300", "5e-324"):
+        assert run([*argv, "--set", f"train.ccrl.sigma={sigma}"]) == 2, sigma
+        assert not (tmp_path / "run").exists(), sigma
+    assert "2*sigma^2 is not 0" in capsys.readouterr().err
+    assert run([*argv, "--set", "train.ccrl.sigma=1e-150"]) == 0
+
+
+@pytest.mark.parametrize("message", [
+    pytest.param("", id="bare"),
+    pytest.param("Unable to allocate 14.9 EiB for an array with shape (2000000000, 1000000000)", id="numpy"),
+])
+def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys, message):
+    """An allocation that does not fit in memory is a data error: one
+    stderr line and exit 3, not a traceback."""
+    def allocate(spec, out_dir):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "generate_synthetic", allocate)
+    assert run(["synth", "--out", tmp_path / "data"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: out of memory") and message in err and err.count("\n") == 1, err
+
+
 def test_one_frame_training_sequence_needs_ccrl_off(tmp_path, capsys):
     """CCRL contrasts frames, so with train.weights.ccrl nonzero a one-frame
     training sequence exits 3, named, before the run directory exists; with

@@ -176,13 +176,21 @@ def _toy_forward(seed, t=5):
     return params, feats, motion
 
 
+def _targets(feats, motion):
+    """total_loss's target tensors: feature rows, flattened motion rows and
+    the motion's CCRL constants."""
+    rows = motion.displacements.reshape(motion.frames, -1)
+    return dc.Tensor(feats.values), dc.Tensor(rows), [dc.Tensor(c) for c in dl.ccrl_constants(motion, dl.CCRLConfig())]
+
+
 def test_total_loss_bundle_consistency():
     params, feats, motion = _toy_forward(8)
     weights = dl.LossWeights()
     with dc.Tape():
         primal = forward_primal(params, feats, 0, motion)
         dual = forward_dual(params, motion, 0, feats)
-        bundle, total = dl.total_loss(primal, dual, motion, feats, weights, dl.CCRLConfig())
+        terms, total = dl.total_loss(primal, dual, *_targets(feats, motion), weights)
+        bundle = dl.LossBundle.read(terms, total)
     recomposed = (
         weights.primal * bundle.l_primal
         + weights.dual * bundle.l_dual
@@ -198,7 +206,8 @@ def test_total_loss_without_dual():
     params, feats, motion = _toy_forward(9)
     with dc.Tape():
         primal = forward_primal(params, feats, 0, motion)
-        bundle, total = dl.total_loss(primal, None, motion, feats, dl.LossWeights(), dl.CCRLConfig())
+        terms, total = dl.total_loss(primal, None, *_targets(feats, motion), dl.LossWeights())
+        bundle = dl.LossBundle.read(terms, total)
     assert bundle.l_dual == 0.0 and bundle.l_dr == 0.0 and bundle.l_ccrl == 0.0
     assert_close(bundle.total, bundle.l_primal, 1e-15, "primal only")
     assert total.data.size == 1
@@ -210,11 +219,11 @@ def test_total_loss_zero_weights_skip_terms():
     with dc.Tape():
         primal = forward_primal(params, feats, 0, motion)
         dual = forward_dual(params, motion, 0, feats)
-        bundle, _ = dl.total_loss(primal, dual, motion, feats, weights, dl.CCRLConfig())
+        bundle = dl.LossBundle.read(*dl.total_loss(primal, dual, *_targets(feats, motion), weights))
     assert bundle.l_dr == 0.0 and bundle.l_ccrl == 0.0
     assert_close(bundle.total, bundle.l_primal + bundle.l_dual, 1e-12, "weighted skip")
     with dc.Tape(), pytest.raises(ValueError, match="no loss terms"):
-        dl.total_loss(primal, dual, motion, feats, dl.LossWeights(0.0, 0.0, 0.0, 0.0), dl.CCRLConfig())
+        dl.total_loss(primal, dual, *_targets(feats, motion), dl.LossWeights(0.0, 0.0, 0.0, 0.0))
 
 
 def test_loss_gradients_flow_to_both_tasks():
@@ -223,7 +232,7 @@ def test_loss_gradients_flow_to_both_tasks():
     with dc.Tape() as tape:
         primal = forward_primal(params, feats, 0, motion)
         dual = forward_dual(params, motion, 0, feats)
-        _, total = dl.total_loss(primal, dual, motion, feats, dl.LossWeights(), dl.CCRLConfig())
+        _, total = dl.total_loss(primal, dual, *_targets(feats, motion), dl.LossWeights())
         dc.backpropagate(tape, total)
     assert np.any(params["motion_decoder.bias"].gradient)
     assert np.any(params["audio_decoder.out.bias"].gradient)

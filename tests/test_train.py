@@ -204,6 +204,32 @@ def test_flat_adam_equals_per_parameter_adam(grad_clip):
         assert np.array_equal(_moment(flat, state, name, 1), v), name
 
 
+def test_gradient_check_builds_the_graph_that_trains():
+    """gradcheck's "full model + all losses" build records the primitives,
+    attributes and parameters, in order, of a traced training step of the
+    same small model on step_arrays of the same shapes with unit weights."""
+    from dualface import diffcore as dc
+    from dualface import verify
+
+    build = dict(verify._full_checks(np.random.default_rng(1234)))["full model + all losses"]
+    with dc.Tape() as checked:
+        build()
+    rng = np.random.default_rng(0)
+    params = verify._small_model(rng)
+    feats = FeatureSequence(rng.standard_normal((3, params.config.audio_dim)))
+    motion = MotionSequence(0.1 * rng.standard_normal((3, params.config.vertex_count, 3)), 25.0)
+    cfg = dt.TrainConfig(weights=LossWeights(1.0, 1.0, 1.0, 1.0))
+    program = dt._StepProgram(params, 1, dt.step_arrays(feats, motion, cfg), cfg)
+
+    def layout(records):
+        return [(r.kind, r.attrs, [x.id if isinstance(x, dc.Parameter) else None for x in r.inputs])
+                for r in records]
+
+    assert layout(program.tape.records) == layout(checked.records)
+    assert {r.kind for r in checked.records} >= {dc.PrimitiveKind.SOFTMAX_ROWS, dc.PrimitiveKind.EXP}
+    assert sum(name is not None for *_, names in layout(checked.records) for name in names) > 50
+
+
 def test_one_motion_kernel_per_sequence_per_train_call(tmp_path, monkeypatch):
     """train builds one CCRL motion kernel per training sequence, however
     many epochs it runs, and none when CCRL or the dual pass is off; a bare
