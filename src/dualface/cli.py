@@ -197,15 +197,17 @@ def cmd_train(args, resolved: dict) -> int:
     return 0
 
 
-def _check_fits(params: ModelParams, checkpoint, source, frames: int = 0, **widths):
+def _check_fits(params: ModelParams, checkpoint, source, frames: int = 0, speaker: int = 0, **widths):
     """Raises ValueError (a data error) naming `checkpoint` and `source` when
-    the input's frame count, or a width in `widths` (audio_dim,
-    vertex_count), does not fit the checkpoint's model."""
+    the input's frame count, its largest speaker id, or a width in `widths`
+    (audio_dim, vertex_count), does not fit the checkpoint's model."""
     c = params.config
     wrong = [f"{name} {got} where the checkpoint has {getattr(c, name)}"
              for name, got in widths.items() if got != getattr(c, name)]
     if frames > c.max_frames:
         wrong.append(f"{frames} frames where the checkpoint's max_frames is {c.max_frames}")
+    if speaker >= c.n_speakers:
+        wrong.append(f"speaker {speaker} where the checkpoint has {c.n_speakers} speakers")
     if wrong:
         raise ValueError(f"{source} does not fit checkpoint {checkpoint}: " + "; ".join(wrong))
 
@@ -213,8 +215,9 @@ def _check_fits(params: ModelParams, checkpoint, source, frames: int = 0, **widt
 def cmd_eval(args, resolved: dict) -> int:
     dataset = load_dataset(args.data)
     params = load_checkpoint(args.checkpoint)
-    frames = max((s.motion.frames for s in dataset.split(args.split)), default=0)
-    _check_fits(params, args.checkpoint, args.data, frames, audio_dim=dataset.audio_dim,
+    split = dataset.split(args.split)
+    _check_fits(params, args.checkpoint, args.data, max((s.motion.frames for s in split), default=0),
+                max((s.speaker for s in split), default=0), audio_dim=dataset.audio_dim,
                 vertex_count=dataset.template.vertex_count)
     report = evaluate_params(params, dataset, args.split, predict_gt=args.predict_gt)
     out = Path(args.out)

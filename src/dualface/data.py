@@ -1,5 +1,5 @@
-"""Data containers, binary file formats, audio frontend, and the synthetic
-paired audio/motion dataset generator.
+"""Data containers, binary file formats, and the synthetic paired
+audio/motion dataset generator.
 
 Motion is stored as per-frame vertex displacements from a shared neutral
 template. On-disk formats are little-endian with 4-byte magics; see the
@@ -152,26 +152,6 @@ class MotionSequence:
     @property
     def vertex_count(self) -> int:
         return self.displacements.shape[1]
-
-
-@dataclass
-class AudioClip:
-    """Mono waveform with samples in [-1, 1]."""
-
-    samples: np.ndarray
-    sample_rate: int
-
-    def __post_init__(self):
-        self.samples = np.ascontiguousarray(np.asarray(self.samples, dtype=np.float64))
-        if self.samples.ndim != 1 or self.samples.size < 1:
-            raise ValueError("samples must be a non-empty 1-D sequence")
-        if not np.isfinite(self.samples).all():
-            raise ValueError("samples must be finite")
-        if self.samples.min() < -1.0 or self.samples.max() > 1.0:
-            raise ValueError("samples must lie in [-1, 1]")
-        self.sample_rate = int(self.sample_rate)
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
 
 
 @dataclass
@@ -333,13 +313,16 @@ def to_float32(values) -> np.ndarray:
         return np.ascontiguousarray(values, dtype=_F4)
 
 
-def _stored(path, what: str, values) -> np.ndarray:
-    """Each save_* stores its values through this, before it opens the file,
-    so it refuses any value float32 storage would make non-finite."""
+def _write_f32(path, magic: bytes, header: str, fields: tuple, what: str, values):
+    """Writes `magic`, the u32 version, `fields` packed little-endian by the
+    struct format `header`, then `values` as little-endian f32. Any value
+    float32 storage would make non-finite is refused before the file opens."""
     stored = to_float32(values)
     if not np.isfinite(stored).all():
         raise ValueError(f"{path}: {what} overflow float32 storage")
-    return stored
+    with open(path, "wb") as f:
+        f.write(struct.pack("<4sI" + header, magic, FORMAT_VERSION, *fields))
+        f.write(stored.tobytes())
 
 
 def save_motion(path, motion: MotionSequence):
@@ -348,10 +331,8 @@ def save_motion(path, motion: MotionSequence):
     An fps that float32 storage makes 0 or inf is refused."""
     if not 0 < to_float32(motion.fps) < np.inf:
         raise ValueError(f"{path}: fps {motion.fps} is 0 or inf in float32 storage")
-    values = _stored(path, "displacements", motion.displacements)
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sIIIf", MOTION_MAGIC, FORMAT_VERSION, motion.frames, motion.vertex_count, motion.fps))
-        f.write(values.tobytes())
+    _write_f32(path, MOTION_MAGIC, "IIf", (motion.frames, motion.vertex_count, motion.fps),
+               "displacements", motion.displacements)
 
 
 def load_motion(path) -> MotionSequence:
@@ -362,10 +343,7 @@ def load_motion(path) -> MotionSequence:
 
 def save_template(path, template: NeutralTemplate):
     """DTPL: magic, u32 version, u32 vertices, then vertices*3 f32 positions."""
-    values = _stored(path, "template positions", template.positions)
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sII", TEMPLATE_MAGIC, FORMAT_VERSION, template.vertex_count))
-        f.write(values.tobytes())
+    _write_f32(path, TEMPLATE_MAGIC, "I", (template.vertex_count,), "template positions", template.positions)
 
 
 def load_template(path) -> NeutralTemplate:
@@ -376,10 +354,7 @@ def load_template(path) -> NeutralTemplate:
 
 def save_features(path, features: FeatureSequence):
     """DTFT: magic, u32 version, u32 frames, u32 dim, then frames*dim f32."""
-    values = _stored(path, "feature values", features.values)
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sIII", FEATURE_MAGIC, FORMAT_VERSION, features.frames, features.dim))
-        f.write(values.tobytes())
+    _write_f32(path, FEATURE_MAGIC, "II", (features.frames, features.dim), "feature values", features.values)
 
 
 def load_features(path) -> FeatureSequence:
@@ -403,34 +378,7 @@ def export_obj(path, template: NeutralTemplate, motion: MotionSequence, frame: i
 
 
 # ---------------------------------------------------------------------------
-# frontend ops
-
-def extract_features(clip: AudioClip, frame_ms: float = 25.0, hop_ms: float = 40.0, bands: int = 64) -> FeatureSequence:
-    """Hann-windowed DFT magnitudes pooled into `bands` equal-width bands.
-
-    Frame count is floor((len - frame)/hop) + 1; each pooled band is the mean
-    rFFT magnitude of a contiguous bin group, compressed with log1p. The
-    default hop of 40 ms lines frames up with 25 fps motion.
-    """
-    frame_len = int(round(frame_ms * clip.sample_rate / 1000.0))
-    hop = int(round(hop_ms * clip.sample_rate / 1000.0))
-    if frame_len < 2 or hop < 1:
-        raise ValueError("analysis frame must cover >= 2 samples and hop >= 1")
-    n = clip.samples.size
-    if n < frame_len:
-        raise ValueError(f"clip too short: {n} samples < one {frame_len}-sample analysis frame")
-    n_bins = frame_len // 2 + 1
-    if bands < 1 or bands > n_bins:
-        raise ValueError(f"bands must be in [1, {n_bins}] for a {frame_len}-sample frame")
-    n_frames = (n - frame_len) // hop + 1
-    window = np.hanning(frame_len)
-    starts = np.arange(n_frames) * hop
-    frames = clip.samples[starts[:, None] + np.arange(frame_len)] * window
-    mags = np.abs(np.fft.rfft(frames, axis=1))
-    groups = np.array_split(np.arange(n_bins), bands)
-    pooled = np.stack([mags[:, g].mean(axis=1) for g in groups], axis=1)
-    return FeatureSequence(np.log1p(pooled))
-
+# feature and motion ops
 
 def resample_features(features: FeatureSequence, target_frames: int) -> FeatureSequence:
     """Linear interpolation onto `target_frames` frames over a shared

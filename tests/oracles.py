@@ -217,33 +217,6 @@ def fdd(pred, gt, upper_indices):
     return total / len(upper_indices)
 
 
-def dft_features(samples, sample_rate, frame_ms=25.0, hop_ms=40.0, bands=8):
-    """O(n^2) DFT magnitude frontend mirroring the production framing."""
-    frame_len = int(round(frame_ms * sample_rate / 1000.0))
-    hop = int(round(hop_ms * sample_rate / 1000.0))
-    n_bins = frame_len // 2 + 1
-    n_frames = (samples.size - frame_len) // hop + 1
-    window = np.array([0.5 - 0.5 * math.cos(2.0 * math.pi * i / (frame_len - 1)) for i in range(frame_len)])
-    sizes = [n_bins // bands + (1 if g < n_bins % bands else 0) for g in range(bands)]
-    out = np.empty((n_frames, bands))
-    for f in range(n_frames):
-        seg = samples[f * hop : f * hop + frame_len] * window
-        mags = np.empty(n_bins)
-        for k in range(n_bins):
-            re = 0.0
-            im = 0.0
-            for nn in range(frame_len):
-                ang = -2.0 * math.pi * k * nn / frame_len
-                re += seg[nn] * math.cos(ang)
-                im += seg[nn] * math.sin(ang)
-            mags[k] = math.sqrt(re * re + im * im)
-        start = 0
-        for g, size in enumerate(sizes):
-            out[f, g] = math.log1p(mags[start : start + size].mean())
-            start += size
-    return out
-
-
 def adam_step(params, state, cfg):
     """Per-parameter bias-corrected Adam, one parameter at a time: the
     reference for the library's flat-buffer update. `state` holds `step`

@@ -375,21 +375,25 @@ def test_ablate_one_frame_data_needs_ccrl_off(tmp_path, capsys):
 
 def test_input_that_does_not_fit_the_checkpoint_exits_3(trained, tmp_path, capsys):
     """eval, animate and lipread compare the checkpoint's widths and
-    max_frames with their input before generating: a mismatch exits 3,
-    names both files, and writes nothing."""
-    _, ckpt = trained  # 6 bands, 24 vertices, max_frames 10
+    max_frames (and eval its split's speaker ids) with their input before
+    generating: a mismatch exits 3, names both files, and writes nothing."""
+    _, ckpt = trained  # 6 bands, 24 vertices, max_frames 10, 2 speakers
     narrow = make_dataset(tmp_path / "narrow", bands=5, vertex_count=18)
     long = make_dataset(tmp_path / "long", frames=30)
+    many = make_dataset(tmp_path / "many", n_speakers=6)  # the val split's one sequence is speaker 4
     bands, vertices = "audio_dim 5 where the checkpoint has 6", "vertex_count 18 where the checkpoint has 24"
     frames = "30 frames where the checkpoint's max_frames is 10"
     for manifest, wrong in ((narrow, {"eval": f"{bands}; {vertices}", "animate": bands, "lipread": vertices}),
-                            (long, dict.fromkeys(("eval", "animate", "lipread"), frames))):
+                            (long, dict.fromkeys(("eval", "animate", "lipread"), frames)),
+                            (many, {"eval": "speaker 4 where the checkpoint has 2 speakers"})):
         features, motion = manifest.parent / "seq000_features.bin", manifest.parent / "seq000_motion.bin"
         for argv, source in (
             (["eval", "--data", manifest, "--split", "val"], manifest),
             (["animate", "--features", features], features),
             (["lipread", "--motion", motion], motion),
         ):
+            if argv[0] not in wrong:
+                continue
             out = tmp_path / argv[0]
             assert run([*argv, "--checkpoint", ckpt, "--out", out]) == 3
             err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,8 +11,6 @@ from dualface import data as dd
 from dualface.losses import CCRLConfig, LossWeights
 from dualface.model import ModelConfig
 from dualface.train import TrainConfig
-
-from oracles import assert_close, dft_features
 
 
 def _motion(rng, t=6, v=8):
@@ -44,6 +43,23 @@ def test_template_and_features_roundtrip(tmp_path):
     fback = dd.load_features(tmp_path / "f.bin")
     assert fback.frames == 7 and fback.dim == 5
     assert np.array_equal(fback.values, feats.values.astype(np.float32).astype(np.float64))
+
+
+def test_f32_formats_match_their_documented_layout(tmp_path):
+    """Each DTMO, DTPL and DTFT file is byte for byte the layout its save_*
+    docstring states: magic, u32 version, the header fields, then the
+    values as little-endian f32."""
+    rng = np.random.default_rng(11)
+    disp, pos, vals = rng.standard_normal((2, 4, 3)), rng.standard_normal((4, 3)), rng.standard_normal((3, 2))
+    cases = [
+        (dd.save_motion, dd.MotionSequence(disp, 29.97), struct.pack("<4sIIIf", b"DTMO", 1, 2, 4, 29.97), disp),
+        (dd.save_template, dd.NeutralTemplate(pos), struct.pack("<4sII", b"DTPL", 1, 4), pos),
+        (dd.save_features, dd.FeatureSequence(vals), struct.pack("<4sIII", b"DTFT", 1, 3, 2), vals),
+    ]
+    for save, obj, header, values in cases:
+        path = tmp_path / f"{save.__name__}.bin"
+        save(path, obj)
+        assert path.read_bytes() == header + values.astype("<f4").tobytes(), save.__name__
 
 
 @pytest.mark.parametrize("save, bad, match", [
@@ -106,10 +122,6 @@ def test_container_validation():
         dd.MotionSequence(np.zeros((3, 4, 3)), 0.0)  # bad fps
     with pytest.raises(ValueError):
         dd.NeutralTemplate(np.zeros((2, 3)))  # too few vertices
-    with pytest.raises(ValueError):
-        dd.AudioClip(np.array([0.0, 2.0]), 16000)  # outside [-1, 1]
-    with pytest.raises(ValueError):
-        dd.AudioClip(np.zeros(10), 0)
     with pytest.raises(ValueError):
         dd.FeatureSequence(np.zeros(5))  # rank 1
 
@@ -257,28 +269,6 @@ def test_synthetic_lip_motion_amplified(tmp_path):
         ratios.append(mag[:, lips].std() / mag[:, others].std())
     # lip columns carry a 3x amplified basis; plenty of margin for noise
     assert np.mean(ratios) > 1.5, np.mean(ratios)
-
-
-def test_extract_features_matches_direct_dft():
-    for trial in range(6):
-        rng = np.random.default_rng(500 + trial)
-        sr = 800
-        clip = dd.AudioClip(rng.uniform(-0.9, 0.9, 640), sr)
-        got = dd.extract_features(clip, frame_ms=25.0, hop_ms=40.0, bands=4)
-        want = dft_features(clip.samples, sr, 25.0, 40.0, 4)
-        assert got.values.shape == want.shape
-        assert_close(got.values, want, 1e-10, "dft frontend")
-
-
-def test_extract_features_frame_count():
-    sr = 1000
-    clip = dd.AudioClip(np.zeros(1000), sr)  # 1 s
-    feats = dd.extract_features(clip, frame_ms=25.0, hop_ms=40.0, bands=4)
-    assert feats.frames == (1000 - 25) // 40 + 1
-    with pytest.raises(ValueError):
-        dd.extract_features(dd.AudioClip(np.zeros(10), sr), frame_ms=25.0, hop_ms=40.0, bands=4)
-    with pytest.raises(ValueError):
-        dd.extract_features(clip, frame_ms=25.0, hop_ms=40.0, bands=500)
 
 
 def test_resample_features():
