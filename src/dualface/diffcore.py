@@ -45,10 +45,6 @@ class Tensor:
     __slots__ = ("data",)
 
     def __init__(self, values):
-        self.assign(values)
-
-    def assign(self, values):
-        """Binds new values, checked as at construction."""
         arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
         if not all_finite(arr):
             raise NonFiniteError("tensor construction received non-finite values")
@@ -518,11 +514,42 @@ def layer_norm_rows(a):
     return evaluate(PrimitiveKind.LAYER_NORM_ROWS, (a,))
 
 
-def replay(records: Sequence[TapeRecord]) -> None:
-    """Re-runs records in order on their inputs' current values, writing
-    each output and saved value in place, checked as evaluate checks."""
-    for r in records:
-        r.output.data, r.saved = _apply(r.kind, [t.data for t in r.inputs], r.attrs)
+class Program:
+    """Records of a trace, re-run in place, in order, on their inputs'
+    current values, each output checked as evaluate checks it.
+
+    run(values, **attrs) rebinds `leaves` to `values`, which must be
+    checked data (a finite, C-contiguous float64 array, as a record output
+    is), and sets `attrs` on every record of `settable`. `cuts` maps a
+    record index to a callback: the records split into segments that end
+    there, and each callback runs once the segment before it has run."""
+
+    def __init__(self, records: Sequence[TapeRecord], leaves: Sequence[Tensor] = (),
+                 settable: Sequence[TapeRecord] = (), cuts: dict[int, Callable[[], None]] | None = None):
+        self.records, self.leaves = list(records), list(leaves)
+        self.settable = [r.attrs for r in settable]
+        cuts = cuts or {}
+        ends = sorted({*cuts, len(self.records)})
+        self.segments = [(self.records[a:b], cuts.get(b)) for a, b in zip([0, *ends], ends)]
+
+    def run(self, values: Sequence[np.ndarray] = (), **attrs):
+        for leaf, value in zip(self.leaves, values):
+            leaf.data = value
+        for a in self.settable:
+            a.update(attrs)
+        for records, callback in self.segments:
+            for r in records:
+                r.output.data, r.saved = _apply(r.kind, [t.data for t in r.inputs], r.attrs)
+            if callback is not None:
+                callback()
+
+    def release(self):
+        """Drops every record's output and saved values, and the leaves'
+        values."""
+        for r in self.records:
+            r.output.data = r.saved = None
+        for leaf in self.leaves:
+            leaf.data = None
 
 
 def _plan(tape: Tape, output: Tensor) -> tuple[list[tuple], int | None]:
@@ -631,7 +658,7 @@ def check_gradients(
     is a record's output. It is called once, under a tape. `parameters`
     None checks every Parameter the build reads, in the order it first
     reads them. Every parameter entry is then perturbed by +/-step in
-    place, and each perturbed value comes from `replay` over only the
+    place, and each perturbed value comes from a `Program` of only the
     records downstream of that parameter; once the parameter is done, or
     raises, their recorded outputs are bound back. Entries whose relu
     activation pattern differs between the two perturbed evaluations sit on
@@ -664,16 +691,17 @@ def check_gradients(
                 downstream.append(r)
         relus = [r.inputs[0] for r in downstream if r.kind is PrimitiveKind.RELU]
         recorded = [(r, r.output.data, r.saved) for r in downstream]
+        program = Program(downstream)
         flat = p.data.reshape(-1)
         a_flat = p.gradient.reshape(-1)
         values = flat.copy()
         try:
             for i, orig in enumerate(values):
                 flat[i] = orig + step
-                replay(downstream)
+                program.run()
                 f_plus, pat_plus = out.item(), [(t.data > 0.0).tobytes() for t in relus]
                 flat[i] = orig - step
-                replay(downstream)
+                program.run()
                 f_minus, pat_minus = out.item(), [(t.data > 0.0).tobytes() for t in relus]
                 flat[i] = orig
                 if pat_plus != pat_minus:

@@ -415,12 +415,13 @@ def _generate(params: ModelParams, d: Direction, source, speaker: int) -> np.nda
     attention mixes rows, and the caches hold exactly the rows frame t may
     see, so frame t equals row t of teacher forcing on the output.
 
-    Frame 0 runs the model code; frame 1 runs it under a tape; every later
-    frame rebinds the traced frame's inputs (the previous prediction, the
-    source row, the positional slice) and replays its records. They are cut
-    after each head's k/v matmuls, where the replay extends that head's
-    cache as the traced frame did: the same forward rules on the same
-    operands in the same order, so the output is bit-identical."""
+    Frame 0 runs the model code; frame 1 runs it under a tape, and every
+    later frame replays its records as a diffcore.Program with the inputs
+    rebound (the previous prediction, the source row, the positional
+    slice): the same forward rules on the same operands in the same order,
+    so the output is bit-identical. The records are cut after each head's
+    k/v matmuls, where the replay extends that head's cache as the traced
+    frame did."""
     c = params.config
     source_latent = _encoder(d.source)(params, source)
     frames = source_latent.data.shape[0]
@@ -445,15 +446,11 @@ def _generate(params: ModelParams, d: Direction, source, speaker: int) -> np.nda
         records, caches = tape.records, self_cache + fusion_cache
         pos = next(r for r in records if r.inputs[0] is params["positional_table"])
         ends = {r.output: i + 1 for i, r in enumerate(records)}
-        cuts = [0, *(max(ends[t] for t in cache.fed) for cache in caches), len(records)]
-        segments = [(records[a:b], cache) for a, b, cache in zip(cuts, cuts[1:], [*caches, None])]
+        program = dc.Program(
+            records, [prev, row], [pos],
+            {max(ends[t] for t in cache.fed): lambda cache=cache: cache.extend(*cache.fed) for cache in caches})
     for t in range(2, frames):
-        prev.data, row.data = pred.data, source_latent.data[t:t + 1]
-        pos.attrs["start"], pos.attrs["stop"] = t - 1, t
-        for part, cache in segments:
-            dc.replay(part)
-            if cache is not None:
-                cache.extend(*cache.fed)  # the k/v outputs the replay just rebound
+        program.run([out[-1], source_latent.data[t:t + 1]], start=t - 1, stop=t)
         out.append(pred.data)
     return np.concatenate(out)
 

@@ -86,35 +86,22 @@ def step_loss(params: ModelParams, speaker: int, leaves: list[dc.Tensor], cfg: T
     return total_loss(primal, dual, features, motion, ccrl, w)
 
 
-class _StepProgram:
-    """One training step traced on a tape, with the leaves of its
-    step_arrays that a replay rebinds and the style-table slices that
-    select the speaker."""
+class _StepProgram(dc.Program):
+    """One training step traced on a tape, replayed with the leaves of its
+    step_arrays rebound and the style-table slices selecting the speaker."""
 
     def __init__(self, params: ModelParams, speaker: int, data: list[np.ndarray], cfg: TrainConfig):
-        self.leaves = [dc.Tensor(a) for a in data]
+        leaves = [dc.Tensor(a) for a in data]
         with dc.Tape() as self.tape:
-            self.terms, self.total = step_loss(params, speaker, self.leaves, cfg)
+            self.terms, self.total = step_loss(params, speaker, leaves, cfg)
         style = params["style_table"]
-        self.styles = [r for r in self.tape.records if r.kind is dc.PrimitiveKind.SLICE and r.inputs[0] is style]
+        super().__init__(self.tape.records, leaves, [r for r in self.tape.records
+                                                     if r.kind is dc.PrimitiveKind.SLICE and r.inputs[0] is style])
         self.config = params.config
 
     def replay(self, data: list[np.ndarray], speaker: int):
-        for leaf, values in zip(self.leaves, data):
-            leaf.assign(values)
         check_speaker(self.config, speaker)
-        for r in self.styles:
-            r.attrs["start"], r.attrs["stop"] = speaker, speaker + 1
-        dc.replay(self.tape.records)
-
-    def release(self):
-        """Drops the step's arrays (record outputs, saved values and the
-        rebound leaves), keeping the records and the constants that depend
-        on the frame count alone."""
-        for r in self.tape.records:
-            r.output.data = r.saved = None
-        for leaf in self.leaves:
-            leaf.data = None
+        self.run([dc.Tensor(a).data for a in data], start=speaker, stop=speaker + 1)
 
 
 _MAX_PROGRAMS = 2

@@ -325,7 +325,7 @@ def test_gradcheck_replay_equals_fresh_build(monkeypatch):
     the same perturbation, at the first and last entry of each parameter of
     every check of the full scope; once the check returns, every record
     output of its tape holds the value it recorded."""
-    real = dc.replay
+    real = dc.Program.run
     for suite in verify._SUITES["full"]:
         for name, build in suite(np.random.default_rng(1234)):
             with dc.Tape() as tape:
@@ -342,14 +342,14 @@ def test_gradcheck_replay_equals_fresh_build(monkeypatch):
                     traced.append((out, records, [r.output.data.copy() for r in records]))
                     return out
 
-                def spy(records):
-                    real(records)
+                def spy(program):
+                    real(program)
                     if not np.array_equal(flat[[0, -1]], ends):
                         f = traced[0][0].item()
                         assert f == build().item(), f"{name}: {p.id} at {flat[[0, -1]]}"
                         compared.append(f)
 
-                monkeypatch.setattr(dc, "replay", spy)
+                monkeypatch.setattr(dc.Program, "run", spy)
                 dc.check_gradients([p], traced_build, step=1e-5)
                 assert len(compared) == (4 if flat.size > 1 else 2), f"{name}: {p.id}"
                 _, records, recorded = traced[0]
