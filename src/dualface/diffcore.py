@@ -1,9 +1,14 @@
 """Reverse-mode differentiable tensor substrate.
 
 A closed catalog of float64 tensor primitives with tape recording, reverse
-accumulation into parameters, and a central-finite-difference checking
-harness. Model and loss code compose these primitives and nothing else; no
-fused kernels, no implicit broadcasting outside broadcast-row.
+accumulation into parameters, replay of a recorded graph (Program), and a
+central-finite-difference checking harness. Model and loss code compose
+these primitives and nothing else; no fused kernels, no implicit
+broadcasting outside broadcast-row.
+
+An evaluated primitive's output is checked on its own; a replayed graph
+writes its outputs into one buffer per segment and checks each buffer
+once, naming the first bad output as an eager build would.
 """
 
 from __future__ import annotations
@@ -134,15 +139,17 @@ _TAPE_STACK: list[Tape] = []
 
 
 # ---------------------------------------------------------------------------
-# forward rules: (arrays, attrs) -> (output array, saved-for-backward)
+# forward rules: (arrays, attrs, out) -> (output array, saved-for-backward).
+# Each writes its output into `out`, a C-contiguous float64 array of the
+# output's shape, and returns it; given None, it returns a new one.
 
-def _fw_matmul(arrays, attrs):
+def _fw_matmul(arrays, attrs, out):
     a, b = arrays
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeMismatchError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    return a @ b, None
+    return np.matmul(a, b, out=out), None
 
 
 def _same_shape(a, b, name):
@@ -150,73 +157,81 @@ def _same_shape(a, b, name):
         raise ShapeMismatchError(f"{name} expects identical shapes, got {a.shape} and {b.shape}")
 
 
-def _fw_add(arrays, attrs):
+def _fw_add(arrays, attrs, out):
     a, b = arrays
     _same_shape(a, b, "add")
-    return a + b, None
+    return np.add(a, b, out=out), None
 
 
-def _fw_subtract(arrays, attrs):
+def _fw_subtract(arrays, attrs, out):
     a, b = arrays
     _same_shape(a, b, "subtract")
-    return a - b, None
+    return np.subtract(a, b, out=out), None
 
 
-def _fw_multiply(arrays, attrs):
+def _fw_multiply(arrays, attrs, out):
     a, b = arrays
     _same_shape(a, b, "elementwise-multiply")
-    return a * b, None
+    return np.multiply(a, b, out=out), None
 
 
-def _fw_scalar_multiply(arrays, attrs):
+def _fw_scalar_multiply(arrays, attrs, out):
     (a,) = arrays
-    return a * attrs["scalar"], None
+    return np.multiply(a, attrs["scalar"], out=out), None
 
 
-def _fw_relu(arrays, attrs):
+def _fw_relu(arrays, attrs, out):
     (a,) = arrays
-    return np.maximum(a, 0.0), None
+    return np.maximum(a, 0.0, out=out), None
 
 
-def _fw_sigmoid(arrays, attrs):
+def _fw_sigmoid(arrays, attrs, out):
     (a,) = arrays
     # exp(-|a|) never overflows: 1/(1+e) where a >= 0 and e/(1+e) below.
     e = np.exp(-np.abs(a))
-    d = 1.0 + e
-    return np.where(a >= 0, 1.0 / d, e / d), None
+    return np.divide(np.where(a >= 0, 1.0, e), 1.0 + e, out=out), None
 
 
-def _fw_tanh(arrays, attrs):
+def _fw_tanh(arrays, attrs, out):
     (a,) = arrays
-    return np.tanh(a), None
+    return np.tanh(a, out=out), None
 
 
-def _fw_exp(arrays, attrs):
+def _fw_exp(arrays, attrs, out):
     (a,) = arrays
-    return np.exp(a), None
+    return np.exp(a, out=out), None
 
 
-def _fw_log(arrays, attrs):
+def _fw_log(arrays, attrs, out):
     (a,) = arrays
-    return np.log(a), None
+    return np.log(a, out=out), None
 
 
-def _fw_softmax_rows(arrays, attrs):
+def _fw_softmax_rows(arrays, attrs, out):
     (a,) = arrays
     if a.ndim < 1:
         raise ShapeMismatchError("softmax-per-row needs rank >= 1")
-    e = np.exp(a - np.maximum.reduce(a, axis=-1, keepdims=True))
-    return e / np.add.reduce(e, axis=-1, keepdims=True), None
+    e = np.subtract(a, np.maximum.reduce(a, axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e), None
 
 
-def _fw_concat_last(arrays, attrs):
+def _fw_concat_last(arrays, attrs, out):
     first = arrays[0]
     for a in arrays[1:]:
         if a.ndim != first.ndim or a.shape[:-1] != first.shape[:-1]:
             raise ShapeMismatchError(
                 f"concat-last-axis operands differ off the last axis: {[x.shape for x in arrays]}"
             )
-    return np.concatenate(arrays, axis=-1), None
+    return np.concatenate(arrays, axis=-1, out=out), None
+
+
+def _copied(view, out):
+    """view's values in out, or in a new array."""
+    if out is None:
+        out = np.empty(view.shape)
+    out[...] = view
+    return out
 
 
 def _slice_index(shape, attrs):
@@ -233,30 +248,30 @@ def _slice_index(shape, attrs):
     return tuple(idx)
 
 
-def _fw_slice(arrays, attrs):
+def _fw_slice(arrays, attrs, out):
     (a,) = arrays
-    return a[_slice_index(a.shape, attrs)].copy(), None
+    return _copied(a[_slice_index(a.shape, attrs)], out), None
 
 
-def _fw_transpose_last_two(arrays, attrs):
+def _fw_transpose_last_two(arrays, attrs, out):
     (a,) = arrays
     if a.ndim < 2:
         raise ShapeMismatchError("transpose-last-two needs rank >= 2")
-    # .copy(): the swapped view of one row is contiguous and would alias it.
-    return np.swapaxes(a, -1, -2).copy(), None
+    # A copy: the swapped view of one row is contiguous and would alias it.
+    return _copied(np.swapaxes(a, -1, -2), out), None
 
 
-def _fw_sum(arrays, attrs):
+def _fw_sum(arrays, attrs, out):
     (a,) = arrays
-    return np.add.reduce(a, axis=None, keepdims=True).reshape(1), None
+    return np.add.reduce(a.reshape(-1), keepdims=True, out=out), None
 
 
-def _fw_mean(arrays, attrs):
+def _fw_mean(arrays, attrs, out):
     (a,) = arrays
-    return (np.add.reduce(a, axis=None, keepdims=True) / a.size).reshape(1), None
+    return np.divide(np.add.reduce(a.reshape(-1), keepdims=True), a.size, out=out), None
 
 
-def _fw_broadcast_row(arrays, attrs):
+def _fw_broadcast_row(arrays, attrs, out):
     (a,) = arrays
     rows = attrs["rows"]
     if rows < 1:
@@ -267,22 +282,23 @@ def _fw_broadcast_row(arrays, attrs):
         width = a.shape[1]
     else:
         raise ShapeMismatchError(f"broadcast-row expects a row vector, got {a.shape}")
-    out = np.empty((rows, width))
+    if out is None:
+        out = np.empty((rows, width))
     out[...] = a
     return out, None
 
 
-def _fw_layer_norm_rows(arrays, attrs):
+def _fw_layer_norm_rows(arrays, attrs, out):
     (a,) = arrays
     if a.ndim < 1:
         raise ShapeMismatchError("layer-normalize-per-row needs rank >= 1")
     dev = a - np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
     var = np.add.reduce(dev ** 2, axis=-1, keepdims=True) / a.shape[-1]
     # An overflowing variance would give inv = 0 and a finite all-zero row.
-    if not all_finite(var):
+    if not np.isfinite(var).all():
         raise NonFiniteError("layer-normalize-per-row: row variance is not finite")
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    normed = dev * inv
+    normed = np.multiply(dev, inv, out=out)
     return normed, (normed, inv)
 
 
@@ -420,7 +436,7 @@ class PrimitiveKind(Enum):
 def _apply(kind: PrimitiveKind, arrays: list, attrs: dict) -> tuple:
     """kind's forward rule on arrays; returns (output, saved). A non-finite
     output raises NonFiniteError naming the primitive."""
-    out, saved = kind.forward(arrays, attrs)
+    out, saved = kind.forward(arrays, attrs, None)
     if not all_finite(out):
         raise NonFiniteError(f"{kind.value}: produced non-finite values")
     return out, saved
@@ -516,40 +532,113 @@ def layer_norm_rows(a):
 
 class Program:
     """Records of a trace, re-run in place, in order, on their inputs'
-    current values, each output checked as evaluate checks it.
+    current values.
 
     run(values, **attrs) rebinds `leaves` to `values`, which must be
     checked data (a finite, C-contiguous float64 array, as a record output
     is), and sets `attrs` on every record of `settable`. `cuts` maps a
     record index to a callback: the records split into segments that end
-    there, and each callback runs once the segment before it has run."""
+    there, and each callback runs once the segment before it is checked.
+
+    A segment's records write their outputs in place into C-contiguous
+    slices of one float64 buffer, given out by the first run after
+    construction or release(), and the buffer is checked once, after the
+    segment. The records in `unplanned`, whose output shapes change from
+    run to run, allocate and check their outputs one by one, as evaluate
+    does. A failed check, or an exception raised inside a segment, is
+    reported for the first buffered output before that point, in record
+    order, that is not finite, with evaluate's message; so a replay names
+    the primitive that an eager build names, even when a later rule raises
+    on its own or masks the bad value. Rules run after a bad output may add
+    NumPy RuntimeWarnings before that error.
+
+    A parameter's array is read once per binding, so between runs its
+    values may change in place, but the parameter is never rebound."""
 
     def __init__(self, records: Sequence[TapeRecord], leaves: Sequence[Tensor] = (),
-                 settable: Sequence[TapeRecord] = (), cuts: dict[int, Callable[[], None]] | None = None):
+                 settable: Sequence[TapeRecord] = (), cuts: dict[int, Callable[[], None]] | None = None,
+                 unplanned: Sequence[TapeRecord] = ()):
         self.records, self.leaves = list(records), list(leaves)
         self.settable = [r.attrs for r in settable]
-        cuts = cuts or {}
+        cuts, unplanned = cuts or {}, set(unplanned)
+        planned = {r.output for r in self.records if r not in unplanned}
         ends = sorted({*cuts, len(self.records)})
-        self.segments = [(self.records[a:b], cuts.get(b)) for a, b in zip([0, *ends], ends)]
+        # Per segment: its buffer's size, a step per record and the
+        # callback. A step holds its record's buffer slice (None if
+        # unplanned) and whether its inputs can be read once per binding:
+        # each is a planned output or a parameter, written in place only.
+        self.segments = []
+        for a, b in zip([0, *ends], ends):
+            plan, size = [], 0
+            for r in self.records[a:b]:
+                span = None
+                if r.output in planned:
+                    span = size, size + r.output.data.size, r.output.data.shape
+                    size = span[1]
+                fixed = all(t in planned or isinstance(t, Parameter) for t in r.inputs)
+                plan.append((r.kind.forward, r.inputs, r.attrs, r, span, fixed))
+            self.segments.append((size, plan, cuts.get(b)))
+        self.steps = None  # per segment: its steps, buffer and callback, while the buffers are bound
+
+    def _bind(self):
+        """Gives each planned output its slice of a new buffer per segment."""
+        self.steps = []
+        for size, plan, callback in self.segments:
+            buffer, steps = np.empty(size), []
+            for forward, inputs, kw, r, span, fixed in plan:
+                out = arrays = None
+                if span is not None:
+                    start, stop, shape = span
+                    out = r.output.data = buffer[start:stop].reshape(shape)
+                    if fixed:
+                        arrays = [t.data for t in inputs]
+                steps.append((forward, inputs, kw, out, r, arrays))
+            self.steps.append((steps, buffer, callback))
 
     def run(self, values: Sequence[np.ndarray] = (), **attrs):
         for leaf, value in zip(self.leaves, values):
             leaf.data = value
         for a in self.settable:
             a.update(attrs)
-        for records, callback in self.segments:
-            for r in records:
-                r.output.data, r.saved = _apply(r.kind, [t.data for t in r.inputs], r.attrs)
+        if self.steps is None:
+            self._bind()
+        for steps, buffer, callback in self.steps:
+            try:
+                for step in steps:
+                    forward, inputs, kw, out, r, arrays = step
+                    if arrays is None:
+                        arrays = [t.data for t in inputs]
+                    if out is None:
+                        r.output.data, r.saved = _apply(r.kind, arrays, kw)
+                    else:
+                        r.saved = forward(arrays, kw, out)[1]
+            except Exception as e:
+                bad = _nonfinite_output(steps[:next(i for i, s in enumerate(steps) if s is step)])
+                if bad is None:
+                    raise
+                raise bad from e
+            if not all_finite(buffer):
+                raise _nonfinite_output(steps)
             if callback is not None:
                 callback()
 
     def release(self):
-        """Drops every record's output and saved values, and the leaves'
-        values."""
+        """Drops the buffers, every record's output and saved values, and
+        the leaves' values."""
+        self.steps = None
         for r in self.records:
             r.output.data = r.saved = None
         for leaf in self.leaves:
             leaf.data = None
+
+
+def _nonfinite_output(steps) -> NonFiniteError | None:
+    """evaluate's error for the first buffered output of steps that is not
+    finite; None if there is none."""
+    for _, _, _, out, r, _ in steps:
+        if out is not None and not all_finite(out):
+            return NonFiniteError(f"{r.kind.value}: produced non-finite values")
+    return None
 
 
 def _plan(tape: Tape, output: Tensor) -> tuple[list[tuple], int | None]:
@@ -659,12 +748,13 @@ def check_gradients(
     None checks every Parameter the build reads, in the order it first
     reads them. Every parameter entry is then perturbed by +/-step in
     place, and each perturbed value comes from a `Program` of only the
-    records downstream of that parameter; once the parameter is done, or
-    raises, their recorded outputs are bound back. Entries whose relu
-    activation pattern differs between the two perturbed evaluations sit on
-    a kink and are counted as flagged rather than judged. Raises
-    NonFiniteError, before anything is perturbed, if a perturbed value would
-    not be finite; given parameters are checked before anything is built.
+    records downstream of that parameter, one segment with its own buffer;
+    once the parameter is done, or raises, their recorded outputs are bound
+    back. Entries whose relu activation pattern differs between the two
+    perturbed evaluations sit on a kink and are counted as flagged rather
+    than judged. Raises NonFiniteError, before anything is perturbed, if a
+    perturbed value would not be finite; given parameters are checked
+    before anything is built.
     """
     if parameters is not None:
         _check_perturbable(parameters, step)

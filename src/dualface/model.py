@@ -420,8 +420,12 @@ def _generate(params: ModelParams, d: Direction, source, speaker: int) -> np.nda
     rebound (the previous prediction, the source row, the positional
     slice): the same forward rules on the same operands in the same order,
     so the output is bit-identical. The records are cut after each head's
-    k/v matmuls, where the replay extends that head's cache as the traced
-    frame did."""
+    k/v matmuls, where each segment is checked and the replay extends that
+    head's cache as the traced frame did. Each head's attention over its
+    cache, from the logits to the weighted values, has the cache's row
+    count in its shapes, so those records allocate and check their outputs
+    one by one; every other output is written into its segment's buffer.
+    Each prediction is copied out of the buffer."""
     c = params.config
     source_latent = _encoder(d.source)(params, source)
     frames = source_latent.data.shape[0]
@@ -446,12 +450,17 @@ def _generate(params: ModelParams, d: Direction, source, speaker: int) -> np.nda
         records, caches = tape.records, self_cache + fusion_cache
         pos = next(r for r in records if r.inputs[0] is params["positional_table"])
         ends = {r.output: i + 1 for i, r in enumerate(records)}
+
+        def reader(leaf):
+            return next(i for i, r in enumerate(records) if leaf in r.inputs)
+
         program = dc.Program(
             records, [prev, row], [pos],
-            {max(ends[t] for t in cache.fed): lambda cache=cache: cache.extend(*cache.fed) for cache in caches})
+            {max(ends[t] for t in cache.fed): lambda cache=cache: cache.extend(*cache.fed) for cache in caches},
+            [r for cache in caches for r in records[reader(cache.leaves[0]):reader(cache.leaves[1]) + 1]])
     for t in range(2, frames):
         program.run([out[-1], source_latent.data[t:t + 1]], start=t - 1, stop=t)
-        out.append(pred.data)
+        out.append(pred.data.copy())
     return np.concatenate(out)
 
 

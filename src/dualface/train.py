@@ -1,7 +1,9 @@
 """Training loop, Adam optimizer, evaluation, and the ablation harness.
 
 One optimizer step per sequence, epochs shuffled by a seeded generator.
-Checkpointing keeps whichever parameters score the best validation
+Each step after the first of a sequence length replays that first step's
+trace as a diffcore.Program of one segment, whose output buffer is given
+out for the step and dropped after it. Checkpointing keeps whichever parameters score the best validation
 lip-vertex error. A non-finite value aborts the step, before anything is
 logged, at the primitive that produced it (NonFiniteLossError "forward
 pass") or at Adam's checks of the gradients and of the update.
@@ -87,8 +89,10 @@ def step_loss(params: ModelParams, speaker: int, leaves: list[dc.Tensor], cfg: T
 
 
 class _StepProgram(dc.Program):
-    """One training step traced on a tape, replayed with the leaves of its
-    step_arrays rebound and the style-table slices selecting the speaker."""
+    """One training step traced on a tape, replayed as one segment: the
+    leaves of its step_arrays are rebound and the style-table slices
+    select the speaker. Its buffer is given out per step and dropped by
+    release(), with the leaves and every output of the step."""
 
     def __init__(self, params: ModelParams, speaker: int, data: list[np.ndarray], cfg: TrainConfig):
         leaves = [dc.Tensor(a) for a in data]
@@ -121,8 +125,9 @@ class TrainState:
     scratch: np.ndarray | None = None
     best_val_lve: float = float("inf")
     # One traced step per shape of step data, replayed at each later step of
-    # that shape; between steps each holds no per-step array. At most
-    # _MAX_PROGRAMS are kept, the least recently run dropped first.
+    # that shape; between steps each holds no per-step array, its buffer
+    # included. At most _MAX_PROGRAMS are kept, the least recently run
+    # dropped first.
     programs: dict[tuple, _StepProgram] = field(default_factory=dict)
 
 
@@ -197,8 +202,9 @@ def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state
 
     The first step of each shape of data traces step_loss; later ones
     replay the traced records on their own data and speaker, with the
-    same forward rules and finite checks, so every value is the one a new
-    trace would give (see TrainState.programs)."""
+    same forward rules writing into one buffer that is checked once, so
+    every value and every error is the one a new trace would give (see
+    TrainState.programs and diffcore.Program)."""
     data = step_arrays(seq.features, seq.motion, cfg) if arrays is None else arrays
     key = tuple(a.shape for a in data)
     program = state.programs.pop(key, None)  # a step that raises drops it

@@ -471,6 +471,107 @@ def test_outputs_are_fresh_contiguous_float64(kind, shapes, attrs):
     assert not any(np.shares_memory(out, t.data) for t in inputs)
 
 
+@pytest.mark.parametrize("kind", list(dc.PrimitiveKind), ids=lambda k: k.value)
+def test_rule_written_into_out_gives_the_same_bytes(kind):
+    """Each forward rule, given a C-contiguous slice of a larger buffer as
+    `out`, writes every entry of it and returns it, with the bytes it gives
+    for out=None, at the kind's gradient-check shapes."""
+    shapes, attrs = verify._OPS.get(kind, ([(3, 4)], {}))
+    arrays = [t.data for t in verify._inputs(np.random.default_rng(7), *shapes, kind=kind)]
+    expect, saved = kind.forward(arrays, attrs, None)
+    buffer = np.full(expect.size + 2, np.nan)
+    out = buffer[1:-1].reshape(expect.shape)
+    got, saved_out = kind.forward(arrays, attrs, out)
+    assert got is out and out.tobytes() == expect.tobytes()
+    assert np.isnan(buffer[[0, -1]]).all()
+    assert (saved is None) == (saved_out is None)
+
+
+def _replay_against_eager(build, good, bad):
+    """build(p) traced at p = good, then replayed as one Program with p
+    set in place to `bad`; returns the replay's error and that of an eager
+    build at `bad`. Tanh records are left unplanned: checked one by one."""
+    p = dc.Parameter("p", good)
+    with dc.Tape() as tape:
+        build(p)
+    program = dc.Program(tape.records, unplanned=[r for r in tape.records if r.kind is dc.PrimitiveKind.TANH])
+    p.data[...] = bad
+    with pytest.raises(dc.NonFiniteError) as replayed:
+        program.run()
+    with pytest.raises(dc.NonFiniteError) as eager:
+        build(p)
+    return str(replayed.value), str(eager.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_replay_names_a_masked_bad_output():
+    """exp overflows to inf, is negated, and relu turns it into 0, so the
+    segment's last outputs are finite; the replay still names exp, as the
+    eager build does."""
+    replayed, eager = _replay_against_eager(
+        lambda p: dc.sum_all(dc.relu(dc.scalar_multiply(dc.exp(p), -1.0))), [[1.0, 2.0]], [[1.0, 1e3]])
+    assert replayed == eager == "exp: produced non-finite values"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_replay_names_a_bad_output_before_a_rule_that_raises():
+    """A bad buffered output before a rule that raises on its own (layer
+    norm's variance check) or before an individually checked record (tanh,
+    left unplanned) is named in place of that later error, as the eager
+    build names it."""
+    good, bad = [[1.0, 2.0, 3.0]], [[1.0, 1e3, 3.0]]
+    replayed, eager = _replay_against_eager(lambda p: dc.sum_all(dc.layer_norm_rows(dc.exp(p))), good, bad)
+    assert replayed == eager == "exp: produced non-finite values"
+    replayed, eager = _replay_against_eager(
+        lambda p: dc.sum_all(dc.tanh(dc.scalar_multiply(dc.exp(p), 1e300))), good, bad)
+    assert replayed == eager == "exp: produced non-finite values"
+    # With no bad output before it, the later rule's own error stands.
+    replayed, eager = _replay_against_eager(
+        lambda p: dc.sum_all(dc.layer_norm_rows(dc.scalar_multiply(p, 1e150))), good, [[1.0, -1e10, 3.0]])
+    assert replayed == eager == "layer-normalize-per-row: row variance is not finite"
+
+
+def test_replays_check_once_per_segment(monkeypatch):
+    """The finite check of a replay runs once per segment, over its buffer,
+    plus once per unplanned record. A replayed generated frame at the
+    default heads (4 + 4, so 9 segments) calls all_finite 41 times: once
+    per segment and once for each of the 32 attention records whose shapes
+    grow with the K/V caches. A replayed training step calls it once, plus
+    once per rebound leaf. (Layer norm's variance check is its own.)"""
+    from dualface import model as dm, train as dt
+    from dualface.data import FeatureSequence, MotionSequence
+
+    calls, real = [0], dc.all_finite
+
+    def counted(a):
+        calls[0] += 1
+        return real(a)
+
+    monkeypatch.setattr(dc, "all_finite", counted)
+    cfg = dm.ModelConfig(audio_dim=5, vertex_count=6, n_speakers=2, max_frames=8)
+    params = dm.ModelParams(cfg, np.random.default_rng(50))
+    rng = np.random.default_rng(51)
+    for generate, make in ((dm.generate_motion, lambda t: FeatureSequence(rng.standard_normal((t, 5)))),
+                           (dm.generate_audio, lambda t: MotionSequence(0.1 * rng.standard_normal((t, 6, 3)), 25.0))):
+        per_length = []
+        for t in (3, 4, 5):
+            source = make(t)
+            calls[0] = 0
+            generate(params, source, 1)
+            per_length.append(calls[0])
+        assert per_length[2] - per_length[1] == per_length[1] - per_length[0] == 41, generate.__name__
+
+    feats = FeatureSequence(rng.standard_normal((6, 5)))
+    motion = MotionSequence(0.1 * rng.standard_normal((6, 6, 3)), 25.0)
+    train_cfg = dt.TrainConfig()
+    data = dt.step_arrays(feats, motion, train_cfg)
+    program = dt._StepProgram(params, 0, data, train_cfg)
+    program.release()
+    calls[0] = 0
+    program.replay(data, 1)
+    assert len(data) > 2 and calls[0] == 1 + len(data)
+
+
 # The rules' formulas before they called the reduction ufuncs directly; each
 # rewritten rule must reproduce them bit for bit.
 def _old_sigmoid(a):

@@ -21,6 +21,18 @@ def small_config(**overrides):
     return dm.ModelConfig(**base)
 
 
+def _spy_forward_rules(monkeypatch, seen):
+    """Calls seen(kind, arrays, attrs, output) at every application of a
+    forward rule: eager, and replayed into a segment buffer or not."""
+    for kind in dc.PrimitiveKind:
+        def spy(arrays, attrs, out, kind=kind, real=kind.forward):
+            result = real(arrays, attrs, out)
+            seen(kind, arrays, attrs, result[0])
+            return result
+
+        monkeypatch.setattr(kind, "forward", spy)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(d=9).validate()  # 9 % 2 heads != 0
@@ -253,15 +265,12 @@ def test_generation_work_per_frame_is_flat(monkeypatch):
     same at T=30 and T=120: no frame re-runs the prefix before it."""
     params = dm.ModelParams(small_config(max_frames=120), np.random.default_rng(620))
     rng = np.random.default_rng(720)
-    real = dc._apply  # sees every primitive output, replayed ones too
     rows = [0]
 
-    def counted(kind, arrays, attrs):
-        out = real(kind, arrays, attrs)
-        rows[0] += out[0].shape[0]
-        return out
+    def counted(kind, arrays, attrs, out):
+        rows[0] += out.shape[0]
 
-    monkeypatch.setattr(dc, "_apply", counted)
+    _spy_forward_rules(monkeypatch, counted)
 
     def rows_for(generate, source):
         rows[0] = 0
@@ -300,15 +309,13 @@ def test_generation_broadcasts_no_row_to_one_row(monkeypatch):
     no broadcast-row primitive with rows=1 is evaluated."""
     params = dm.ModelParams(small_config(), np.random.default_rng(621))
     rng = np.random.default_rng(721)
-    real = dc._apply  # sees every primitive application, replayed ones too
     one_row = []
 
-    def counted(kind, arrays, attrs):
+    def counted(kind, arrays, attrs, out):
         if kind is dc.PrimitiveKind.BROADCAST_ROW and attrs["rows"] == 1:
             one_row.append(kind)
-        return real(kind, arrays, attrs)
 
-    monkeypatch.setattr(dc, "_apply", counted)
+    _spy_forward_rules(monkeypatch, counted)
     for t in (1, 5):
         dm.generate_motion(params, FeatureSequence(rng.standard_normal((t, 5))), 0)
         dm.generate_audio(params, MotionSequence(0.1 * rng.standard_normal((t, 6, 3)), 25.0), 1)
@@ -320,15 +327,13 @@ def test_tied_generation_transposes_each_weight_once(monkeypatch):
     call, not once per decoded frame: the count is the same at T=3 and T=12."""
     params = dm.ModelParams(small_config(share_transpose_codec=True), np.random.default_rng(623))
     rng = np.random.default_rng(723)
-    real = dc._apply  # sees every primitive application, replayed ones too
     transposes = []
 
-    def counted(kind, arrays, attrs):
+    def counted(kind, arrays, attrs, out):
         if kind is dc.PrimitiveKind.TRANSPOSE_LAST_TWO:
             transposes.append(arrays[0])
-        return real(kind, arrays, attrs)
 
-    monkeypatch.setattr(dc, "_apply", counted)
+    _spy_forward_rules(monkeypatch, counted)
     for generate, make, encoder in (
         (dm.generate_motion, lambda t: FeatureSequence(rng.standard_normal((t, 5))), "motion_encoder.weight"),
         (dm.generate_audio, lambda t: MotionSequence(0.1 * rng.standard_normal((t, 6, 3)), 25.0), "audio_encoder.weight"),
