@@ -541,19 +541,18 @@ class Program:
     there, and each callback runs once the segment before it is checked.
 
     A segment's records write their outputs in place into C-contiguous
-    slices of one float64 buffer, given out by the first run after
-    construction or release(), and the buffer is checked once, after the
-    segment. The records in `unplanned`, whose output shapes change from
-    run to run, allocate and check their outputs one by one, as evaluate
-    does. A failed check, or an exception raised inside a segment, is
+    slices of one float64 buffer, given out by the first run and kept for
+    every later one, and the buffer is checked once, after the segment.
+    The records in `unplanned`, whose output shapes change from run to
+    run, allocate and check their outputs one by one, as evaluate does. A failed check, or an exception raised inside a segment, is
     reported for the first buffered output before that point, in record
     order, that is not finite, with evaluate's message; so a replay names
     the primitive that an eager build names, even when a later rule raises
     on its own or masks the bad value. Rules run after a bad output may add
     NumPy RuntimeWarnings before that error.
 
-    A parameter's array is read once per binding, so between runs its
-    values may change in place, but the parameter is never rebound."""
+    A parameter's array is read once, at the first run, so between runs
+    its values may change in place, but the parameter is never rebound."""
 
     def __init__(self, records: Sequence[TapeRecord], leaves: Sequence[Tensor] = (),
                  settable: Sequence[TapeRecord] = (), cuts: dict[int, Callable[[], None]] | None = None,
@@ -565,7 +564,7 @@ class Program:
         ends = sorted({*cuts, len(self.records)})
         # Per segment: its buffer's size, a step per record and the
         # callback. A step holds its record's buffer slice (None if
-        # unplanned) and whether its inputs can be read once per binding:
+        # unplanned) and whether its inputs can be read once, when bound:
         # each is a planned output or a parameter, written in place only.
         self.segments = []
         for a, b in zip([0, *ends], ends):
@@ -578,7 +577,7 @@ class Program:
                 fixed = all(t in planned or isinstance(t, Parameter) for t in r.inputs)
                 plan.append((r.kind.forward, r.inputs, r.attrs, r, span, fixed))
             self.segments.append((size, plan, cuts.get(b)))
-        self.steps = None  # per segment: its steps, buffer and callback, while the buffers are bound
+        self.steps = None  # per segment: its steps, buffer and callback, once the first run binds them
 
     def _bind(self):
         """Gives each planned output its slice of a new buffer per segment."""
@@ -621,15 +620,6 @@ class Program:
                 raise _nonfinite_output(steps)
             if callback is not None:
                 callback()
-
-    def release(self):
-        """Drops the buffers, every record's output and saved values, and
-        the leaves' values."""
-        self.steps = None
-        for r in self.records:
-            r.output.data = r.saved = None
-        for leaf in self.leaves:
-            leaf.data = None
 
 
 def _nonfinite_output(steps) -> NonFiniteError | None:

@@ -1,12 +1,12 @@
 """Training loop, Adam optimizer, evaluation, and the ablation harness.
 
 One optimizer step per sequence, epochs shuffled by a seeded generator.
-Each step after the first of a sequence length replays that first step's
-trace as a diffcore.Program of one segment, whose output buffer is given
-out for the step and dropped after it. Checkpointing keeps whichever parameters score the best validation
-lip-vertex error. A non-finite value aborts the step, before anything is
-logged, at the primitive that produced it (NonFiniteLossError "forward
-pass") or at Adam's checks of the gradients and of the update.
+A step whose data has the shapes of the step before it replays that step's
+program, a diffcore.Program of one segment bound once; any other step
+traces anew. Checkpointing keeps whichever parameters score the best
+validation lip-vertex error. A non-finite value aborts the step, before
+anything is logged, at the primitive that produced it (NonFiniteLossError
+"forward pass") or at Adam's checks of the gradients and of the update.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def step_loss(params: ModelParams, speaker: int, leaves: list[dc.Tensor], cfg: T
 class _StepProgram(dc.Program):
     """One training step traced on a tape, replayed as one segment: the
     leaves of its step_arrays are rebound and the style-table slices
-    select the speaker. Its buffer is given out per step and dropped by
-    release(), with the leaves and every output of the step."""
+    select the speaker. Its first replay binds the buffer that every later
+    replay writes into."""
 
     def __init__(self, params: ModelParams, speaker: int, data: list[np.ndarray], cfg: TrainConfig):
         leaves = [dc.Tensor(a) for a in data]
@@ -108,14 +108,11 @@ class _StepProgram(dc.Program):
         self.run([dc.Tensor(a).data for a in data], start=speaker, stop=speaker + 1)
 
 
-_MAX_PROGRAMS = 2
-
-
 @dataclass
 class TrainState:
     """Optimizer state for one parameter store under one TrainConfig: the
-    moments are laid out for that store, and the step programs read its
-    parameters and build that config's loss terms."""
+    moments are laid out for that store, and the step program reads its
+    parameters and builds that config's loss terms."""
 
     step: int = 0
     # (2, n) first and second moments, laid out like ModelParams.values,
@@ -124,11 +121,9 @@ class TrainState:
     moments: np.ndarray | None = None
     scratch: np.ndarray | None = None
     best_val_lve: float = float("inf")
-    # One traced step per shape of step data, replayed at each later step of
-    # that shape; between steps each holds no per-step array, its buffer
-    # included. At most _MAX_PROGRAMS are kept, the least recently run
-    # dropped first.
-    programs: dict[tuple, _StepProgram] = field(default_factory=dict)
+    # The last step's program, with its buffer and the step's outputs;
+    # replayed by a next step whose data has the same shapes
+    program: _StepProgram | None = None
 
 
 def _first_nonfinite(params: ModelParams, flat: np.ndarray) -> str:
@@ -200,29 +195,24 @@ def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state
     """One Adam step on seq's step_arrays (`arrays`, if the caller holds
     them); the dual pass runs only when a dual-side loss weight is nonzero.
 
-    The first step of each shape of data traces step_loss; later ones
-    replay the traced records on their own data and speaker, with the
+    A step whose data has the shapes of the last step's replays its
+    program (TrainState.program) on its own data and speaker, with the
     same forward rules writing into one buffer that is checked once, so
     every value and every error is the one a new trace would give (see
-    TrainState.programs and diffcore.Program)."""
+    diffcore.Program); any other step traces step_loss anew."""
     data = step_arrays(seq.features, seq.motion, cfg) if arrays is None else arrays
-    key = tuple(a.shape for a in data)
-    program = state.programs.pop(key, None)  # a step that raises drops it
+    program, state.program = state.program, None  # a step that raises drops it
     try:
-        if program is None:
-            program = _StepProgram(params, seq.speaker, data, cfg)
-        else:
+        if program is not None and [a.shape for a in data] == [leaf.shape for leaf in program.leaves]:
             program.replay(data, seq.speaker)
+        else:
+            program = _StepProgram(params, seq.speaker, data, cfg)
     except dc.NonFiniteError as e:
         raise NonFiniteLossError("forward pass", state.step + 1, cfg.grad_clip) from e
     dc.backpropagate(program.tape, program.total)
     adam_step(params, state, cfg)
-    bundle = LossBundle.read(program.terms, program.total)
-    program.release()
-    state.programs[key] = program
-    if len(state.programs) > _MAX_PROGRAMS:
-        del state.programs[next(iter(state.programs))]
-    return bundle
+    state.program = program
+    return LossBundle.read(program.terms, program.total)
 
 
 def _regions(dataset: LoadedDataset) -> tuple[RegionSet, RegionSet]:
@@ -312,7 +302,7 @@ def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_
                 if report.lve < state.best_val_lve:
                     state.best_val_lve = report.lve
                     save_checkpoint(ckpt_path, params)
-    state.programs.clear()  # traced for this run's parameters only
+    state.program = None  # traced for this run's parameters only
     if state.best_val_lve == float("inf"):
         save_checkpoint(ckpt_path, params)
     return TrainResult(str(ckpt_path), str(log_path), state)

@@ -566,7 +566,6 @@ def test_replays_check_once_per_segment(monkeypatch):
     train_cfg = dt.TrainConfig()
     data = dt.step_arrays(feats, motion, train_cfg)
     program = dt._StepProgram(params, 0, data, train_cfg)
-    program.release()
     calls[0] = 0
     program.replay(data, 1)
     assert len(data) > 2 and calls[0] == 1 + len(data)

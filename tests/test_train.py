@@ -411,45 +411,55 @@ def _replay_configs():
 @pytest.mark.parametrize("model_cfg, cfg", [pytest.param(m, c, id=name) for name, m, c in _replay_configs()])
 def test_replayed_steps_equal_fresh_traces(model_cfg, cfg):
     """Two epochs over two sequence lengths and both speakers: steps that
-    replay the traced step of their length give the same loss bundles,
+    replay the program of the step before them give the same loss bundles,
     parameters and Adam moments, bit for bit, as steps that each trace
-    anew; and between steps no program holds a per-step array."""
+    anew; steps of both lengths replay."""
     rows = _two_length_rows()
     order = np.random.default_rng(31).permutation(2 * len(rows)) % len(rows)
     runs = []
     for fresh in (False, True):
         params, state = ModelParams(model_cfg, np.random.default_rng(32)), dt.TrainState()
-        bundles = []
+        bundles, replayed = [], set()
         for i in order:
             if fresh:
-                state.programs.clear()
+                state.program = None
+            kept = state.program
             bundles.append(dt.train_step(params, rows[i], cfg, state))
-            assert not any(_holds_arrays(p) for p in state.programs.values())
-        runs.append((bundles, params.values, state.moments, state))
-    (bundles, values, moments, state), (fresh_bundles, fresh_values, fresh_moments, _) = runs
-    assert len(state.programs) == 2
+            if state.program is kept:
+                replayed.add(rows[i].motion.frames)
+        runs.append((bundles, params.values, state.moments, replayed))
+    (bundles, values, moments, replayed), (fresh_bundles, fresh_values, fresh_moments, fresh_replayed) = runs
+    assert replayed == {5, 8} and not fresh_replayed
     assert bundles == fresh_bundles
     assert np.array_equal(values, fresh_values) and np.array_equal(moments, fresh_moments)
 
 
-def _holds_arrays(program):
-    return any(r.output.data is not None or r.saved is not None for r in program.tape.records) or any(
-        leaf.data is not None for leaf in program.leaves)
+def test_step_program_is_bound_once_and_kept_per_length(monkeypatch):
+    """Two replays of one length write into the same record output arrays,
+    slices of one buffer bound at the first replay; a step of another
+    length traces a new program, and that program is the one the state
+    keeps."""
+    from dualface import diffcore as dc
 
-
-def test_program_cache_keeps_the_most_recently_run(monkeypatch):
-    """With room for one program, alternating lengths retrace each step and
-    give the same bundles as with room for both; the cache keeps the most
-    recently run."""
+    binds, real = [], dc.Program._bind
+    monkeypatch.setattr(dc.Program, "_bind", lambda program: binds.append(program) or real(program))
     rows = _two_length_rows()
+    five, eight = [r for r in rows if r.motion.frames == 5], [r for r in rows if r.motion.frames == 8]
     cfg = dt.TrainConfig(learning_rate=1e-2)
-    runs = []
-    for room in (1, 2):
-        monkeypatch.setattr(dt, "_MAX_PROGRAMS", room)
-        params, state = ModelParams(_REPLAY_MODEL, np.random.default_rng(35)), dt.TrainState()
-        runs.append([dt.train_step(params, seq, cfg, state) for seq in rows + rows])
-        assert [key[0] for key in state.programs] == [(5, 6), (8, 6)][-room:]
-    assert runs[0] == runs[1]
+    params, state = ModelParams(_REPLAY_MODEL, np.random.default_rng(35)), dt.TrainState()
+    dt.train_step(params, five[0], cfg, state)
+    program = state.program
+    outputs = []
+    for seq in five[1:3]:
+        dt.train_step(params, seq, cfg, state)
+        assert state.program is program
+        outputs.append([r.output.data for r in program.tape.records])
+    assert binds == [program]
+    (_, buffer, _), = program.steps
+    assert all(a is b and np.shares_memory(a, buffer) for a, b in zip(*outputs))
+    dt.train_step(params, eight[0], cfg, state)
+    assert state.program is not program and state.program.leaves[0].shape == (8, _REPLAY_MODEL.audio_dim)
+    assert binds == [program]
 
 
 def test_nonfinite_value_in_replayed_step():
