@@ -540,68 +540,56 @@ class Program:
     record index to a callback: the records split into segments that end
     there, and each callback runs once the segment before it is checked.
 
-    A segment's records write their outputs in place into C-contiguous
-    slices of one float64 buffer, given out by the first run and kept for
-    every later one, and the buffer is checked once, after the segment.
-    The records in `unplanned`, whose output shapes change from run to
-    run, allocate and check their outputs one by one, as evaluate does. A failed check, or an exception raised inside a segment, is
-    reported for the first buffered output before that point, in record
-    order, that is not finite, with evaluate's message; so a replay names
-    the primitive that an eager build names, even when a later rule raises
-    on its own or masks the bad value. Rules run after a bad output may add
-    NumPy RuntimeWarnings before that error.
+    Building the program rebinds each record output to a C-contiguous
+    slice of one float64 buffer per segment, holding its traced value, so
+    the trace is its first run; every run writes into these slices and
+    checks the buffer once, after the segment. The records in `unplanned`,
+    whose output shapes change from run to run, allocate and check their
+    outputs one by one, as evaluate does. A failed check, or an exception
+    raised inside a segment, is reported for the first buffered output
+    before that point, in record order, that is not finite, with
+    evaluate's message; so a replay names the primitive that an eager
+    build names, even when a later rule raises on its own or masks the bad
+    value. Rules run after a bad output may add NumPy RuntimeWarnings
+    before that error.
 
-    A parameter's array is read once, at the first run, so between runs
-    its values may change in place, but the parameter is never rebound."""
+    A parameter's array is read once, when the program is built, so
+    between runs its values may change in place, but the parameter is
+    never rebound."""
 
     def __init__(self, records: Sequence[TapeRecord], leaves: Sequence[Tensor] = (),
                  settable: Sequence[TapeRecord] = (), cuts: dict[int, Callable[[], None]] | None = None,
                  unplanned: Sequence[TapeRecord] = ()):
-        self.records, self.leaves = list(records), list(leaves)
+        self.leaves = list(leaves)
         self.settable = [r.attrs for r in settable]
         cuts, unplanned = cuts or {}, set(unplanned)
-        planned = {r.output for r in self.records if r not in unplanned}
-        ends = sorted({*cuts, len(self.records)})
-        # Per segment: its buffer's size, a step per record and the
-        # callback. A step holds its record's buffer slice (None if
-        # unplanned) and whether its inputs can be read once, when bound:
-        # each is a planned output or a parameter, written in place only.
+        planned = {r.output for r in records if r not in unplanned}
+        ends = sorted({*cuts, len(records)})
+        # Per segment: a step per record, the buffer and the callback. A step
+        # holds its output's slice (None if unplanned) and, if each input is
+        # a planned output or a parameter (written in place only), their arrays.
         self.segments = []
         for a, b in zip([0, *ends], ends):
-            plan, size = [], 0
-            for r in self.records[a:b]:
-                span = None
-                if r.output in planned:
-                    span = size, size + r.output.data.size, r.output.data.shape
-                    size = span[1]
-                fixed = all(t in planned or isinstance(t, Parameter) for t in r.inputs)
-                plan.append((r.kind.forward, r.inputs, r.attrs, r, span, fixed))
-            self.segments.append((size, plan, cuts.get(b)))
-        self.steps = None  # per segment: its steps, buffer and callback, once the first run binds them
-
-    def _bind(self):
-        """Gives each planned output its slice of a new buffer per segment."""
-        self.steps = []
-        for size, plan, callback in self.segments:
-            buffer, steps = np.empty(size), []
-            for forward, inputs, kw, r, span, fixed in plan:
+            buffer = np.empty(sum(r.output.data.size for r in records[a:b] if r.output in planned))
+            steps, start = [], 0
+            for r in records[a:b]:
                 out = arrays = None
-                if span is not None:
-                    start, stop, shape = span
-                    out = r.output.data = buffer[start:stop].reshape(shape)
-                    if fixed:
-                        arrays = [t.data for t in inputs]
-                steps.append((forward, inputs, kw, out, r, arrays))
-            self.steps.append((steps, buffer, callback))
+                if r.output in planned:
+                    traced = r.output.data
+                    out = buffer[start:start + traced.size].reshape(traced.shape)
+                    out[...] = traced
+                    r.output.data, start = out, start + traced.size
+                    if all(t in planned or isinstance(t, Parameter) for t in r.inputs):
+                        arrays = [t.data for t in r.inputs]
+                steps.append((r.kind.forward, r.inputs, r.attrs, out, r, arrays))
+            self.segments.append((steps, buffer, cuts.get(b)))
 
     def run(self, values: Sequence[np.ndarray] = (), **attrs):
         for leaf, value in zip(self.leaves, values):
             leaf.data = value
         for a in self.settable:
             a.update(attrs)
-        if self.steps is None:
-            self._bind()
-        for steps, buffer, callback in self.steps:
+        for steps, buffer, callback in self.segments:
             try:
                 for step in steps:
                     forward, inputs, kw, out, r, arrays = step

@@ -2,9 +2,9 @@
 
 One optimizer step per sequence, epochs shuffled by a seeded generator.
 A step whose data has the shapes of the step before it replays that step's
-program, a diffcore.Program of one segment bound once; any other step
-traces anew. Checkpointing keeps whichever parameters score the best
-validation lip-vertex error. A non-finite value aborts the step, before
+program, a diffcore.Program of one segment whose buffer the trace fills;
+any other step traces anew. Checkpointing keeps whichever parameters
+score the best validation lip-vertex error. A non-finite value aborts the step, before
 anything is logged, at the primitive that produced it (NonFiniteLossError
 "forward pass") or at Adam's checks of the gradients and of the update.
 """
@@ -91,8 +91,8 @@ def step_loss(params: ModelParams, speaker: int, leaves: list[dc.Tensor], cfg: T
 class _StepProgram(dc.Program):
     """One training step traced on a tape, replayed as one segment: the
     leaves of its step_arrays are rebound and the style-table slices
-    select the speaker. Its first replay binds the buffer that every later
-    replay writes into."""
+    select the speaker. The traced step's outputs are already in the
+    buffer that every replay writes into."""
 
     def __init__(self, params: ModelParams, speaker: int, data: list[np.ndarray], cfg: TrainConfig):
         leaves = [dc.Tensor(a) for a in data]
@@ -121,8 +121,8 @@ class TrainState:
     moments: np.ndarray | None = None
     scratch: np.ndarray | None = None
     best_val_lve: float = float("inf")
-    # The last step's program, with its buffer and the step's outputs;
-    # replayed by a next step whose data has the same shapes
+    # The last step's program, its buffer bound when it was traced and
+    # holding the step's outputs; replayed by a next step of the same shapes
     program: _StepProgram | None = None
 
 

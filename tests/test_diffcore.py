@@ -531,6 +531,44 @@ def test_replay_names_a_bad_output_before_a_rule_that_raises():
     assert replayed == eager == "layer-normalize-per-row: row variance is not finite"
 
 
+def _cut_graph(p, q):
+    h = dc.tanh(dc.matmul(p, q))
+    return dc.sum_all(dc.layer_norm_rows(dc.multiply(h, dc.exp(h))))
+
+
+def test_program_is_bound_when_built():
+    """With no run, a built Program's planned outputs are already slices of
+    their segment's buffer holding the traced values bit for bit (the
+    unplanned tanh keeps its own array), and backpropagating through them
+    gives the gradients of a twin tape never built into a program."""
+    rng = np.random.default_rng(60)
+    p_values, q_values = rng.standard_normal((3, 4)), rng.standard_normal((4, 5))
+    p, q = dc.Parameter("p", p_values), dc.Parameter("q", q_values)
+    with dc.Tape() as tape:
+        out = _cut_graph(p, q)
+    traced = [r.output.data for r in tape.records]
+    recorded = [a.tobytes() for a in traced]
+    tanh, = [r for r in tape.records if r.kind is dc.PrimitiveKind.TANH]
+    calls = []
+    program = dc.Program(tape.records, cuts={2: lambda: calls.append(1)}, unplanned=[tanh])
+    buffers = [buffer for _, buffer, _ in program.segments]
+    assert len(buffers) == 2 and not calls
+    for i, r in enumerate(tape.records):
+        if r is tanh:
+            assert r.output.data is traced[i]
+        else:
+            assert np.shares_memory(r.output.data, buffers[i >= 2]), r.kind
+        assert r.output.data.tobytes() == recorded[i], r.kind
+    dc.backpropagate(tape, out)
+    twin_p, twin_q = dc.Parameter("p", p_values), dc.Parameter("q", q_values)
+    with dc.Tape() as twin:
+        twin_out = _cut_graph(twin_p, twin_q)
+    dc.backpropagate(twin, twin_out)
+    assert p.gradient.tobytes() == twin_p.gradient.tobytes()
+    assert q.gradient.tobytes() == twin_q.gradient.tobytes()
+    assert p.gradient.any() and q.gradient.any()
+
+
 def test_replays_check_once_per_segment(monkeypatch):
     """The finite check of a replay runs once per segment, over its buffer,
     plus once per unplanned record. A replayed generated frame at the

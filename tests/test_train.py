@@ -434,32 +434,26 @@ def test_replayed_steps_equal_fresh_traces(model_cfg, cfg):
     assert np.array_equal(values, fresh_values) and np.array_equal(moments, fresh_moments)
 
 
-def test_step_program_is_bound_once_and_kept_per_length(monkeypatch):
-    """Two replays of one length write into the same record output arrays,
-    slices of one buffer bound at the first replay; a step of another
-    length traces a new program, and that program is the one the state
-    keeps."""
-    from dualface import diffcore as dc
-
-    binds, real = [], dc.Program._bind
-    monkeypatch.setattr(dc.Program, "_bind", lambda program: binds.append(program) or real(program))
+def test_step_program_is_bound_once_and_kept_per_length():
+    """Right after the trace step, the kept program's record outputs are
+    slices of its one buffer; two replays of that length write into those
+    same arrays; a step of another length traces a new program, and that
+    program is the one the state keeps."""
     rows = _two_length_rows()
     five, eight = [r for r in rows if r.motion.frames == 5], [r for r in rows if r.motion.frames == 8]
     cfg = dt.TrainConfig(learning_rate=1e-2)
     params, state = ModelParams(_REPLAY_MODEL, np.random.default_rng(35)), dt.TrainState()
     dt.train_step(params, five[0], cfg, state)
     program = state.program
-    outputs = []
+    (_, buffer, _), = program.segments
+    traced = [r.output.data for r in program.tape.records]
+    assert all(np.shares_memory(a, buffer) for a in traced)
     for seq in five[1:3]:
         dt.train_step(params, seq, cfg, state)
         assert state.program is program
-        outputs.append([r.output.data for r in program.tape.records])
-    assert binds == [program]
-    (_, buffer, _), = program.steps
-    assert all(a is b and np.shares_memory(a, buffer) for a, b in zip(*outputs))
+        assert all(r.output.data is a for r, a in zip(program.tape.records, traced))
     dt.train_step(params, eight[0], cfg, state)
     assert state.program is not program and state.program.leaves[0].shape == (8, _REPLAY_MODEL.audio_dim)
-    assert binds == [program]
 
 
 def test_nonfinite_value_in_replayed_step():
