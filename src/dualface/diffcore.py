@@ -6,9 +6,10 @@ central-finite-difference checking harness. Model and loss code compose
 these primitives and nothing else; no fused kernels, no implicit
 broadcasting outside broadcast-row.
 
-An evaluated primitive's output is checked on its own; a replayed graph
-writes its outputs into one buffer per segment and checks each buffer
-once, naming the first bad output as an eager build would.
+An evaluated primitive's output is checked on its own; under a tape it is
+then copied into the tape's storage, where a replayed graph writes it again
+and checks each segment's stretch of that storage once, naming the first
+bad output as an eager build would.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 _LN_EPS = 1e-5
+_CHUNK = 1 << 17  # float64 values per chunk of a tape's storage (1 MiB)
 
 
 class ShapeMismatchError(ValueError):
@@ -114,16 +116,32 @@ class TapeRecord:
 
 
 class Tape:
-    """Append-only record of primitive applications.
+    """Append-only record of primitive applications, and the storage of
+    their outputs.
 
     A record is appended after its inputs exist, so the records are
     topologically ordered by construction. Records hold references to their
     tensors, so a tensor's id() identifies it for the tape's lifetime.
+
+    Each output lives in float64 chunks that the tape owns, bump-allocated
+    in record order (an output larger than a chunk gets a chunk of its
+    own), as a captured CUDA graph's outputs live in its memory pool. A
+    Program built from the records replays in this storage, so a traced
+    graph is held once.
     """
 
     def __init__(self):
         self.records: list[TapeRecord] = []
         self.plan = None  # ((id(output), len(records)), _plan(self, output)) of the last backward pass
+        self.free = np.empty(0)  # the unused tail of the last chunk
+
+    def store(self, arr: np.ndarray) -> np.ndarray:
+        """arr's values, of arr's shape, in the next free slot of the storage."""
+        if arr.size > self.free.size:
+            self.free = np.empty(max(arr.size, _CHUNK))
+        out, self.free = self.free[:arr.size].reshape(arr.shape), self.free[arr.size:]
+        out[...] = arr
+        return out
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -298,8 +316,7 @@ def _fw_layer_norm_rows(arrays, attrs, out):
     if not np.isfinite(var).all():
         raise NonFiniteError("layer-normalize-per-row: row variance is not finite")
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    normed = np.multiply(dev, inv, out=out)
-    return normed, (normed, inv)
+    return np.multiply(dev, inv, out=out), inv
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +413,7 @@ def _bw_broadcast_row(r, g):
 
 
 def _bw_layer_norm_rows(r, g):
-    normed, inv = r.saved
+    normed, inv = r.output.data, r.saved
     gm = np.add.reduce(g, axis=-1, keepdims=True) / g.shape[-1]
     gn = np.add.reduce(g * normed, axis=-1, keepdims=True) / g.shape[-1]
     return [inv * (g - gm - normed * gn)]
@@ -444,15 +461,20 @@ def _apply(kind: PrimitiveKind, arrays: list, attrs: dict) -> tuple:
 
 def evaluate(kind: PrimitiveKind, inputs: Sequence[Tensor], **attrs) -> Tensor:
     """Apply one primitive; records onto the active tape if one is open.
+    There the output is copied into the tape's storage as soon as it is
+    checked, and the rule's own array is dropped, so a trace holds one
+    output outside its tape at a time.
 
     Only the output is checked for non-finite values. Every input is a
     checked output, a Tensor checked at construction, or a view of checked
     data, and each in-place writer of checked data checks what it writes.
     """
     out_arr, saved = _apply(kind, [t.data for t in inputs], attrs)
-    out = Tensor._wrap(out_arr)
-    if _TAPE_STACK:
-        _TAPE_STACK[-1].records.append(TapeRecord(kind, tuple(inputs), out, attrs, saved))
+    if not _TAPE_STACK:
+        return Tensor._wrap(out_arr)
+    tape = _TAPE_STACK[-1]
+    out = Tensor._wrap(tape.store(out_arr))
+    tape.records.append(TapeRecord(kind, tuple(inputs), out, attrs, saved))
     return out
 
 
@@ -540,18 +562,21 @@ class Program:
     record index to a callback: the records split into segments that end
     there, and each callback runs once the segment before it is checked.
 
-    Building the program rebinds each record output to a C-contiguous
-    slice of one float64 buffer per segment, holding its traced value, so
-    the trace is its first run; every run writes into these slices and
-    checks the buffer once, after the segment. The records in `unplanned`,
-    whose output shapes change from run to run, allocate and check their
-    outputs one by one, as evaluate does. A failed check, or an exception
-    raised inside a segment, is reported for the first buffered output
-    before that point, in record order, that is not finite, with
-    evaluate's message; so a replay names the primitive that an eager
-    build names, even when a later rule raises on its own or masks the bad
-    value. Rules run after a bad output may add NumPy RuntimeWarnings
-    before that error.
+    The records come from one tape, and the trace is the program's first
+    run: the program allocates and copies nothing, and every run writes
+    each planned output into the tape storage that holds its traced value,
+    then checks the segment's stretch of that storage once per chunk. A
+    stretch runs from the segment's first planned output to the end of its
+    last, so the other slots inside it hold finite values checked before:
+    outputs of records not in the program, or unplanned.
+    The records in `unplanned`, whose output shapes change from run to
+    run, allocate and check their outputs one by one, as evaluate does. A
+    failed check, or an exception raised inside a segment, is reported for
+    the first planned output before that point, in record order, that is
+    not finite, with evaluate's message; so a replay names the primitive
+    that an eager build names, even when a later rule raises on its own or
+    masks the bad value. Rules run after a bad output may add NumPy
+    RuntimeWarnings before that error.
 
     A parameter's array is read once, when the program is built, so
     between runs its values may change in place, but the parameter is
@@ -565,31 +590,28 @@ class Program:
         cuts, unplanned = cuts or {}, set(unplanned)
         planned = {r.output for r in records if r not in unplanned}
         ends = sorted({*cuts, len(records)})
-        # Per segment: a step per record, the buffer and the callback. A step
-        # holds its output's slice (None if unplanned) and, if each input is
-        # a planned output or a parameter (written in place only), their arrays.
+        # Per segment: a step per record, the stretches to check and the
+        # callback. A step holds its output's array (None if unplanned) and,
+        # if each input is a planned output or a parameter (written in place
+        # only), their arrays.
         self.segments = []
         for a, b in zip([0, *ends], ends):
-            buffer = np.empty(sum(r.output.data.size for r in records[a:b] if r.output in planned))
-            steps, start = [], 0
+            steps = []
             for r in records[a:b]:
                 out = arrays = None
                 if r.output in planned:
-                    traced = r.output.data
-                    out = buffer[start:start + traced.size].reshape(traced.shape)
-                    out[...] = traced
-                    r.output.data, start = out, start + traced.size
+                    out = r.output.data
                     if all(t in planned or isinstance(t, Parameter) for t in r.inputs):
                         arrays = [t.data for t in r.inputs]
                 steps.append((r.kind.forward, r.inputs, r.attrs, out, r, arrays))
-            self.segments.append((steps, buffer, cuts.get(b)))
+            self.segments.append((steps, _stretches([s[3] for s in steps if s[3] is not None]), cuts.get(b)))
 
     def run(self, values: Sequence[np.ndarray] = (), **attrs):
         for leaf, value in zip(self.leaves, values):
             leaf.data = value
         for a in self.settable:
             a.update(attrs)
-        for steps, buffer, callback in self.segments:
+        for steps, stretches, callback in self.segments:
             try:
                 for step in steps:
                     forward, inputs, kw, out, r, arrays = step
@@ -604,14 +626,30 @@ class Program:
                 if bad is None:
                     raise
                 raise bad from e
-            if not all_finite(buffer):
+            if not all(map(all_finite, stretches)):
                 raise _nonfinite_output(steps)
             if callback is not None:
                 callback()
 
 
+def _stretches(outputs: list[np.ndarray]) -> list[np.ndarray]:
+    """The tape storage that holds `outputs`, given in record order: per
+    chunk, one flat view from the first one's slot to the last one's end."""
+    spans = []
+    for o in outputs:
+        # Addresses through .ctypes: the __array_interface__ getter keeps a
+        # table that grows with the arrays it has seen (about 1 MB at 30,000).
+        chunk = o.base
+        start = (o.ctypes.data - chunk.ctypes.data) // chunk.itemsize
+        if spans and spans[-1][0] is chunk:
+            spans[-1][2] = start + o.size
+        else:
+            spans.append([chunk, start, start + o.size])
+    return [chunk[lo:hi] for chunk, lo, hi in spans]
+
+
 def _nonfinite_output(steps) -> NonFiniteError | None:
-    """evaluate's error for the first buffered output of steps that is not
+    """evaluate's error for the first planned output of steps that is not
     finite; None if there is none."""
     for _, _, _, out, r, _ in steps:
         if out is not None and not all_finite(out):
@@ -726,13 +764,13 @@ def check_gradients(
     None checks every Parameter the build reads, in the order it first
     reads them. Every parameter entry is then perturbed by +/-step in
     place, and each perturbed value comes from a `Program` of only the
-    records downstream of that parameter, one segment with its own buffer;
-    once the parameter is done, or raises, their recorded outputs are bound
-    back. Entries whose relu activation pattern differs between the two
-    perturbed evaluations sit on a kink and are counted as flagged rather
-    than judged. Raises NonFiniteError, before anything is perturbed, if a
-    perturbed value would not be finite; given parameters are checked
-    before anything is built.
+    records downstream of that parameter, one segment replayed in the
+    tape's storage; once the parameter is done, or raises, their recorded
+    values are copied back into it. Entries whose relu activation pattern
+    differs between the two perturbed evaluations sit on a kink and are
+    counted as flagged rather than judged. Raises NonFiniteError, before
+    anything is perturbed, if a perturbed value would not be finite; given
+    parameters are checked before anything is built.
     """
     if parameters is not None:
         _check_perturbable(parameters, step)
@@ -758,7 +796,7 @@ def check_gradients(
                 reached.add(r.output)
                 downstream.append(r)
         relus = [r.inputs[0] for r in downstream if r.kind is PrimitiveKind.RELU]
-        recorded = [(r, r.output.data, r.saved) for r in downstream]
+        recorded = [(r.output.data.copy(), r.saved) for r in downstream]
         program = Program(downstream)
         flat = p.data.reshape(-1)
         a_flat = p.gradient.reshape(-1)
@@ -782,8 +820,8 @@ def check_gradients(
                 entries.append(GradCheckEntry(p.id, idx, float(a_flat[i]), numeric, rel))
         finally:  # p and the downstream outputs as recorded, also after a raise
             flat[:] = values
-            for r, data, saved in recorded:
-                r.output.data, r.saved = data, saved
+            for r, (data, saved) in zip(downstream, recorded):
+                r.output.data[...], r.saved = data, saved
     entries.sort(key=lambda e: e.rel_err, reverse=True)
     report.worst = entries[:10]
     report.max_rel_err = entries[0].rel_err if entries else 0.0

@@ -421,11 +421,12 @@ def _generate(params: ModelParams, d: Direction, source, speaker: int) -> np.nda
     slice): the same forward rules on the same operands in the same order,
     so the output is bit-identical. The records are cut after each head's
     k/v matmuls, where each segment is checked and the replay extends that
-    head's cache as the traced frame did. Each head's attention over its
-    cache, from the logits to the weighted values, has the cache's row
-    count in its shapes, so those records allocate and check their outputs
-    one by one; every other output is written into its segment's buffer.
-    Each prediction is copied out of the buffer."""
+    head's cache as the traced frame did. Each head's logits, scaled logits
+    and softmax over its cache have the cache's row count in their shapes,
+    so those records allocate and check their outputs one by one; every
+    other output, the (1, dk) weighted values included, is written in
+    place into the tape's storage, where frame 1 left it. Each prediction,
+    frame 1's too, is copied out before a later frame overwrites it."""
     c = params.config
     source_latent = _encoder(d.source)(params, source)
     frames = source_latent.data.shape[0]
@@ -446,7 +447,7 @@ def _generate(params: ModelParams, d: Direction, source, speaker: int) -> np.nda
         row.data = source_latent.data[1:2]
         with dc.Tape() as tape:
             pred = frame(_encoder(d.target)(params, prev, start=0))
-        out.append(pred.data)
+        out.append(pred.data.copy())
         records, caches = tape.records, self_cache + fusion_cache
         pos = next(r for r in records if r.inputs[0] is params["positional_table"])
         ends = {r.output: i + 1 for i, r in enumerate(records)}
@@ -457,7 +458,7 @@ def _generate(params: ModelParams, d: Direction, source, speaker: int) -> np.nda
         program = dc.Program(
             records, [prev, row], [pos],
             {max(ends[t] for t in cache.fed): lambda cache=cache: cache.extend(*cache.fed) for cache in caches},
-            [r for cache in caches for r in records[reader(cache.leaves[0]):reader(cache.leaves[1]) + 1]])
+            [r for cache in caches for r in records[reader(cache.leaves[0]):reader(cache.leaves[1])]])
     for t in range(2, frames):
         program.run([out[-1], source_latent.data[t:t + 1]], start=t - 1, stop=t)
         out.append(pred.data.copy())

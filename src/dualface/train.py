@@ -2,8 +2,8 @@
 
 One optimizer step per sequence, epochs shuffled by a seeded generator.
 A step whose data has the shapes of the step before it replays that step's
-program, a diffcore.Program of one segment whose buffer the trace fills;
-any other step traces anew. Checkpointing keeps whichever parameters
+program, a diffcore.Program of one segment in the storage of the step's
+tape; any other step traces anew. Checkpointing keeps whichever parameters
 score the best validation lip-vertex error. A non-finite value aborts the step, before
 anything is logged, at the primitive that produced it (NonFiniteLossError
 "forward pass") or at Adam's checks of the gradients and of the update.
@@ -91,8 +91,8 @@ def step_loss(params: ModelParams, speaker: int, leaves: list[dc.Tensor], cfg: T
 class _StepProgram(dc.Program):
     """One training step traced on a tape, replayed as one segment: the
     leaves of its step_arrays are rebound and the style-table slices
-    select the speaker. The traced step's outputs are already in the
-    buffer that every replay writes into."""
+    select the speaker. Every replay writes its outputs into the tape's
+    storage, over the traced step's."""
 
     def __init__(self, params: ModelParams, speaker: int, data: list[np.ndarray], cfg: TrainConfig):
         leaves = [dc.Tensor(a) for a in data]
@@ -121,8 +121,8 @@ class TrainState:
     moments: np.ndarray | None = None
     scratch: np.ndarray | None = None
     best_val_lve: float = float("inf")
-    # The last step's program, its buffer bound when it was traced and
-    # holding the step's outputs; replayed by a next step of the same shapes
+    # The last step's program, its tape's storage holding the step's
+    # outputs; replayed by a next step of the same shapes
     program: _StepProgram | None = None
 
 
@@ -197,7 +197,7 @@ def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state
 
     A step whose data has the shapes of the last step's replays its
     program (TrainState.program) on its own data and speaker, with the
-    same forward rules writing into one buffer that is checked once, so
+    same forward rules writing into the tape's storage, checked once, so
     every value and every error is the one a new trace would give (see
     diffcore.Program); any other step traces step_loss anew."""
     data = step_arrays(seq.features, seq.motion, cfg) if arrays is None else arrays

@@ -361,7 +361,7 @@ def _tanh_one_minus_t(r, g):
 
 
 def _layer_norm_without_gm(r, g):
-    normed, inv = r.saved
+    normed, inv = r.output.data, r.saved
     gn = np.add.reduce(g * normed, axis=-1, keepdims=True) / g.shape[-1]
     return [inv * (g - normed * gn)]
 
@@ -537,10 +537,11 @@ def _cut_graph(p, q):
 
 
 def test_program_is_bound_when_built():
-    """With no run, a built Program's planned outputs are already slices of
-    their segment's buffer holding the traced values bit for bit (the
-    unplanned tanh keeps its own array), and backpropagating through them
-    gives the gradients of a twin tape never built into a program."""
+    """With no run, a built Program's planned outputs are already inside
+    their segment's checked stretch of the tape's storage, holding the
+    traced values bit for bit (the unplanned tanh is in none), and
+    backpropagating through them gives the gradients of a twin tape never
+    built into a program."""
     rng = np.random.default_rng(60)
     p_values, q_values = rng.standard_normal((3, 4)), rng.standard_normal((4, 5))
     p, q = dc.Parameter("p", p_values), dc.Parameter("q", q_values)
@@ -551,13 +552,14 @@ def test_program_is_bound_when_built():
     tanh, = [r for r in tape.records if r.kind is dc.PrimitiveKind.TANH]
     calls = []
     program = dc.Program(tape.records, cuts={2: lambda: calls.append(1)}, unplanned=[tanh])
-    buffers = [buffer for _, buffer, _ in program.segments]
-    assert len(buffers) == 2 and not calls
+    stretches = [one for _, (one,), _ in program.segments]
+    assert len(stretches) == 2 and not calls
     for i, r in enumerate(tape.records):
+        assert r.output.data is traced[i]
         if r is tanh:
-            assert r.output.data is traced[i]
+            assert not any(np.shares_memory(r.output.data, s) for s in stretches)
         else:
-            assert np.shares_memory(r.output.data, buffers[i >= 2]), r.kind
+            assert np.shares_memory(r.output.data, stretches[i >= 2]), r.kind
         assert r.output.data.tobytes() == recorded[i], r.kind
     dc.backpropagate(tape, out)
     twin_p, twin_q = dc.Parameter("p", p_values), dc.Parameter("q", q_values)
@@ -570,12 +572,14 @@ def test_program_is_bound_when_built():
 
 
 def test_replays_check_once_per_segment(monkeypatch):
-    """The finite check of a replay runs once per segment, over its buffer,
-    plus once per unplanned record. A replayed generated frame at the
-    default heads (4 + 4, so 9 segments) calls all_finite 41 times: once
-    per segment and once for each of the 32 attention records whose shapes
-    grow with the K/V caches. A replayed training step calls it once, plus
-    once per rebound leaf. (Layer norm's variance check is its own.)"""
+    """The finite check of a replay runs once per segment, over its stretch
+    of the tape's storage (one chunk at these sizes), plus once per
+    unplanned record. A replayed generated frame at the default heads
+    (4 + 4, so 9 segments) calls all_finite 33 times: once per segment and
+    once for each of the 24 attention records (logits, scaled logits,
+    softmax) whose shapes grow with the K/V caches. A replayed training
+    step calls it once, plus once per rebound leaf. (Layer norm's variance
+    check is its own.)"""
     from dualface import model as dm, train as dt
     from dualface.data import FeatureSequence, MotionSequence
 
@@ -597,7 +601,7 @@ def test_replays_check_once_per_segment(monkeypatch):
             calls[0] = 0
             generate(params, source, 1)
             per_length.append(calls[0])
-        assert per_length[2] - per_length[1] == per_length[1] - per_length[0] == 41, generate.__name__
+        assert per_length[2] - per_length[1] == per_length[1] - per_length[0] == 33, generate.__name__
 
     feats = FeatureSequence(rng.standard_normal((6, 5)))
     motion = MotionSequence(0.1 * rng.standard_normal((6, 6, 3)), 25.0)

@@ -23,7 +23,7 @@ def small_config(**overrides):
 
 def _spy_forward_rules(monkeypatch, seen):
     """Calls seen(kind, arrays, attrs, output) at every application of a
-    forward rule: eager, and replayed into a segment buffer or not."""
+    forward rule: eager, and replayed into tape storage or not."""
     for kind in dc.PrimitiveKind:
         def spy(arrays, attrs, out, kind=kind, real=kind.forward):
             result = real(arrays, attrs, out)

@@ -436,24 +436,50 @@ def test_replayed_steps_equal_fresh_traces(model_cfg, cfg):
 
 def test_step_program_is_bound_once_and_kept_per_length():
     """Right after the trace step, the kept program's record outputs are
-    slices of its one buffer; two replays of that length write into those
-    same arrays; a step of another length traces a new program, and that
-    program is the one the state keeps."""
+    inside the one stretch of tape storage its segment checks; two replays
+    of that length write into those same arrays; a step of another length
+    traces a new program, and that program is the one the state keeps."""
     rows = _two_length_rows()
     five, eight = [r for r in rows if r.motion.frames == 5], [r for r in rows if r.motion.frames == 8]
     cfg = dt.TrainConfig(learning_rate=1e-2)
     params, state = ModelParams(_REPLAY_MODEL, np.random.default_rng(35)), dt.TrainState()
     dt.train_step(params, five[0], cfg, state)
     program = state.program
-    (_, buffer, _), = program.segments
+    (_, (stretch,), _), = program.segments
     traced = [r.output.data for r in program.tape.records]
-    assert all(np.shares_memory(a, buffer) for a in traced)
+    assert all(np.shares_memory(a, stretch) for a in traced)
     for seq in five[1:3]:
         dt.train_step(params, seq, cfg, state)
         assert state.program is program
         assert all(r.output.data is a for r, a in zip(program.tape.records, traced))
     dt.train_step(params, eight[0], cfg, state)
     assert state.program is not program and state.program.leaves[0].shape == (8, _REPLAY_MODEL.audio_dim)
+
+
+def test_step_program_holds_its_outputs_once():
+    """Tracing and binding a default-scale step program (T=60, V=120, 32
+    bands, d=32, default weights: both directions, 351 records) allocates
+    little beyond its outputs: the eager outputs are copied into the tape's
+    storage one by one, and the program replays there, so the traced step
+    is never held twice. A program with a buffer of its own beside the
+    eager outputs peaks at about 2x."""
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    params = ModelParams(ModelConfig(audio_dim=32, vertex_count=120, n_speakers=8, max_frames=60), rng)
+    feats = FeatureSequence(rng.standard_normal((60, 32)))
+    motion = MotionSequence(0.1 * rng.standard_normal((60, 120, 3)), 25.0)
+    cfg = dt.TrainConfig()
+    data = dt.step_arrays(feats, motion, cfg)
+    tracemalloc.start()
+    try:
+        program = dt._StepProgram(params, 1, data, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(r.output.data.nbytes for r in program.tape.records)
+    assert len(program.tape.records) == 351 and outputs > 5e6
+    assert peak < 1.5 * outputs, peak / outputs
 
 
 def test_nonfinite_value_in_replayed_step():
