@@ -20,10 +20,11 @@ import numpy as np
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Sequence
 
 _LN_EPS = 1e-5
-_CHUNK = 1 << 17  # float64 values per chunk of a tape's storage (1 MiB)
+_CHUNK = 1 << 17  # float64 values in the largest chunk of a tape's storage (1 MiB)
 
 
 class ShapeMismatchError(ValueError):
@@ -125,7 +126,9 @@ class Tape:
 
     Each output lives in float64 chunks that the tape owns, bump-allocated
     in record order (an output larger than a chunk gets a chunk of its
-    own), as a captured CUDA graph's outputs live in its memory pool. A
+    own), as a captured CUDA graph's outputs live in its memory pool. The
+    first chunk is 32 KiB and each next one twice the last, up to 1 MiB,
+    so a small trace reserves little more than it records. A
     Program built from the records replays in this storage, so a traced
     graph is held once.
     """
@@ -134,11 +137,13 @@ class Tape:
         self.records: list[TapeRecord] = []
         self.plan = None  # ((id(output), len(records)), _plan(self, output)) of the last backward pass
         self.free = np.empty(0)  # the unused tail of the last chunk
+        self.chunk = _CHUNK >> 5  # float64 values in the next chunk
 
     def store(self, arr: np.ndarray) -> np.ndarray:
         """arr's values, of arr's shape, in the next free slot of the storage."""
         if arr.size > self.free.size:
-            self.free = np.empty(max(arr.size, _CHUNK))
+            self.free = np.empty(max(arr.size, self.chunk))
+            self.chunk = min(2 * self.chunk, _CHUNK)
         out, self.free = self.free[:arr.size].reshape(arr.shape), self.free[arr.size:]
         out[...] = arr
         return out
@@ -157,9 +162,14 @@ _TAPE_STACK: list[Tape] = []
 
 
 # ---------------------------------------------------------------------------
-# forward rules: (arrays, attrs, out) -> (output array, saved-for-backward).
-# Each writes its output into `out`, a C-contiguous float64 array of the
-# output's shape, and returns it; given None, it returns a new one.
+# bind rules: (arrays, attrs, out) -> (call, saved). Each checks its
+# operands' shapes and returns its NumPy work as a call with no arguments,
+# bound to the arrays, that writes the output into `out`, a C-contiguous
+# float64 array of the output's shape, and returns it; given out=None, the
+# call returns a new one. A kind whose work is one NumPy call binds that
+# call; the others bind a function below. `saved` is what the backward rule
+# reads besides the output: layer norm's row scales, which the call writes
+# in place; None for every other kind.
 
 def _fw_matmul(arrays, attrs, out):
     a, b = arrays
@@ -167,7 +177,7 @@ def _fw_matmul(arrays, attrs, out):
         raise ShapeMismatchError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    return np.matmul(a, b, out=out), None
+    return partial(np.matmul, a, b, out), None
 
 
 def _same_shape(a, b, name):
@@ -175,63 +185,43 @@ def _same_shape(a, b, name):
         raise ShapeMismatchError(f"{name} expects identical shapes, got {a.shape} and {b.shape}")
 
 
-def _fw_add(arrays, attrs, out):
-    a, b = arrays
-    _same_shape(a, b, "add")
-    return np.add(a, b, out=out), None
-
-
-def _fw_subtract(arrays, attrs, out):
-    a, b = arrays
-    _same_shape(a, b, "subtract")
-    return np.subtract(a, b, out=out), None
-
-
-def _fw_multiply(arrays, attrs, out):
-    a, b = arrays
-    _same_shape(a, b, "elementwise-multiply")
-    return np.multiply(a, b, out=out), None
+def _elementwise(f, name=None):
+    """The bind rule of a kind whose work is f(*arrays, out): on one
+    array, or on two of the same shape, checked as `name`'s."""
+    def bind(arrays, attrs, out):
+        if name is not None:
+            _same_shape(*arrays, name)
+        return partial(f, *arrays, out), None
+    return bind
 
 
 def _fw_scalar_multiply(arrays, attrs, out):
     (a,) = arrays
-    return np.multiply(a, attrs["scalar"], out=out), None
+    return partial(np.multiply, a, attrs["scalar"], out), None
 
 
 def _fw_relu(arrays, attrs, out):
     (a,) = arrays
-    return np.maximum(a, 0.0, out=out), None
+    return partial(np.maximum, a, 0.0, out=out), None  # a positional out is deprecated here
 
 
-def _fw_sigmoid(arrays, attrs, out):
-    (a,) = arrays
+def _sigmoid(a, out):
     # exp(-|a|) never overflows: 1/(1+e) where a >= 0 and e/(1+e) below.
     e = np.exp(-np.abs(a))
-    return np.divide(np.where(a >= 0, 1.0, e), 1.0 + e, out=out), None
+    return np.divide(np.where(a >= 0, 1.0, e), 1.0 + e, out=out)
 
 
-def _fw_tanh(arrays, attrs, out):
-    (a,) = arrays
-    return np.tanh(a, out=out), None
-
-
-def _fw_exp(arrays, attrs, out):
-    (a,) = arrays
-    return np.exp(a, out=out), None
-
-
-def _fw_log(arrays, attrs, out):
-    (a,) = arrays
-    return np.log(a, out=out), None
+def _softmax_rows(a, out):
+    e = np.subtract(a, np.maximum.reduce(a, axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
 def _fw_softmax_rows(arrays, attrs, out):
     (a,) = arrays
     if a.ndim < 1:
         raise ShapeMismatchError("softmax-per-row needs rank >= 1")
-    e = np.subtract(a, np.maximum.reduce(a, axis=-1, keepdims=True), out=out)
-    np.exp(e, out=e)
-    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e), None
+    return partial(_softmax_rows, a, out), None
 
 
 def _fw_concat_last(arrays, attrs, out):
@@ -241,15 +231,13 @@ def _fw_concat_last(arrays, attrs, out):
             raise ShapeMismatchError(
                 f"concat-last-axis operands differ off the last axis: {[x.shape for x in arrays]}"
             )
-    return np.concatenate(arrays, axis=-1, out=out), None
+    return partial(np.concatenate, arrays, -1, out), None
 
 
-def _copied(view, out):
-    """view's values in out, or in a new array."""
-    if out is None:
-        out = np.empty(view.shape)
-    out[...] = view
-    return out
+def _copy(values, shape, out):
+    """A copy's bind result: the call that copies values, broadcast to
+    shape, into out or into a new array."""
+    return partial(np.positive, values, np.empty(shape) if out is None else out), None
 
 
 def _slice_index(shape, attrs):
@@ -268,7 +256,8 @@ def _slice_index(shape, attrs):
 
 def _fw_slice(arrays, attrs, out):
     (a,) = arrays
-    return _copied(a[_slice_index(a.shape, attrs)], out), None
+    view = a[_slice_index(a.shape, attrs)]
+    return _copy(view, view.shape, out)
 
 
 def _fw_transpose_last_two(arrays, attrs, out):
@@ -276,17 +265,17 @@ def _fw_transpose_last_two(arrays, attrs, out):
     if a.ndim < 2:
         raise ShapeMismatchError("transpose-last-two needs rank >= 2")
     # A copy: the swapped view of one row is contiguous and would alias it.
-    return _copied(np.swapaxes(a, -1, -2), out), None
+    view = np.swapaxes(a, -1, -2)
+    return _copy(view, view.shape, out)
 
 
 def _fw_sum(arrays, attrs, out):
     (a,) = arrays
-    return np.add.reduce(a.reshape(-1), keepdims=True, out=out), None
+    return partial(np.add.reduce, a.reshape(-1), 0, None, out, True), None
 
 
-def _fw_mean(arrays, attrs, out):
-    (a,) = arrays
-    return np.divide(np.add.reduce(a.reshape(-1), keepdims=True), a.size, out=out), None
+def _mean(a, out):
+    return np.divide(np.add.reduce(a.reshape(-1), keepdims=True), a.size, out=out)
 
 
 def _fw_broadcast_row(arrays, attrs, out):
@@ -300,23 +289,32 @@ def _fw_broadcast_row(arrays, attrs, out):
         width = a.shape[1]
     else:
         raise ShapeMismatchError(f"broadcast-row expects a row vector, got {a.shape}")
-    if out is None:
-        out = np.empty((rows, width))
-    out[...] = a
-    return out, None
+    return _copy(a, (rows, width), out)
+
+
+def _layer_norm_rows(a, out, inv):
+    dev = a - np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+    var = np.add.reduce(dev ** 2, axis=-1, keepdims=True) / a.shape[-1]
+    # An overflowing variance would give inv = 0 and a finite all-zero row.
+    if not np.isfinite(var).all():
+        raise NonFiniteError("layer-normalize-per-row: row variance is not finite")
+    np.divide(1.0, np.sqrt(var + _LN_EPS), out=inv)
+    return np.multiply(dev, inv, out=out)
 
 
 def _fw_layer_norm_rows(arrays, attrs, out):
     (a,) = arrays
     if a.ndim < 1:
         raise ShapeMismatchError("layer-normalize-per-row needs rank >= 1")
-    dev = a - np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
-    var = np.add.reduce(dev ** 2, axis=-1, keepdims=True) / a.shape[-1]
-    # An overflowing variance would give inv = 0 and a finite all-zero row.
-    if not np.isfinite(var).all():
-        raise NonFiniteError("layer-normalize-per-row: row variance is not finite")
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    return np.multiply(dev, inv, out=out), inv
+    inv = np.empty(a.shape[:-1] + (1,))
+    return partial(_layer_norm_rows, a, out, inv), inv
+
+
+def _eager(bind, arrays, attrs, out):
+    """A kind's forward rule: binds its call and makes it; returns
+    (output, saved)."""
+    call, saved = bind(arrays, attrs, out)
+    return call(), saved
 
 
 # ---------------------------------------------------------------------------
@@ -420,32 +418,34 @@ def _bw_layer_norm_rows(r, g):
 
 
 class PrimitiveKind(Enum):
-    """The closed catalog: each member is a name, its forward rule and its
-    backward rule."""
+    """The closed catalog: each member is a name, `bind` (the rule that
+    checks operands and binds the kind's forward call to them), `forward`
+    (which binds that call and makes it at once) and its backward rule."""
 
-    def __new__(cls, value, forward, backward):
+    def __new__(cls, value, bind, backward):
         member = object.__new__(cls)
         member._value_ = value
-        member.forward = forward
+        member.bind = bind
+        member.forward = partial(_eager, bind)
         member.backward = backward
         return member
 
     MATMUL = "matmul", _fw_matmul, _bw_matmul
-    ADD = "add", _fw_add, _bw_add
-    SUBTRACT = "subtract", _fw_subtract, _bw_subtract
-    MULTIPLY = "elementwise-multiply", _fw_multiply, _bw_multiply
+    ADD = "add", _elementwise(np.add, "add"), _bw_add
+    SUBTRACT = "subtract", _elementwise(np.subtract, "subtract"), _bw_subtract
+    MULTIPLY = "elementwise-multiply", _elementwise(np.multiply, "elementwise-multiply"), _bw_multiply
     SCALAR_MULTIPLY = "scalar-multiply", _fw_scalar_multiply, _bw_scalar_multiply
     RELU = "relu", _fw_relu, _bw_relu
-    SIGMOID = "sigmoid", _fw_sigmoid, _bw_sigmoid
-    TANH = "tanh", _fw_tanh, _bw_tanh
-    EXP = "exp", _fw_exp, _bw_exp
-    LOG = "log", _fw_log, _bw_log
+    SIGMOID = "sigmoid", _elementwise(_sigmoid), _bw_sigmoid
+    TANH = "tanh", _elementwise(np.tanh), _bw_tanh
+    EXP = "exp", _elementwise(np.exp), _bw_exp
+    LOG = "log", _elementwise(np.log), _bw_log
     SOFTMAX_ROWS = "softmax-per-row", _fw_softmax_rows, _bw_softmax_rows
     CONCAT_LAST = "concat-last-axis", _fw_concat_last, _bw_concat_last
     SLICE = "slice", _fw_slice, _bw_slice
     TRANSPOSE_LAST_TWO = "transpose-last-two", _fw_transpose_last_two, _bw_transpose_last_two
     SUM = "sum", _fw_sum, _bw_sum
-    MEAN = "mean", _fw_mean, _bw_mean
+    MEAN = "mean", _elementwise(_mean), _bw_mean
     BROADCAST_ROW = "broadcast-row", _fw_broadcast_row, _bw_broadcast_row
     LAYER_NORM_ROWS = "layer-normalize-per-row", _fw_layer_norm_rows, _bw_layer_norm_rows
 
@@ -556,11 +556,14 @@ class Program:
     """Records of a trace, re-run in place, in order, on their inputs'
     current values.
 
-    run(values, **attrs) rebinds `leaves` to `values`, which must be
-    checked data (a finite, C-contiguous float64 array, as a record output
-    is), and sets `attrs` on every record of `settable`. `cuts` maps a
-    record index to a callback: the records split into segments that end
-    there, and each callback runs once the segment before it is checked.
+    `leaves` are the tensors whose arrays are rebound between runs:
+    run(values, **attrs) rebinds the first len(values) of them to
+    `values`, which must be checked data (a finite, C-contiguous float64
+    array, as a record output is), and a cut callback may rebind the
+    others. run also sets `attrs` on every record of `settable`. `cuts`
+    maps a record index to a callback: the records split into segments
+    that end there, and each callback runs once the segment before it is
+    checked.
 
     The records come from one tape, and the trace is the program's first
     run: the program allocates and copies nothing, and every run writes
@@ -578,33 +581,42 @@ class Program:
     masks the bad value. Rules run after a bad output may add NumPy
     RuntimeWarnings before that error.
 
-    A parameter's array is read once, when the program is built, so
-    between runs its values may change in place, but the parameter is
-    never rebound."""
+    An operand is read once, when the program is built, unless it is a
+    leaf or an unplanned output: a parameter's array (so between runs its
+    values may change in place, but the parameter is never rebound), a
+    planned output, a constant, or the output of a record outside the
+    program. A planned record whose operands are all read once, and that
+    is not settable, is bound then to its kind's forward call (`bind`),
+    which a run makes and nothing else: no rule frame, no shape check, no
+    operand list. Layer norm's call writes its row scales in place, into
+    an array that its record saves from then on, filled with the traced
+    ones when the program is built. Any other record re-runs its forward
+    rule on its operands' current arrays."""
 
     def __init__(self, records: Sequence[TapeRecord], leaves: Sequence[Tensor] = (),
                  settable: Sequence[TapeRecord] = (), cuts: dict[int, Callable[[], None]] | None = None,
                  unplanned: Sequence[TapeRecord] = ()):
         self.leaves = list(leaves)
         self.settable = [r.attrs for r in settable]
-        cuts, unplanned = cuts or {}, set(unplanned)
+        cuts, unplanned, settable = cuts or {}, set(unplanned), set(settable)
         planned = {r.output for r in records if r not in unplanned}
+        rebound = {*self.leaves, *(r.output for r in unplanned)}
         ends = sorted({*cuts, len(records)})
-        # Per segment: a step per record, the stretches to check and the
-        # callback. A step holds its output's array (None if unplanned) and,
-        # if each input is a planned output or a parameter (written in place
-        # only), their arrays.
+        # Per segment: a step (call, output array or None if unplanned,
+        # record) per record, the stretches to check and the callback.
         self.segments = []
         for a, b in zip([0, *ends], ends):
             steps = []
             for r in records[a:b]:
-                out = arrays = None
-                if r.output in planned:
-                    out = r.output.data
-                    if all(t in planned or isinstance(t, Parameter) for t in r.inputs):
-                        arrays = [t.data for t in r.inputs]
-                steps.append((r.kind.forward, r.inputs, r.attrs, out, r, arrays))
-            self.segments.append((steps, _stretches([s[3] for s in steps if s[3] is not None]), cuts.get(b)))
+                out = r.output.data if r.output in planned else None
+                if out is None or r in settable or not rebound.isdisjoint(r.inputs):
+                    call = partial(_rerun, r, out)
+                else:
+                    call, saved = r.kind.bind([t.data for t in r.inputs], r.attrs, out)
+                    if saved is not None:
+                        saved[...], r.saved = r.saved, saved
+                steps.append((call, out, r))
+            self.segments.append((steps, _stretches([s[1] for s in steps if s[1] is not None]), cuts.get(b)))
 
     def run(self, values: Sequence[np.ndarray] = (), **attrs):
         for leaf, value in zip(self.leaves, values):
@@ -614,13 +626,7 @@ class Program:
         for steps, stretches, callback in self.segments:
             try:
                 for step in steps:
-                    forward, inputs, kw, out, r, arrays = step
-                    if arrays is None:
-                        arrays = [t.data for t in inputs]
-                    if out is None:
-                        r.output.data, r.saved = _apply(r.kind, arrays, kw)
-                    else:
-                        r.saved = forward(arrays, kw, out)[1]
+                    step[0]()
             except Exception as e:
                 bad = _nonfinite_output(steps[:next(i for i, s in enumerate(steps) if s is step)])
                 if bad is None:
@@ -630,6 +636,16 @@ class Program:
                 raise _nonfinite_output(steps)
             if callback is not None:
                 callback()
+
+
+def _rerun(r: TapeRecord, out: np.ndarray | None):
+    """r's forward rule on its operands' current arrays, writing into out;
+    with out None (unplanned), into a new output, checked as evaluate does."""
+    arrays = [t.data for t in r.inputs]
+    if out is None:
+        r.output.data, r.saved = _apply(r.kind, arrays, r.attrs)
+    else:
+        r.saved = r.kind.forward(arrays, r.attrs, out)[1]
 
 
 def _stretches(outputs: list[np.ndarray]) -> list[np.ndarray]:
@@ -651,7 +667,7 @@ def _stretches(outputs: list[np.ndarray]) -> list[np.ndarray]:
 def _nonfinite_output(steps) -> NonFiniteError | None:
     """evaluate's error for the first planned output of steps that is not
     finite; None if there is none."""
-    for _, _, _, out, r, _ in steps:
+    for _, out, r in steps:
         if out is not None and not all_finite(out):
             return NonFiniteError(f"{r.kind.value}: produced non-finite values")
     return None

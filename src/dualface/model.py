@@ -421,7 +421,8 @@ def _generate(params: ModelParams, d: Direction, source, speaker: int) -> np.nda
     slice): the same forward rules on the same operands in the same order,
     so the output is bit-identical. The records are cut after each head's
     k/v matmuls, where each segment is checked and the replay extends that
-    head's cache as the traced frame did. Each head's logits, scaled logits
+    head's cache as the traced frame did, rebinding the cache's leaves (so
+    they are leaves of the program too). Each head's logits, scaled logits
     and softmax over its cache have the cache's row count in their shapes,
     so those records allocate and check their outputs one by one; every
     other output, the (1, dk) weighted values included, is written in
@@ -456,7 +457,7 @@ def _generate(params: ModelParams, d: Direction, source, speaker: int) -> np.nda
             return next(i for i, r in enumerate(records) if leaf in r.inputs)
 
         program = dc.Program(
-            records, [prev, row], [pos],
+            records, [prev, row, *(leaf for cache in caches for leaf in cache.leaves)], [pos],
             {max(ends[t] for t in cache.fed): lambda cache=cache: cache.extend(*cache.fed) for cache in caches},
             [r for cache in caches for r in records[reader(cache.leaves[0]):reader(cache.leaves[1])]])
     for t in range(2, frames):

@@ -356,6 +356,45 @@ def test_gradcheck_replay_equals_fresh_build(monkeypatch):
                 assert all(np.array_equal(r.output.data, a) for r, a in zip(records, recorded)), f"{name}: {p.id}"
 
 
+def test_gradcheck_replay_runs_no_single_call_rule(monkeypatch):
+    """A program built as check_gradients builds one (no leaves, cuts or
+    unplanned records) makes each single-call kind's NumPy call directly:
+    its runs go through none of those kinds' forward rules, though the
+    perturbed graph reads a constant and an output recorded outside it."""
+    K = dc.PrimitiveKind
+    single = set(K) - {K.SIGMOID, K.SOFTMAX_ROWS, K.MEAN, K.LAYER_NORM_ROWS}
+    rng = np.random.default_rng(61)
+    p, q = dc.Parameter("p", rng.standard_normal((3, 4))), dc.Parameter("q", rng.standard_normal((4, 3)))
+    eye = dc.Tensor(np.eye(3))
+
+    def build():
+        h = dc.add(dc.matmul(p, dc.tanh(q)), eye)  # tanh(q) is outside p's program
+        h = dc.subtract(dc.multiply(h, h), dc.scalar_multiply(h, 0.5))
+        h = dc.log(dc.add(dc.relu(dc.exp(dc.scalar_multiply(h, 0.1))), eye))
+        h = dc.concat_last(h, dc.transpose_last_two(h))
+        return dc.sum_all(dc.tanh(dc.add(h, dc.broadcast_row(dc.slice_axis(h, 0, 0, 1), 3))))
+
+    with dc.Tape() as tape:
+        build()
+    assert {r.kind for r in tape.records} == single
+    applied, per_run, real_run = [], [], dc.Program.run
+    for kind in single:
+        def spy(arrays, attrs, out, kind=kind, real=kind.forward):
+            applied.append(kind)
+            return real(arrays, attrs, out)
+
+        monkeypatch.setattr(kind, "forward", spy)
+
+    def run(program, *args, **kwargs):
+        before = len(applied)
+        real_run(program, *args, **kwargs)
+        per_run.append(len(applied) - before)
+
+    monkeypatch.setattr(dc.Program, "run", run)
+    report = dc.check_gradients([p, q], build)
+    assert report.passed and len(per_run) == 2 * (12 + 12) and not any(per_run)
+
+
 def _tanh_one_minus_t(r, g):
     return [g * (1.0 - r.output.data)]
 
@@ -475,7 +514,8 @@ def test_outputs_are_fresh_contiguous_float64(kind, shapes, attrs):
 def test_rule_written_into_out_gives_the_same_bytes(kind):
     """Each forward rule, given a C-contiguous slice of a larger buffer as
     `out`, writes every entry of it and returns it, with the bytes it gives
-    for out=None, at the kind's gradient-check shapes."""
+    for out=None, at the kind's gradient-check shapes; so does the call a
+    Program binds for the kind."""
     shapes, attrs = verify._OPS.get(kind, ([(3, 4)], {}))
     arrays = [t.data for t in verify._inputs(np.random.default_rng(7), *shapes, kind=kind)]
     expect, saved = kind.forward(arrays, attrs, None)
@@ -485,6 +525,10 @@ def test_rule_written_into_out_gives_the_same_bytes(kind):
     assert got is out and out.tobytes() == expect.tobytes()
     assert np.isnan(buffer[[0, -1]]).all()
     assert (saved is None) == (saved_out is None)
+    buffer[:] = np.nan
+    call, _ = kind.bind(arrays, attrs, out)
+    call()
+    assert out.tobytes() == expect.tobytes() and np.isnan(buffer[[0, -1]]).all()
 
 
 def _replay_against_eager(build, good, bad):
@@ -571,15 +615,29 @@ def test_program_is_bound_when_built():
     assert p.gradient.any() and q.gradient.any()
 
 
+def test_leaf_a_cut_rebinds_is_read_at_each_run():
+    """A leaf that run() is given no value for, and a cut callback rebinds,
+    is read again at each run, as KVCache leaves are in generation: its
+    reader, which reads nothing else rebound, is not bound to the traced
+    array."""
+    p = dc.Parameter("p", [[1.0, 2.0]])
+    leaf = dc.Tensor([[3.0, 4.0]])
+    with dc.Tape() as tape:
+        out = dc.sum_all(dc.multiply(dc.scalar_multiply(p, 2.0), leaf))
+    program = dc.Program(tape.records, [leaf], cuts={1: lambda: setattr(leaf, "data", np.array([[5.0, 7.0]]))})
+    program.run()
+    assert out.item() == 2.0 * 5.0 + 4.0 * 7.0
+
+
 def test_replays_check_once_per_segment(monkeypatch):
-    """The finite check of a replay runs once per segment, over its stretch
-    of the tape's storage (one chunk at these sizes), plus once per
-    unplanned record. A replayed generated frame at the default heads
-    (4 + 4, so 9 segments) calls all_finite 33 times: once per segment and
-    once for each of the 24 attention records (logits, scaled logits,
-    softmax) whose shapes grow with the K/V caches. A replayed training
-    step calls it once, plus once per rebound leaf. (Layer norm's variance
-    check is its own.)"""
+    """The finite check of a replay runs once per segment and chunk, over
+    its stretch of the tape's storage, plus once per unplanned record. A
+    replayed generated frame at the default heads (4 + 4, so 9 segments,
+    one chunk each at these sizes) calls all_finite 33 times: once per
+    segment and once for each of the 24 attention records (logits, scaled
+    logits, softmax) whose shapes grow with the K/V caches. A replayed
+    training step calls it once per chunk its segment spans, plus once per
+    rebound leaf. (Layer norm's variance check is its own.)"""
     from dualface import model as dm, train as dt
     from dualface.data import FeatureSequence, MotionSequence
 
@@ -610,7 +668,8 @@ def test_replays_check_once_per_segment(monkeypatch):
     program = dt._StepProgram(params, 0, data, train_cfg)
     calls[0] = 0
     program.replay(data, 1)
-    assert len(data) > 2 and calls[0] == 1 + len(data)
+    (_, stretches, _), = program.segments
+    assert len(data) > 2 and calls[0] == len(stretches) + len(data)
 
 
 # The rules' formulas before they called the reduction ufuncs directly; each

@@ -23,14 +23,24 @@ def small_config(**overrides):
 
 def _spy_forward_rules(monkeypatch, seen):
     """Calls seen(kind, arrays, attrs, output) at every application of a
-    forward rule: eager, and replayed into tape storage or not."""
+    forward rule: eager, and replayed into tape storage or not, through the
+    rule or through the call a Program bound when it was built."""
     for kind in dc.PrimitiveKind:
         def spy(arrays, attrs, out, kind=kind, real=kind.forward):
             result = real(arrays, attrs, out)
             seen(kind, arrays, attrs, result[0])
             return result
 
+        def bind(arrays, attrs, out, kind=kind, real=kind.bind):
+            call, saved = real(arrays, attrs, out)
+
+            def bound():
+                seen(kind, arrays, attrs, call())
+
+            return bound, saved
+
         monkeypatch.setattr(kind, "forward", spy)
+        monkeypatch.setattr(kind, "bind", bind)
 
 
 def test_config_validation():
