@@ -14,6 +14,7 @@ bad output as an eager build would.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from typing import Callable, Sequence
 
 _LN_EPS = 1e-5
 _CHUNK = 1 << 17  # float64 values in the largest chunk of a tape's storage (1 MiB)
+_PERTURBATIONS = 32  # perturbed values of a parameter per pass of the gradient checker
 
 
 class ShapeMismatchError(ValueError):
@@ -162,45 +164,48 @@ _TAPE_STACK: list[Tape] = []
 
 
 # ---------------------------------------------------------------------------
-# bind rules: (arrays, attrs, out) -> (call, saved). Each checks its
-# operands' shapes and returns its NumPy work as a call with no arguments,
-# bound to the arrays, that writes the output into `out`, a C-contiguous
-# float64 array of the output's shape, and returns it; given out=None, the
-# call returns a new one. A kind whose work is one NumPy call binds that
-# call; the others bind a function below. `saved` is what the backward rule
-# reads besides the output: layer norm's row scales, which the call writes
-# in place; None for every other kind.
+# bind rules: (arrays, attrs, out, batch=0) -> (call, saved). Each checks
+# its operands' shapes and returns its NumPy work as a call with no
+# arguments, bound to the arrays, that writes the output into `out`, a
+# C-contiguous float64 array of the output's shape, and returns it; given
+# out=None, the call returns a new one. A kind whose work is one NumPy call
+# binds that call; the others bind a function below. `saved` is what the
+# backward rule reads besides the output: layer norm's row scales, which the
+# call writes in place; None for every other kind. With batch=1 every
+# operand has one more, leading axis, of the batch's size or of 1 (an
+# operand the batch does not change), and so does the output: one value of
+# the output per row of the batch.
 
-def _fw_matmul(arrays, attrs, out):
+def _fw_matmul(arrays, attrs, out, batch=0):
     a, b = arrays
-    if a.ndim != 2 or b.ndim != 2:
+    if a.ndim != 2 + batch or b.ndim != 2 + batch:
         raise ShapeMismatchError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     return partial(np.matmul, a, b, out), None
 
 
-def _same_shape(a, b, name):
-    if a.shape != b.shape:
+def _same_shape(a, b, name, batch):
+    if a.shape[batch:] != b.shape[batch:]:
         raise ShapeMismatchError(f"{name} expects identical shapes, got {a.shape} and {b.shape}")
 
 
 def _elementwise(f, name=None):
     """The bind rule of a kind whose work is f(*arrays, out): on one
     array, or on two of the same shape, checked as `name`'s."""
-    def bind(arrays, attrs, out):
+    def bind(arrays, attrs, out, batch=0):
         if name is not None:
-            _same_shape(*arrays, name)
+            _same_shape(*arrays, name, batch)
         return partial(f, *arrays, out), None
     return bind
 
 
-def _fw_scalar_multiply(arrays, attrs, out):
+def _fw_scalar_multiply(arrays, attrs, out, batch=0):
     (a,) = arrays
     return partial(np.multiply, a, attrs["scalar"], out), None
 
 
-def _fw_relu(arrays, attrs, out):
+def _fw_relu(arrays, attrs, out, batch=0):
     (a,) = arrays
     return partial(np.maximum, a, 0.0, out=out), None  # a positional out is deprecated here
 
@@ -217,20 +222,23 @@ def _softmax_rows(a, out):
     return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
-def _fw_softmax_rows(arrays, attrs, out):
+def _fw_softmax_rows(arrays, attrs, out, batch=0):
     (a,) = arrays
     if a.ndim < 1:
         raise ShapeMismatchError("softmax-per-row needs rank >= 1")
     return partial(_softmax_rows, a, out), None
 
 
-def _fw_concat_last(arrays, attrs, out):
+def _fw_concat_last(arrays, attrs, out, batch=0):
     first = arrays[0]
     for a in arrays[1:]:
-        if a.ndim != first.ndim or a.shape[:-1] != first.shape[:-1]:
+        if a.ndim != first.ndim or a.shape[batch:-1] != first.shape[batch:-1]:
             raise ShapeMismatchError(
                 f"concat-last-axis operands differ off the last axis: {[x.shape for x in arrays]}"
             )
+    if batch:
+        rows = max(len(a) for a in arrays)
+        arrays = [np.broadcast_to(a, (rows, *a.shape[1:])) for a in arrays]
     return partial(np.concatenate, arrays, -1, out), None
 
 
@@ -254,13 +262,13 @@ def _slice_index(shape, attrs):
     return tuple(idx)
 
 
-def _fw_slice(arrays, attrs, out):
+def _fw_slice(arrays, attrs, out, batch=0):
     (a,) = arrays
-    view = a[_slice_index(a.shape, attrs)]
+    view = a[(slice(None),) * batch + _slice_index(a.shape[batch:], attrs)]
     return _copy(view, view.shape, out)
 
 
-def _fw_transpose_last_two(arrays, attrs, out):
+def _fw_transpose_last_two(arrays, attrs, out, batch=0):
     (a,) = arrays
     if a.ndim < 2:
         raise ShapeMismatchError("transpose-last-two needs rank >= 2")
@@ -269,27 +277,28 @@ def _fw_transpose_last_two(arrays, attrs, out):
     return _copy(view, view.shape, out)
 
 
-def _fw_sum(arrays, attrs, out):
+def _fw_sum(arrays, attrs, out, batch=0):
     (a,) = arrays
-    return partial(np.add.reduce, a.reshape(-1), 0, None, out, True), None
+    return partial(np.add.reduce, a.reshape(*a.shape[:batch], -1), -1, None, out, True), None
 
 
-def _mean(a, out):
-    return np.divide(np.add.reduce(a.reshape(-1), keepdims=True), a.size, out=out)
+def _mean(flat, out):
+    return np.divide(np.add.reduce(flat, -1, keepdims=True), flat.shape[-1], out=out)
 
 
-def _fw_broadcast_row(arrays, attrs, out):
+def _fw_mean(arrays, attrs, out, batch=0):
     (a,) = arrays
-    rows = attrs["rows"]
+    return partial(_mean, a.reshape(*a.shape[:batch], -1), out), None
+
+
+def _fw_broadcast_row(arrays, attrs, out, batch=0):
+    (a,) = arrays
+    rows, lead, row = attrs["rows"], a.shape[:batch], a.shape[batch:]
     if rows < 1:
         raise ShapeMismatchError("broadcast-row needs rows >= 1")
-    if a.ndim == 1:
-        width = a.shape[0]
-    elif a.ndim == 2 and a.shape[0] == 1:
-        width = a.shape[1]
-    else:
+    if len(row) not in (1, 2) or row[:-1] not in ((), (1,)):
         raise ShapeMismatchError(f"broadcast-row expects a row vector, got {a.shape}")
-    return _copy(a, (rows, width), out)
+    return _copy(a.reshape(*lead, 1, row[-1]), (*lead, rows, row[-1]), out)
 
 
 def _layer_norm_rows(a, out, inv):
@@ -302,7 +311,7 @@ def _layer_norm_rows(a, out, inv):
     return np.multiply(dev, inv, out=out)
 
 
-def _fw_layer_norm_rows(arrays, attrs, out):
+def _fw_layer_norm_rows(arrays, attrs, out, batch=0):
     (a,) = arrays
     if a.ndim < 1:
         raise ShapeMismatchError("layer-normalize-per-row needs rank >= 1")
@@ -445,7 +454,7 @@ class PrimitiveKind(Enum):
     SLICE = "slice", _fw_slice, _bw_slice
     TRANSPOSE_LAST_TWO = "transpose-last-two", _fw_transpose_last_two, _bw_transpose_last_two
     SUM = "sum", _fw_sum, _bw_sum
-    MEAN = "mean", _elementwise(_mean), _bw_mean
+    MEAN = "mean", _fw_mean, _bw_mean
     BROADCAST_ROW = "broadcast-row", _fw_broadcast_row, _bw_broadcast_row
     LAYER_NORM_ROWS = "layer-normalize-per-row", _fw_layer_norm_rows, _bw_layer_norm_rows
 
@@ -571,7 +580,7 @@ class Program:
     then checks the segment's stretch of that storage once per chunk. A
     stretch runs from the segment's first planned output to the end of its
     last, so the other slots inside it hold finite values checked before:
-    outputs of records not in the program, or unplanned.
+    the traced outputs of records it does not plan.
     The records in `unplanned`, whose output shapes change from run to
     run, allocate and check their outputs one by one, as evaluate does. A
     failed check, or an exception raised inside a segment, is reported for
@@ -584,14 +593,13 @@ class Program:
     An operand is read once, when the program is built, unless it is a
     leaf or an unplanned output: a parameter's array (so between runs its
     values may change in place, but the parameter is never rebound), a
-    planned output, a constant, or the output of a record outside the
-    program. A planned record whose operands are all read once, and that
-    is not settable, is bound then to its kind's forward call (`bind`),
-    which a run makes and nothing else: no rule frame, no shape check, no
-    operand list. Layer norm's call writes its row scales in place, into
-    an array that its record saves from then on, filled with the traced
-    ones when the program is built. Any other record re-runs its forward
-    rule on its operands' current arrays."""
+    planned output or a constant. A planned record whose operands are all
+    read once, and that is not settable, is bound then to its kind's
+    forward call (`bind`), which a run makes and nothing else: no rule
+    frame, no shape check, no operand list. Layer norm's call writes its
+    row scales in place, into an array that its record saves from then on,
+    filled with the traced ones when the program is built. Any other
+    record re-runs its forward rule on its operands' current arrays."""
 
     def __init__(self, records: Sequence[TapeRecord], leaves: Sequence[Tensor] = (),
                  settable: Sequence[TapeRecord] = (), cuts: dict[int, Callable[[], None]] | None = None,
@@ -766,6 +774,25 @@ def _check_perturbable(parameters: Sequence[Parameter], step: float):
                 raise NonFiniteError(f"gradient check: {p.id} +/- {step:g} is not finite")
 
 
+def _batched(steps: Sequence[tuple], p: Parameter, rows: np.ndarray) -> dict:
+    """The records downstream of p, evaluated once for all the values of p
+    stacked along the leading axis of rows. `steps` pairs each record, in
+    tape order, with the operands whose stacks no later record reads. A
+    record's bind rule runs with batch=1 on its operands' stacks where they
+    have one and on their recorded arrays otherwise, and its output is
+    checked as evaluate checks it. Returns the stacks still held at the
+    end, keyed by tensor; nothing is written into p or the tape."""
+    stacks = {p: rows}
+    for r, dead in steps:
+        call, _ = r.kind.bind([stacks[t] if t in stacks else t.data[None] for t in r.inputs], r.attrs, None, 1)
+        if not all_finite(out := call()):
+            raise NonFiniteError(f"{r.kind.value}: produced non-finite values")
+        stacks[r.output] = out
+        for t in dead:
+            del stacks[t]
+    return stacks
+
+
 def check_gradients(
     parameters: Sequence[Parameter] | None,
     build: Callable[[], Tensor],
@@ -778,15 +805,17 @@ def check_gradients(
     composing primitives only, so every value that depends on a parameter
     is a record's output. It is called once, under a tape. `parameters`
     None checks every Parameter the build reads, in the order it first
-    reads them. Every parameter entry is then perturbed by +/-step in
-    place, and each perturbed value comes from a `Program` of only the
-    records downstream of that parameter, one segment replayed in the
-    tape's storage; once the parameter is done, or raises, their recorded
-    values are copied back into it. Entries whose relu activation pattern
-    differs between the two perturbed evaluations sit on a kink and are
-    counted as flagged rather than judged. Raises NonFiniteError, before
-    anything is perturbed, if a perturbed value would not be finite; given
-    parameters are checked before anything is built.
+    reads them. Every parameter entry is then perturbed by +/-step, and the
+    perturbed values come from one pass over the records downstream of that
+    parameter per _PERTURBATIONS of them (entry i at +step in row 2i, at
+    -step in row 2i+1), with nothing written into the parameter or the
+    tape. When a pass fails its rows are evaluated again one at a time, in
+    that order, so the error raised is the one the first failing entry
+    gives alone. Entries whose relu activation pattern differs between the
+    two perturbed evaluations sit on a kink and are counted as flagged
+    rather than judged. Raises NonFiniteError, before anything is
+    evaluated, if a perturbed value would not be finite; given parameters
+    are checked before anything is built.
     """
     if parameters is not None:
         _check_perturbable(parameters, step)
@@ -802,44 +831,50 @@ def check_gradients(
     backpropagate(tape, out)
 
     report = GradCheckReport(tolerance=tolerance, step=step)
-    entries: list[GradCheckEntry] = []
-    for p in parameters:
-        # The records downstream of p, each reading p or the output of one
-        # kept before it; p is read through its own array, perturbed in place.
-        reached, downstream = {p}, []
-        for r in tape.records:
-            if any(t in reached for t in r.inputs):
-                reached.add(r.output)
-                downstream.append(r)
-        relus = [r.inputs[0] for r in downstream if r.kind is PrimitiveKind.RELU]
-        recorded = [(r.output.data.copy(), r.saved) for r in downstream]
-        program = Program(downstream)
-        flat = p.data.reshape(-1)
-        a_flat = p.gradient.reshape(-1)
-        values = flat.copy()
-        try:
-            for i, orig in enumerate(values):
-                flat[i] = orig + step
-                program.run()
-                f_plus, pat_plus = out.item(), [(t.data > 0.0).tobytes() for t in relus]
-                flat[i] = orig - step
-                program.run()
-                f_minus, pat_minus = out.item(), [(t.data > 0.0).tobytes() for t in relus]
-                flat[i] = orig
-                if pat_plus != pat_minus:
-                    report.n_flagged += 1
-                    continue
-                numeric = (f_plus - f_minus) / (2.0 * step)
-                idx = tuple(map(int, np.unravel_index(i, p.data.shape)))
-                rel = _relative_error(float(a_flat[i]), numeric)
-                report.n_entries += 1
-                entries.append(GradCheckEntry(p.id, idx, float(a_flat[i]), numeric, rel))
-        finally:  # p and the downstream outputs as recorded, also after a raise
-            flat[:] = values
-            for r, (data, saved) in zip(downstream, recorded):
-                r.output.data[...], r.saved = data, saved
-    entries.sort(key=lambda e: e.rel_err, reverse=True)
-    report.worst = entries[:10]
-    report.max_rel_err = entries[0].rel_err if entries else 0.0
+
+    def entries():
+        for p in parameters:
+            # The records downstream of p, each reading p or the output of
+            # one kept before it, and per record the stacks that no later
+            # record, the kink test or the output reads.
+            reached, downstream = {p}, []
+            for r in tape.records:
+                if any(t in reached for t in r.inputs):
+                    reached.add(r.output)
+                    downstream.append(r)
+            relus = [r.inputs[0] for r in downstream if r.kind is PrimitiveKind.RELU]
+            last = {t: r for r in downstream for t in r.inputs if t in reached}
+            kept = {out, *relus}
+            steps = [(r, [t for t in dict.fromkeys(r.inputs) if last.get(t) is r and t not in kept]) for r in downstream]
+            flat, a_flat = p.data.reshape(-1), p.gradient.reshape(-1)
+            for lo in range(0, flat.size, _PERTURBATIONS // 2):
+                batch = np.arange(lo, min(lo + _PERTURBATIONS // 2, flat.size))
+                rows = np.repeat(flat[None], 2 * len(batch), axis=0)
+                rows[2 * (batch - lo), batch] += step
+                rows[2 * (batch - lo) + 1, batch] -= step
+                rows = rows.reshape(len(rows), *p.shape)
+                try:
+                    stacks = _batched(steps, p, rows)
+                except NonFiniteError:
+                    for k in range(len(rows)):
+                        _batched(steps, p, rows[k:k + 1])
+                    raise
+                f = np.broadcast_to(stacks.get(out, out.data).reshape(-1), len(rows))
+                kinked = np.zeros(len(batch), dtype=bool)
+                for t in relus:
+                    positive = stacks[t].reshape(len(rows), -1) > 0.0
+                    kinked |= (positive[0::2] != positive[1::2]).any(axis=1)
+                for k, i in enumerate(batch):
+                    if kinked[k]:
+                        report.n_flagged += 1
+                        continue
+                    report.n_entries += 1
+                    analytic, numeric = float(a_flat[i]), (float(f[2 * k]) - float(f[2 * k + 1])) / (2.0 * step)
+                    idx = tuple(map(int, np.unravel_index(i, p.shape)))
+                    yield GradCheckEntry(p.id, idx, analytic, numeric, _relative_error(analytic, numeric))
+
+    # As sorted(..., reverse=True)[:10], holding no more than ten entries.
+    report.worst = heapq.nlargest(10, entries(), key=lambda e: e.rel_err)
+    report.max_rel_err = report.worst[0].rel_err if report.worst else 0.0
     report.passed = report.max_rel_err < tolerance
     return report

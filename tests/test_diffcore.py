@@ -160,6 +160,51 @@ def test_gradcheck_rejects_nonfinite_perturbation():
     assert p.value.data[0, 1] == -top
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gradcheck_names_the_first_entry_that_fails(monkeypatch):
+    """Entry 1 at +step overflows exp, the first record, and entry 0 at
+    -step makes log read 0 two records later. One pass over all four
+    perturbations meets exp's failure first, yet the error names log, as
+    entry 0 alone does: a failed pass is evaluated again one row at a
+    time, in entry order, + before -."""
+    p = dc.Parameter("w", [[1.0, 709.0]])
+    ones = dc.Tensor(np.ones((1, 2)))
+    failed, real = [], dc._batched
+
+    def spy(steps, param, rows):
+        try:
+            return real(steps, param, rows)
+        except dc.NonFiniteError as e:
+            failed.append((len(rows), str(e)))
+            raise
+
+    monkeypatch.setattr(dc, "_batched", spy)
+    with pytest.raises(dc.NonFiniteError, match="^log: "):
+        dc.check_gradients([p], lambda: dc.sum_all(dc.log(dc.subtract(dc.exp(p), ones))), step=1.0)
+    assert failed == [(4, "exp: produced non-finite values"), (1, "log: produced non-finite values")]
+    assert np.array_equal(p.data, [[1.0, 709.0]])
+
+
+def test_gradcheck_memory_is_bounded_per_pass():
+    """The full-model check (54 parameters of up to 96 entries) evaluates
+    at most _PERTURBATIONS perturbed values of a parameter per pass, drops
+    each output's stack once no later record reads it and keeps only its
+    ten worst entries, so it peaks under 768 KiB of traced allocations (480
+    KiB at 32 perturbations). One pass over all 192 perturbations of the
+    largest parameters peaks at about 1,070 KiB."""
+    import tracemalloc
+
+    build = dict(verify._full_checks(np.random.default_rng(1234)))["full model + all losses"]
+    tracemalloc.start()
+    try:
+        report = dc.check_gradients(None, build)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.n_entries == 1977
+    assert peak < 768 * 1024, peak
+
+
 def test_backprop_rejects_foreign_output():
     with dc.Tape():
         pass
@@ -321,11 +366,11 @@ def test_gradcheck_parameter_the_output_never_reaches():
 
 
 def test_gradcheck_replay_equals_fresh_build(monkeypatch):
-    """Every value the checker replays from its tape equals a fresh build at
-    the same perturbation, at the first and last entry of each parameter of
-    every check of the full scope; once the check returns, every record
+    """Every value the checker evaluates from its tape equals a fresh build
+    at the same perturbation, at the first and last entry of each parameter
+    of every check of the full scope; once the check returns, every record
     output of its tape holds the value it recorded."""
-    real = dc.Program.run
+    real = dc._batched
     for suite in verify._SUITES["full"]:
         for name, build in suite(np.random.default_rng(1234)):
             with dc.Tape() as tape:
@@ -333,7 +378,7 @@ def test_gradcheck_replay_equals_fresh_build(monkeypatch):
             leaves = dict.fromkeys(t for r in tape.records for t in r.inputs if isinstance(t, dc.Parameter))
             for p in leaves:
                 flat = p.value.data.reshape(-1)
-                ends = flat[[0, -1]].copy()
+                values = flat.copy()
                 compared, traced = [], []
 
                 def traced_build():
@@ -342,14 +387,18 @@ def test_gradcheck_replay_equals_fresh_build(monkeypatch):
                     traced.append((out, records, [r.output.data.copy() for r in records]))
                     return out
 
-                def spy(program):
-                    real(program)
-                    if not np.array_equal(flat[[0, -1]], ends):
-                        f = traced[0][0].item()
-                        assert f == build().item(), f"{name}: {p.id} at {flat[[0, -1]]}"
-                        compared.append(f)
+                def spy(steps, param, rows):
+                    stacks = real(steps, param, rows)
+                    for row, f in zip(rows.reshape(len(rows), -1), stacks[traced[0][0]]):
+                        if not np.array_equal(row[[0, -1]], values[[0, -1]]):
+                            flat[:] = row
+                            fresh = build().item()
+                            flat[:] = values
+                            assert f.item() == fresh, f"{name}: {p.id} at {row[[0, -1]]}"
+                            compared.append(fresh)
+                    return stacks
 
-                monkeypatch.setattr(dc.Program, "run", spy)
+                monkeypatch.setattr(dc, "_batched", spy)
                 dc.check_gradients([p], traced_build, step=1e-5)
                 assert len(compared) == (4 if flat.size > 1 else 2), f"{name}: {p.id}"
                 _, records, recorded = traced[0]
@@ -357,10 +406,11 @@ def test_gradcheck_replay_equals_fresh_build(monkeypatch):
 
 
 def test_gradcheck_replay_runs_no_single_call_rule(monkeypatch):
-    """A program built as check_gradients builds one (no leaves, cuts or
-    unplanned records) makes each single-call kind's NumPy call directly:
-    its runs go through none of those kinds' forward rules, though the
-    perturbed graph reads a constant and an output recorded outside it."""
+    """A program of the records downstream of one parameter (no leaves,
+    cuts or unplanned records) makes each single-call kind's NumPy call
+    directly: its runs go through none of those kinds' forward rules,
+    though the perturbed graph reads a constant and an output recorded
+    outside it, and each run gives a fresh build's value."""
     K = dc.PrimitiveKind
     single = set(K) - {K.SIGMOID, K.SOFTMAX_ROWS, K.MEAN, K.LAYER_NORM_ROWS}
     rng = np.random.default_rng(61)
@@ -375,24 +425,32 @@ def test_gradcheck_replay_runs_no_single_call_rule(monkeypatch):
         return dc.sum_all(dc.tanh(dc.add(h, dc.broadcast_row(dc.slice_axis(h, 0, 0, 1), 3))))
 
     with dc.Tape() as tape:
-        build()
+        out = build()
     assert {r.kind for r in tape.records} == single
-    applied, per_run, real_run = [], [], dc.Program.run
+    applied = []
     for kind in single:
         def spy(arrays, attrs, out, kind=kind, real=kind.forward):
             applied.append(kind)
             return real(arrays, attrs, out)
 
         monkeypatch.setattr(kind, "forward", spy)
-
-    def run(program, *args, **kwargs):
-        before = len(applied)
-        real_run(program, *args, **kwargs)
-        per_run.append(len(applied) - before)
-
-    monkeypatch.setattr(dc.Program, "run", run)
-    report = dc.check_gradients([p, q], build)
-    assert report.passed and len(per_run) == 2 * (12 + 12) and not any(per_run)
+    sizes = []
+    for param in (p, q):
+        reached, downstream = {param}, []
+        for r in tape.records:
+            if any(t in reached for t in r.inputs):
+                reached.add(r.output)
+                downstream.append(r)
+        program, values = dc.Program(downstream), param.data.copy()
+        for entry in (0, -1):
+            param.data.reshape(-1)[entry] += 1e-3
+            program.run()
+            assert not applied
+            assert out.item() == build().item()
+            applied.clear()
+            param.data[...] = values
+        sizes.append(len(downstream))
+    assert sizes == [len(tape.records) - 1, len(tape.records)]
 
 
 def _tanh_one_minus_t(r, g):

@@ -250,6 +250,40 @@ def test_generation_equals_eager_decoding_bit_for_bit(tied):
 
 
 @pytest.mark.parametrize("direction", ["primal", "dual"])
+def test_generation_rereads_the_caches_by_each_rule_alone(monkeypatch, direction):
+    """Two rules keep a replayed frame reading its K/V caches as extended,
+    and each is pinned here on its own. Generation declares every cache
+    leaf to its Program; and a Program counts unplanned outputs as
+    rebound, so generation stays bit-identical to eager decoding with the
+    cache leaves withheld from the Program: every record that reads a cache
+    leaf is unplanned (the logits) or reads an unplanned output (the
+    weighted values read the softmax)."""
+    params = dm.ModelParams(small_config(), np.random.default_rng(642))
+    width = {"primal": 5, "dual": 18}[direction]
+    source = dc.Tensor(0.1 * np.random.default_rng(742).standard_normal((6, width)))
+    expect = _eager_generate(params, direction, source, 1).tobytes()
+    caches, declared = [], []
+    real_init, real_program = dm.KVCache.__init__, dc.Program
+
+    def init(cache, *args):
+        real_init(cache, *args)
+        caches.append(cache)
+
+    def withheld(records, leaves, *args):
+        declared.append(leaves)
+        cached = {leaf for cache in caches for leaf in cache.leaves}
+        return real_program(records, [t for t in leaves if t not in cached], *args)
+
+    monkeypatch.setattr(dm.KVCache, "__init__", init)
+    monkeypatch.setattr(dc, "Program", withheld)
+    generate = {"primal": dm.generate_motion, "dual": dm.generate_audio}[direction]
+    got = generate(params, source, 1)
+    assert len(caches) == 4 and len(declared) == 1
+    assert all(leaf in declared[0] for cache in caches for leaf in cache.leaves)
+    assert (got.displacements if direction == "primal" else got.values).tobytes() == expect
+
+
+@pytest.mark.parametrize("direction", ["primal", "dual"])
 def test_replayed_frame_overflow_raises_as_eager(direction):
     """Positional row 2 is read by no frame before frame 2 (the source row
     of frame 2; history rows sit one position back). Scaled to 1e200 it
