@@ -98,7 +98,7 @@ def resolve_config(args) -> dict:
             raise ConfigError(f"config file not found: {config_path}") from e
         except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"config file cannot be read: {e}") from e
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"config file is not valid JSON: {e}") from e
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -14,7 +14,6 @@ bad output as an eager build would.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
@@ -168,13 +167,13 @@ _TAPE_STACK: list[Tape] = []
 # its operands' shapes and returns its NumPy work as a call with no
 # arguments, bound to the arrays, that writes the output into `out`, a
 # C-contiguous float64 array of the output's shape, and returns it; given
-# out=None, the call returns a new one. A kind whose work is one NumPy call
-# binds that call; the others bind a function below. `saved` is what the
-# backward rule reads besides the output: layer norm's row scales, which the
-# call writes in place; None for every other kind. With batch=1 every
-# operand has one more, leading axis, of the batch's size or of 1 (an
-# operand the batch does not change), and so does the output: one value of
-# the output per row of the batch.
+# out=None (as from _apply, which checks it), the call returns a new one. A
+# kind whose work is one NumPy call binds that call; the others bind a
+# function below. `saved` is what the backward rule reads besides the
+# output: layer norm's row scales, which the call writes in place; None for
+# every other kind. With batch=1 every operand has one more, leading axis,
+# of the batch's size or of 1 (an operand the batch does not change), and so
+# does the output: one value of the output per row of the batch.
 
 def _fw_matmul(arrays, attrs, out, batch=0):
     a, b = arrays
@@ -319,13 +318,6 @@ def _fw_layer_norm_rows(arrays, attrs, out, batch=0):
     return partial(_layer_norm_rows, a, out, inv), inv
 
 
-def _eager(bind, arrays, attrs, out):
-    """A kind's forward rule: binds its call and makes it; returns
-    (output, saved)."""
-    call, saved = bind(arrays, attrs, out)
-    return call(), saved
-
-
 # ---------------------------------------------------------------------------
 # backward rules: (record, upstream grad) -> one gradient per input; matmul
 # and multiply skip the product (None) for an input the record does not need
@@ -428,14 +420,13 @@ def _bw_layer_norm_rows(r, g):
 
 class PrimitiveKind(Enum):
     """The closed catalog: each member is a name, `bind` (the rule that
-    checks operands and binds the kind's forward call to them), `forward`
-    (which binds that call and makes it at once) and its backward rule."""
+    checks operands and binds the kind's forward call to them) and its
+    backward rule."""
 
     def __new__(cls, value, bind, backward):
         member = object.__new__(cls)
         member._value_ = value
         member.bind = bind
-        member.forward = partial(_eager, bind)
         member.backward = backward
         return member
 
@@ -459,13 +450,17 @@ class PrimitiveKind(Enum):
     LAYER_NORM_ROWS = "layer-normalize-per-row", _fw_layer_norm_rows, _bw_layer_norm_rows
 
 
-def _apply(kind: PrimitiveKind, arrays: list, attrs: dict) -> tuple:
-    """kind's forward rule on arrays; returns (output, saved). A non-finite
-    output raises NonFiniteError naming the primitive."""
-    out, saved = kind.forward(arrays, attrs, None)
-    if not all_finite(out):
-        raise NonFiniteError(f"{kind.value}: produced non-finite values")
+def _apply(kind: PrimitiveKind, arrays: list, attrs: dict, batch: int = 0) -> tuple:
+    """kind's call, bound to arrays at `batch`, made into a new output;
+    returns (output, saved), or raises _nonfinite(kind) if it is not finite."""
+    call, saved = kind.bind(arrays, attrs, None, batch)
+    if not all_finite(out := call()):
+        raise _nonfinite(kind)
     return out, saved
+
+
+def _nonfinite(kind: PrimitiveKind) -> NonFiniteError:
+    return NonFiniteError(f"{kind.value}: produced non-finite values")
 
 
 def evaluate(kind: PrimitiveKind, inputs: Sequence[Tensor], **attrs) -> Tensor:
@@ -594,12 +589,12 @@ class Program:
     leaf or an unplanned output: a parameter's array (so between runs its
     values may change in place, but the parameter is never rebound), a
     planned output or a constant. A planned record whose operands are all
-    read once, and that is not settable, is bound then to its kind's
-    forward call (`bind`), which a run makes and nothing else: no rule
-    frame, no shape check, no operand list. Layer norm's call writes its
-    row scales in place, into an array that its record saves from then on,
-    filled with the traced ones when the program is built. Any other
-    record re-runs its forward rule on its operands' current arrays."""
+    read once, and that is not settable, is bound then to its kind's call
+    (`bind`), which a run makes and nothing else: no rule frame, no shape
+    check, no operand list. Layer norm's call writes its row scales in
+    place, into an array that its record saves from then on, filled with
+    the traced ones when the program is built. Any other record binds its
+    call to its operands' current arrays on every run (_rerun)."""
 
     def __init__(self, records: Sequence[TapeRecord], leaves: Sequence[Tensor] = (),
                  settable: Sequence[TapeRecord] = (), cuts: dict[int, Callable[[], None]] | None = None,
@@ -647,13 +642,14 @@ class Program:
 
 
 def _rerun(r: TapeRecord, out: np.ndarray | None):
-    """r's forward rule on its operands' current arrays, writing into out;
-    with out None (unplanned), into a new output, checked as evaluate does."""
+    """r's call, bound to its operands' current arrays, made into out; with
+    out None (unplanned), into a new output, checked as evaluate does."""
     arrays = [t.data for t in r.inputs]
     if out is None:
         r.output.data, r.saved = _apply(r.kind, arrays, r.attrs)
     else:
-        r.saved = r.kind.forward(arrays, r.attrs, out)[1]
+        call, r.saved = r.kind.bind(arrays, r.attrs, out)
+        call()
 
 
 def _stretches(outputs: list[np.ndarray]) -> list[np.ndarray]:
@@ -677,7 +673,7 @@ def _nonfinite_output(steps) -> NonFiniteError | None:
     finite; None if there is none."""
     for _, out, r in steps:
         if out is not None and not all_finite(out):
-            return NonFiniteError(f"{r.kind.value}: produced non-finite values")
+            return _nonfinite(r.kind)
     return None
 
 
@@ -763,10 +759,6 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def _relative_error(a: float, n: float) -> float:
-    return abs(a - n) / max(1e-8, abs(a) + abs(n))
-
-
 def _check_perturbable(parameters: Sequence[Parameter], step: float):
     with np.errstate(over="ignore"):
         for p in parameters:
@@ -778,16 +770,13 @@ def _batched(steps: Sequence[tuple], p: Parameter, rows: np.ndarray) -> dict:
     """The records downstream of p, evaluated once for all the values of p
     stacked along the leading axis of rows. `steps` pairs each record, in
     tape order, with the operands whose stacks no later record reads. A
-    record's bind rule runs with batch=1 on its operands' stacks where they
-    have one and on their recorded arrays otherwise, and its output is
-    checked as evaluate checks it. Returns the stacks still held at the
-    end, keyed by tensor; nothing is written into p or the tape."""
+    record is applied with batch=1, as evaluate applies it, to its operands'
+    stacks where they have one and to their recorded arrays otherwise.
+    Returns the stacks still held at the end, keyed by tensor; nothing is
+    written into p or the tape."""
     stacks = {p: rows}
     for r, dead in steps:
-        call, _ = r.kind.bind([stacks[t] if t in stacks else t.data[None] for t in r.inputs], r.attrs, None, 1)
-        if not all_finite(out := call()):
-            raise NonFiniteError(f"{r.kind.value}: produced non-finite values")
-        stacks[r.output] = out
+        stacks[r.output] = _apply(r.kind, [stacks[t] if t in stacks else t.data[None] for t in r.inputs], r.attrs, 1)[0]
         for t in dead:
             del stacks[t]
     return stacks
@@ -813,10 +802,11 @@ def check_gradients(
     that order, so the error raised is the one the first failing entry
     gives alone. Entries whose relu activation pattern differs between the
     two perturbed evaluations sit on a kink and are counted as flagged
-    rather than judged. Raises NonFiniteError, before anything is
+    rather than judged. The report keeps the ten judged entries of largest
+    relative error; of equal ones, the earlier parameter's and then the
+    lower index's first. Raises NonFiniteError, before anything is
     evaluated, if a perturbed value would not be finite; given parameters
-    are checked before anything is built.
-    """
+    are checked before anything is built."""
     if parameters is not None:
         _check_perturbable(parameters, step)
     with Tape() as tape:
@@ -830,51 +820,49 @@ def check_gradients(
         p.gradient.fill(0.0)
     backpropagate(tape, out)
 
-    report = GradCheckReport(tolerance=tolerance, step=step)
-
-    def entries():
-        for p in parameters:
-            # The records downstream of p, each reading p or the output of
-            # one kept before it, and per record the stacks that no later
-            # record, the kink test or the output reads.
-            reached, downstream = {p}, []
-            for r in tape.records:
-                if any(t in reached for t in r.inputs):
-                    reached.add(r.output)
-                    downstream.append(r)
-            relus = [r.inputs[0] for r in downstream if r.kind is PrimitiveKind.RELU]
-            last = {t: r for r in downstream for t in r.inputs if t in reached}
-            kept = {out, *relus}
-            steps = [(r, [t for t in dict.fromkeys(r.inputs) if last.get(t) is r and t not in kept]) for r in downstream]
-            flat, a_flat = p.data.reshape(-1), p.gradient.reshape(-1)
-            for lo in range(0, flat.size, _PERTURBATIONS // 2):
-                batch = np.arange(lo, min(lo + _PERTURBATIONS // 2, flat.size))
-                rows = np.repeat(flat[None], 2 * len(batch), axis=0)
-                rows[2 * (batch - lo), batch] += step
-                rows[2 * (batch - lo) + 1, batch] -= step
-                rows = rows.reshape(len(rows), *p.shape)
-                try:
-                    stacks = _batched(steps, p, rows)
-                except NonFiniteError:
-                    for k in range(len(rows)):
-                        _batched(steps, p, rows[k:k + 1])
-                    raise
-                f = np.broadcast_to(stacks.get(out, out.data).reshape(-1), len(rows))
-                kinked = np.zeros(len(batch), dtype=bool)
-                for t in relus:
-                    positive = stacks[t].reshape(len(rows), -1) > 0.0
-                    kinked |= (positive[0::2] != positive[1::2]).any(axis=1)
-                for k, i in enumerate(batch):
-                    if kinked[k]:
-                        report.n_flagged += 1
-                        continue
-                    report.n_entries += 1
-                    analytic, numeric = float(a_flat[i]), (float(f[2 * k]) - float(f[2 * k + 1])) / (2.0 * step)
-                    idx = tuple(map(int, np.unravel_index(i, p.shape)))
-                    yield GradCheckEntry(p.id, idx, analytic, numeric, _relative_error(analytic, numeric))
-
-    # As sorted(..., reverse=True)[:10], holding no more than ten entries.
-    report.worst = heapq.nlargest(10, entries(), key=lambda e: e.rel_err)
+    report, worst = GradCheckReport(tolerance=tolerance, step=step), []
+    for p in parameters:
+        # The records downstream of p, each reading p or the output of one
+        # kept before it, and per record the stacks that no later record,
+        # the kink test or the output reads.
+        reached, downstream = {p}, []
+        for r in tape.records:
+            if any(t in reached for t in r.inputs):
+                reached.add(r.output)
+                downstream.append(r)
+        relus = [r.inputs[0] for r in downstream if r.kind is PrimitiveKind.RELU]
+        last = {t: r for r in downstream for t in r.inputs if t in reached}
+        kept = {out, *relus}
+        steps = [(r, [t for t in dict.fromkeys(r.inputs) if last.get(t) is r and t not in kept]) for r in downstream]
+        flat = p.data.reshape(-1)
+        numeric, kinked = np.empty(flat.size), np.zeros(flat.size, dtype=bool)
+        for lo in range(0, flat.size, _PERTURBATIONS // 2):
+            batch = np.arange(lo, min(lo + _PERTURBATIONS // 2, flat.size))
+            rows = np.repeat(flat[None], 2 * len(batch), axis=0)
+            rows[2 * (batch - lo), batch] += step
+            rows[2 * (batch - lo) + 1, batch] -= step
+            rows = rows.reshape(len(rows), *p.shape)
+            try:
+                stacks = _batched(steps, p, rows)
+            except NonFiniteError:
+                for k in range(len(rows)):
+                    _batched(steps, p, rows[k:k + 1])
+                raise
+            f = np.broadcast_to(stacks.get(out, out.data).reshape(-1), len(rows))
+            numeric[batch] = (f[0::2] - f[1::2]) / (2.0 * step)
+            for t in relus:
+                positive = stacks[t].reshape(len(rows), -1) > 0.0
+                kinked[batch] |= (positive[0::2] != positive[1::2]).any(axis=1)
+        judged = np.flatnonzero(~kinked)
+        a, n = p.gradient.reshape(-1)[judged], numeric[judged]
+        err = np.abs(a - n) / np.maximum(1e-8, np.abs(a) + np.abs(n))
+        report.n_entries += len(judged)
+        report.n_flagged += flat.size - len(judged)
+        for k in np.argsort(-err, kind="stable")[:10]:  # p's ten worst, ties in index order
+            idx = tuple(map(int, np.unravel_index(judged[k], p.shape)))
+            worst.append(GradCheckEntry(p.id, idx, float(a[k]), float(n[k]), float(err[k])))
+    # A stable sort: of equal errors, the earlier parameter's entry first.
+    report.worst = sorted(worst, key=lambda e: e.rel_err, reverse=True)[:10]
     report.max_rel_err = report.worst[0].rel_err if report.worst else 0.0
     report.passed = report.max_rel_err < tolerance
     return report

@@ -251,3 +251,34 @@ def adam_step(params, state, cfg):
             raise FloatingPointError(f"update of {name}")
         p.value.data[...] = updated
         p.gradient.fill(0.0)
+
+
+def gradient_check(parameters, analytic, evaluate, step):
+    """The verdict of a central-difference gradient check, one entry at a
+    time: the reference for the library's batched checker.
+
+    `parameters` are (name, array) pairs whose arrays `evaluate` reads, and
+    `analytic` their gradients. evaluate() rebuilds the objective from the
+    arrays' current values and returns it as a float, with the sign pattern
+    (> 0) of the input of each relu the build applies. Each entry is set in
+    place to its value +step, then -step, and restored; an entry whose sign
+    patterns differ between the two is flagged, any other judged. Returns
+    (n_entries, n_flagged, worst): worst holds the ten judged entries of
+    largest relative error, as (name, index, analytic, numeric, rel_err),
+    taken from a stable sort of all of them."""
+    judged, flagged = [], 0
+    for (name, values), grad in zip(parameters, analytic):
+        for index in np.ndindex(values.shape):
+            saved = values[index]
+            values[index] = saved + step
+            f_plus, signs_plus = evaluate()
+            values[index] = saved - step
+            f_minus, signs_minus = evaluate()
+            values[index] = saved
+            if any(not np.array_equal(x, y) for x, y in zip(signs_plus, signs_minus)):
+                flagged += 1
+                continue
+            a = float(grad[index])
+            n = (f_plus - f_minus) / (2.0 * step)
+            judged.append((name, index, a, n, abs(a - n) / max(1e-8, abs(a) + abs(n))))
+    return len(judged), flagged, sorted(judged, key=lambda e: e[4], reverse=True)[:10]

@@ -101,6 +101,15 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert run(["synth", "--out", tmp_path / "x", "--set", "synthetic.bogus=1"]) == 2
 
 
+def test_config_file_nested_too_deep_exits_2(tmp_path, capsys):
+    """A config file nested deeper than the JSON decoder recurses is
+    malformed JSON, as --set treats it, not a crash."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["gradcheck", "--scope", "op", "--config", deep]) == 2
+    assert capsys.readouterr().err.startswith("config error: config file is not valid JSON")
+
+
 def test_missing_data_exits_3(tmp_path):
     assert run(["train", "--data", tmp_path / "nope.json", "--out", tmp_path / "out"]) == 3
     assert run(["eval", "--checkpoint", tmp_path / "no.ckpt", "--data", tmp_path / "nope.json",

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from dualface import diffcore as dc
 from dualface import verify
 
-from oracles import assert_close, layer_norm_rows as oracle_ln
+from oracles import assert_close, gradient_check as oracle_gradient_check, layer_norm_rows as oracle_ln
 
 
 def test_tensor_basics():
@@ -365,6 +365,50 @@ def test_gradcheck_parameter_the_output_never_reaches():
     assert all(e.numeric == 0.0 and e.analytic == 0.0 for e in unreached)
 
 
+def _verdict(build):
+    """check_gradients' verdict on every parameter build reads, and the
+    reference's, each as (n_entries, n_flagged, worst) with every float of
+    worst as its bits."""
+    report = dc.check_gradients(None, build)
+    with dc.Tape() as tape:
+        out = build()
+    params = list(dict.fromkeys(t for r in tape.records for t in r.inputs if isinstance(t, dc.Parameter)))
+    for p in params:
+        p.gradient.fill(0.0)
+    dc.backpropagate(tape, out)
+
+    def evaluate():
+        with dc.Tape() as tape:
+            value = build().item()
+        return value, [r.inputs[0].data > 0.0 for r in tape.records if r.kind is dc.PrimitiveKind.RELU]
+
+    n_entries, n_flagged, worst = oracle_gradient_check(
+        [(p.id, p.data) for p in params], [p.gradient.copy() for p in params], evaluate, report.step)
+    got = [(e.param, e.index, e.analytic.hex(), e.numeric.hex(), e.rel_err.hex()) for e in report.worst]
+    expect = [(name, index, a.hex(), n.hex(), err.hex()) for name, index, a, n, err in worst]
+    return (report.n_entries, report.n_flagged, got), (n_entries, n_flagged, expect)
+
+
+def test_gradcheck_verdict_equals_the_loop_reference():
+    """The checker counts, flags and ranks entries as the loop reference
+    does, which perturbs one entry at a time in place and sorts all entries
+    stably: the same ten worst, in the same order, to the bit. That holds on
+    every check of the op suite, and on a case where twelve entries of two
+    parameters tie for worst, so the cut at ten falls inside the second
+    one, and an entry of a third parameter sits on a relu's kink."""
+    for name, build in verify._op_checks(np.random.default_rng(1234)):
+        got, expect = _verdict(build)
+        assert got == expect, name
+    p, q = dc.Parameter("p", np.zeros((2, 3))), dc.Parameter("q", np.zeros((2, 3)))
+    r = dc.Parameter("r", [[0.0, 0.5, -0.5, 2.0]])
+    got, expect = _verdict(lambda: dc.add(dc.add(dc.sum_all(dc.tanh(p)), dc.sum_all(dc.tanh(q))),
+                                          dc.sum_all(dc.relu(r))))
+    assert got == expect
+    n_entries, n_flagged, worst = got
+    assert (n_entries, n_flagged) == (15, 1)
+    assert [(e[0], e[-1]) for e in worst] == [("p", worst[0][-1])] * 6 + [("q", worst[0][-1])] * 4
+
+
 def test_gradcheck_replay_equals_fresh_build(monkeypatch):
     """Every value the checker evaluates from its tape equals a fresh build
     at the same perturbation, at the first and last entry of each parameter
@@ -408,9 +452,9 @@ def test_gradcheck_replay_equals_fresh_build(monkeypatch):
 def test_gradcheck_replay_runs_no_single_call_rule(monkeypatch):
     """A program of the records downstream of one parameter (no leaves,
     cuts or unplanned records) makes each single-call kind's NumPy call
-    directly: its runs go through none of those kinds' forward rules,
-    though the perturbed graph reads a constant and an output recorded
-    outside it, and each run gives a fresh build's value."""
+    directly: its runs bind none of those kinds' calls again, though the
+    perturbed graph reads a constant and an output recorded outside it,
+    and each run gives a fresh build's value."""
     K = dc.PrimitiveKind
     single = set(K) - {K.SIGMOID, K.SOFTMAX_ROWS, K.MEAN, K.LAYER_NORM_ROWS}
     rng = np.random.default_rng(61)
@@ -428,12 +472,14 @@ def test_gradcheck_replay_runs_no_single_call_rule(monkeypatch):
         out = build()
     assert {r.kind for r in tape.records} == single
     applied = []
-    for kind in single:
-        def spy(arrays, attrs, out, kind=kind, real=kind.forward):
-            applied.append(kind)
-            return real(arrays, attrs, out)
 
-        monkeypatch.setattr(kind, "forward", spy)
+    def spied(kind, real):
+        def bind(arrays, attrs, out, batch=0):
+            applied.append(kind)
+            return real(arrays, attrs, out, batch)
+
+        return bind
+
     sizes = []
     for param in (p, q):
         reached, downstream = {param}, []
@@ -442,13 +488,16 @@ def test_gradcheck_replay_runs_no_single_call_rule(monkeypatch):
                 reached.add(r.output)
                 downstream.append(r)
         program, values = dc.Program(downstream), param.data.copy()
-        for entry in (0, -1):
-            param.data.reshape(-1)[entry] += 1e-3
-            program.run()
-            assert not applied
-            assert out.item() == build().item()
-            applied.clear()
-            param.data[...] = values
+        with monkeypatch.context() as m:  # spies set once the program is built
+            for kind in single:
+                m.setattr(kind, "bind", spied(kind, kind.bind))
+            for entry in (0, -1):
+                param.data.reshape(-1)[entry] += 1e-3
+                program.run()
+                assert not applied
+                assert out.item() == build().item()
+                applied.clear()
+                param.data[...] = values
         sizes.append(len(downstream))
     assert sizes == [len(tape.records) - 1, len(tape.records)]
 
@@ -570,21 +619,22 @@ def test_outputs_are_fresh_contiguous_float64(kind, shapes, attrs):
 
 @pytest.mark.parametrize("kind", list(dc.PrimitiveKind), ids=lambda k: k.value)
 def test_rule_written_into_out_gives_the_same_bytes(kind):
-    """Each forward rule, given a C-contiguous slice of a larger buffer as
-    `out`, writes every entry of it and returns it, with the bytes it gives
-    for out=None, at the kind's gradient-check shapes; so does the call a
-    Program binds for the kind."""
+    """Each kind's call, bound with a C-contiguous slice of a larger buffer
+    as `out`, writes every entry of it and returns it, with the bytes it
+    gives for out=None, at the kind's gradient-check shapes, each time it
+    is made."""
     shapes, attrs = verify._OPS.get(kind, ([(3, 4)], {}))
     arrays = [t.data for t in verify._inputs(np.random.default_rng(7), *shapes, kind=kind)]
-    expect, saved = kind.forward(arrays, attrs, None)
+    call, saved = kind.bind(arrays, attrs, None)
+    expect = call()
     buffer = np.full(expect.size + 2, np.nan)
     out = buffer[1:-1].reshape(expect.shape)
-    got, saved_out = kind.forward(arrays, attrs, out)
+    call, saved_out = kind.bind(arrays, attrs, out)
+    got = call()
     assert got is out and out.tobytes() == expect.tobytes()
     assert np.isnan(buffer[[0, -1]]).all()
     assert (saved is None) == (saved_out is None)
     buffer[:] = np.nan
-    call, _ = kind.bind(arrays, attrs, out)
     call()
     assert out.tobytes() == expect.tobytes() and np.isnan(buffer[[0, -1]]).all()
 

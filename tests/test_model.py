@@ -23,23 +23,19 @@ def small_config(**overrides):
 
 def _spy_forward_rules(monkeypatch, seen):
     """Calls seen(kind, arrays, attrs, output) at every application of a
-    forward rule: eager, and replayed into tape storage or not, through the
-    rule or through the call a Program bound when it was built."""
+    kind's forward call: eager, and replayed into tape storage or not,
+    bound on each run or once when a Program was built."""
     for kind in dc.PrimitiveKind:
-        def spy(arrays, attrs, out, kind=kind, real=kind.forward):
-            result = real(arrays, attrs, out)
-            seen(kind, arrays, attrs, result[0])
-            return result
-
-        def bind(arrays, attrs, out, kind=kind, real=kind.bind):
-            call, saved = real(arrays, attrs, out)
+        def bind(arrays, attrs, out, batch=0, kind=kind, real=kind.bind):
+            call, saved = real(arrays, attrs, out, batch)
 
             def bound():
-                seen(kind, arrays, attrs, call())
+                output = call()
+                seen(kind, arrays, attrs, output)
+                return output
 
             return bound, saved
 
-        monkeypatch.setattr(kind, "forward", spy)
         monkeypatch.setattr(kind, "bind", bind)
 
 
