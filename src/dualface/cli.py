@@ -175,8 +175,9 @@ def _model_config(section: dict, dataset) -> ModelConfig:
 def cmd_synth(args, resolved: dict) -> int:
     spec = _validated("synthetic spec", SyntheticSpec, resolved["synthetic"])
     out = Path(args.out)
-    generate_synthetic(spec, out)
-    files = sorted(p for p in out.iterdir() if p.suffix in (".bin", ".json") and p.name != "run_manifest.json")
+    manifest = generate_synthetic(spec, out)
+    files = [out / "manifest.json", out / manifest.template,
+             *(out / name for e in manifest.entries for name in (e.features, e.motion))]
     _write_run_manifest(out, "synth", resolved, spec.seed, files)
     print(f"wrote {len(files)} dataset files under {out}")
     print(f"manifest: {out / 'manifest.json'}")

@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 MOTION_MAGIC = b"DTMO"
@@ -505,19 +505,14 @@ class SequenceRecord:
 
 @dataclass
 class LoadedDataset:
-    root: Path
     manifest: DatasetManifest
     template: NeutralTemplate
     sequences: list[SequenceRecord]
-    lip_indices: np.ndarray = field(init=False)
-    upper_indices: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # Compared as Python ints first: an index past int64 must not overflow.
+        # Compared as Python ints: an index past int64 must not overflow.
         if max(self.manifest.lip_indices + self.manifest.upper_indices) >= self.template.vertex_count:
             raise ValueError("region indices exceed template vertex count")
-        self.lip_indices = np.asarray(self.manifest.lip_indices, dtype=np.int64)
-        self.upper_indices = np.asarray(self.manifest.upper_indices, dtype=np.int64)
 
     def split(self, name: str) -> list[SequenceRecord]:
         return [s for s in self.sequences if s.split == name]
@@ -552,5 +547,4 @@ def load_dataset(manifest_path) -> LoadedDataset:
         if feats.frames != motion.frames:
             feats = resample_features(feats, motion.frames)
         sequences.append(SequenceRecord(e.speaker, feats, motion, e.split, Path(e.features).stem))
-    ds = LoadedDataset(root=root, manifest=manifest, template=template, sequences=sequences)
-    return ds
+    return LoadedDataset(manifest, template, sequences)

@@ -20,7 +20,7 @@ from .model import ForwardOutputs
 _NORM_FLOOR = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     primal: NonNegative = 1.0
     dual: NonNegative = 1e-8
@@ -33,7 +33,7 @@ class LossWeights:
             raise ValueError("LossWeights: at least one weight must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CCRLConfig:
     """sigma=None selects the per-sequence median pairwise motion distance
     (recomputed per sequence, excluded from gradient flow)."""

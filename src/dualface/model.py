@@ -37,7 +37,7 @@ _F8 = np.dtype("<f8")
 _MASK_VALUE = -1e30
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """The dataset gives the first three fields and bounds max_frames; the
     defaults, which the CLI uses, size the model for the synthetic dataset."""

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 from . import diffcore as dc
@@ -51,7 +51,7 @@ class NonFiniteLossError(RuntimeError):
         super().__init__(f"non-finite value in {term!r} at step {step}; {advice}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: Positive = 1e-4
     beta1: Fraction = 0.9
@@ -61,8 +61,8 @@ class TrainConfig:
     seed: Index = 0
     val_every: Count = 1
     grad_clip: Positive | None = None
-    weights: LossWeights = field(default_factory=LossWeights)
-    ccrl: CCRLConfig = field(default_factory=CCRLConfig)
+    weights: LossWeights = LossWeights()
+    ccrl: CCRLConfig = CCRLConfig()
 
     def validate(self):
         check_field_types(self)
@@ -215,10 +215,6 @@ def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state
     return LossBundle.read(program.terms, program.total)
 
 
-def _regions(dataset: LoadedDataset) -> tuple[RegionSet, RegionSet]:
-    return RegionSet("lips", dataset.lip_indices), RegionSet("upper", dataset.upper_indices)
-
-
 def evaluate_params(
     params: ModelParams,
     dataset: LoadedDataset,
@@ -228,7 +224,8 @@ def evaluate_params(
     """Autoregressive generation per sequence, then LVE/FDD against ground
     truth. predict_gt swaps the prediction for the ground truth itself (the
     all-zero oracle row used to sanity-check the metric plumbing)."""
-    lips, upper = _regions(dataset)
+    lips = RegionSet("lips", dataset.manifest.lip_indices)
+    upper = RegionSet("upper", dataset.manifest.upper_indices)
     rows = dataset.split(split)
     if not rows:
         raise ValueError(f"split {split!r} is empty")
@@ -311,7 +308,9 @@ def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_
 # ---------------------------------------------------------------------------
 # ablation harness
 
-ABLATION_VARIANTS = ("full", "disable_dual", "disable_ccrl", "share_transpose_codec")
+# Each variant and the loss weights it sets to 0; only share_transpose_codec ties the codec.
+ABLATION_VARIANTS = {"full": (), "disable_dual": ("dual", "dr", "ccrl"), "disable_ccrl": ("ccrl",),
+                     "share_transpose_codec": ()}
 
 
 @dataclass
@@ -337,17 +336,10 @@ class AblationResult:
 
 
 def _variant_configs(model_cfg: ModelConfig, cfg: TrainConfig, variant: str) -> tuple[ModelConfig, TrainConfig]:
-    """Configs of one variant; every variant but share_transpose_codec
-    trains the untied model."""
-    if variant not in ABLATION_VARIANTS:
-        raise ValueError(f"unknown ablation variant {variant!r}")
-    m = replace(model_cfg, share_transpose_codec=variant == "share_transpose_codec")
-    t = replace(cfg, weights=replace(cfg.weights), ccrl=replace(cfg.ccrl))
-    if variant == "disable_dual":
-        t.weights.dual = t.weights.dr = t.weights.ccrl = 0.0
-    elif variant == "disable_ccrl":
-        t.weights.ccrl = 0.0
-    return m, t
+    """Configs of one variant: the base configs with the variant's weights
+    zeroed and the codec tied only for share_transpose_codec."""
+    weights = replace(cfg.weights, **dict.fromkeys(ABLATION_VARIANTS[variant], 0.0))
+    return replace(model_cfg, share_transpose_codec=variant == "share_transpose_codec"), replace(cfg, weights=weights)
 
 
 def ablate(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, seeds: list[int], out_dir) -> AblationResult:
@@ -355,36 +347,33 @@ def ablate(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, see
 
     Also writes one per-seed CSV tracing the upper-lip/lower-lip centroid
     distance over the first val sequence for ground truth and each variant.
-    Data that some variant cannot train on raises ValueError before
-    out_dir is created.
+    An empty val split scores and traces the train split instead. Data that
+    some variant cannot train on raises ValueError before out_dir is created.
     """
-    for variant in ABLATION_VARIANTS:
-        trainable_rows(dataset, _variant_configs(model_cfg, cfg, variant)[1])
+    variants = {variant: _variant_configs(model_cfg, cfg, variant) for variant in ABLATION_VARIANTS}
+    for _, t_cfg in variants.values():
+        trainable_rows(dataset, t_cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lips = list(dataset.manifest.lip_indices)
     upper_lip = RegionSet("upper_lip", lips[: len(lips) // 2] or lips[:1])
     lower_lip = RegionSet("lower_lip", lips[len(lips) // 2 :] or lips[-1:])
-    val_rows = dataset.split("val")
-    probe = val_rows[0] if val_rows else dataset.split("train")[0]
+    split = "val" if dataset.split("val") else "train"
+    probe = dataset.split(split)[0]
+    gt = lip_distance(probe.motion, dataset.template, upper_lip, lower_lip)
+    names = ["gt", *variants]
     rows: list[AblationRow] = []
     csv_paths: list[str] = []
     for seed in seeds:
-        curves: dict[str, np.ndarray] = {
-            "gt": lip_distance(probe.motion, dataset.template, upper_lip, lower_lip)
-        }
-        for variant in ABLATION_VARIANTS:
-            m_cfg, t_cfg = _variant_configs(model_cfg, cfg, variant)
-            t_cfg.seed = seed
-            run_dir = out / f"{variant}_seed{seed}"
-            result = train(dataset, m_cfg, t_cfg, run_dir)
+        curves = {"gt": gt}
+        for variant, (m_cfg, t_cfg) in variants.items():
+            result = train(dataset, m_cfg, replace(t_cfg, seed=seed), out / f"{variant}_seed{seed}")
             params = load_checkpoint(result.checkpoint)
-            report = evaluate_params(params, dataset, "val" if val_rows else "train")
+            report = evaluate_params(params, dataset, split)
             rows.append(AblationRow(variant, seed, report.lve, report.fdd))
             pred = generate_motion(params, probe.features, probe.speaker, probe.motion.fps)
             curves[variant] = lip_distance(pred, dataset.template, upper_lip, lower_lip)
         csv_path = out / f"lip_distance_seed{seed}.csv"
-        names = ["gt", *ABLATION_VARIANTS]
         with open(csv_path, "w", encoding="utf-8") as f:
             f.write("frame," + ",".join(names) + "\n")
             for i in range(probe.motion.frames):

@@ -469,6 +469,18 @@ def test_synth_writes_manifest_and_inventory(tmp_path, capsys):
     assert "resolved config" in out
 
 
+def test_synth_inventories_only_the_files_it_wrote(tmp_path, capsys):
+    """A second synth into the same directory, with fewer sequences, counts
+    and inventories the 10 files of its own dataset, not the stale ones."""
+    make_dataset(tmp_path, n_sequences=12)
+    capsys.readouterr()
+    manifest = make_dataset(tmp_path, n_sequences=4)
+    assert "wrote 10 dataset files" in capsys.readouterr().out
+    written = {"manifest.json", "template.bin", *(f"seq{i:03d}_{kind}.bin" for i in range(4)
+                                                  for kind in ("features", "motion"))}
+    assert set(json.loads((manifest.parent / "run_manifest.json").read_text())["files"]) == written
+
+
 def test_full_pipeline(tmp_path, capsys):
     manifest = make_dataset(tmp_path)
     rc = run(["train", "--data", manifest, "--out", tmp_path / "run",

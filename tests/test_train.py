@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 from types import SimpleNamespace
 from pathlib import Path
 
@@ -403,7 +403,7 @@ def _replay_configs():
     base = dt.TrainConfig(learning_rate=1e-2, weights=LossWeights(1.0, 0.5, 0.1, 0.2))
     yield "default", model_cfg, base
     yield "grad_clip", model_cfg, replace(base, grad_clip=0.05)
-    for variant in dt.ABLATION_VARIANTS[1:]:
+    for variant in list(dt.ABLATION_VARIANTS)[1:]:
         yield variant, *dt._variant_configs(model_cfg, base, variant)
     yield "kernel anchors sigma=0.5", model_cfg, replace(base, ccrl=CCRLConfig(sigma=0.5, anchor_weighting="kernel"))
 
@@ -521,8 +521,9 @@ def test_replayed_step_rejects_a_speaker_as_a_trace_does():
 
 
 def test_variant_configs():
-    model_cfg = ModelConfig(d=8, audio_dim=4, vertex_count=4, n_speakers=2, max_frames=4,
-                            fusion_heads=2, self_heads=2, squeeze_ratio=4, ff_dim=8)
+    sizes = dict(d=8, audio_dim=4, vertex_count=4, n_speakers=2, max_frames=4,
+                 fusion_heads=2, self_heads=2, squeeze_ratio=4, ff_dim=8)
+    model_cfg = ModelConfig(**sizes)
     cfg = dt.TrainConfig()
     m, t = dt._variant_configs(model_cfg, cfg, "disable_dual")
     assert (t.weights.dual, t.weights.dr, t.weights.ccrl) == (0.0, 0.0, 0.0) and cfg.weights.dual != 0.0
@@ -535,8 +536,13 @@ def test_variant_configs():
     assert m3 == model_cfg and t3 == cfg
     tied = ModelConfig(**{**asdict(model_cfg), "share_transpose_codec": True})
     assert not dt._variant_configs(tied, cfg, "full")[0].share_transpose_codec  # the base stays untied
-    with pytest.raises(ValueError):
+    # the given configs come back unchanged
+    assert (model_cfg, cfg) == (ModelConfig(**sizes), dt.TrainConfig()) and tied.share_transpose_codec
+    with pytest.raises(KeyError):
         dt._variant_configs(model_cfg, cfg, "bogus")
+    for config, name in [(m, "d"), (t, "seed"), (t.weights, "dual"), (t.ccrl, "sigma")]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, getattr(config, name))
 
 
 def test_ablate_emits_table_and_csvs(tmp_path):
