@@ -20,7 +20,8 @@ import numpy as np
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
+from operator import or_
 from typing import Callable, Sequence
 
 _LN_EPS = 1e-5
@@ -594,30 +595,49 @@ class Program:
     check, no operand list. Layer norm's call writes its row scales in
     place, into an array that its record saves from then on, filled with
     the traced ones when the program is built. Any other record binds its
-    call to its operands' current arrays on every run (_rerun)."""
+    call to its operands' current arrays on every run (_rerun).
+
+    With `batch` B > 1 a run applies each record once to B graphs' (B, ...)
+    stacks, by its bind rule at batch=1: the leaves' values, the unplanned
+    outputs and each planned output tensor, rebound when the program is
+    built to a stack in one new block per segment (its one stretch). A
+    constant or a parameter is read, as _batched reads it, with a leading
+    axis of 1."""
 
     def __init__(self, records: Sequence[TapeRecord], leaves: Sequence[Tensor] = (),
                  settable: Sequence[TapeRecord] = (), cuts: dict[int, Callable[[], None]] | None = None,
-                 unplanned: Sequence[TapeRecord] = ()):
+                 unplanned: Sequence[TapeRecord] = (), batch: int = 1):
         self.leaves = list(leaves)
         self.settable = [r.attrs for r in settable]
         cuts, unplanned, settable = cuts or {}, set(unplanned), set(settable)
         planned = {r.output for r in records if r not in unplanned}
         rebound = {*self.leaves, *(r.output for r in unplanned)}
+        lead = int(batch > 1)  # the bind rules' batch: 1 when every output is a stack
+        stacked = {*rebound, *(r.output for r in records)} if lead else set()
         ends = sorted({*cuts, len(records)})
         # Per segment: a step (call, output array or None if unplanned,
         # record) per record, the stretches to check and the callback.
         self.segments = []
         for a, b in zip([0, *ends], ends):
+            if lead:
+                outputs = [r.output for r in records[a:b] if r.output in planned]
+                block, start = np.empty(batch * sum(t.data.size for t in outputs)), 0
+                for t in outputs:
+                    size = batch * t.data.size
+                    t.data, start = block[start:start + size].reshape(batch, *t.data.shape), start + size
             steps = []
             for r in records[a:b]:
                 out = r.output.data if r.output in planned else None
-                if out is None or r in settable or not rebound.isdisjoint(r.inputs):
-                    call = partial(_rerun, r, out)
-                else:
-                    call, saved = r.kind.bind([t.data for t in r.inputs], r.attrs, out)
+                fixed = out is not None and r not in settable and rebound.isdisjoint(r.inputs)
+                if lead:
+                    r = TapeRecord(r.kind, tuple(t if t in stacked else Tensor._wrap(t.data[None]) for t in r.inputs),
+                                   r.output, r.attrs, r.saved)
+                if fixed:
+                    call, saved = r.kind.bind([t.data for t in r.inputs], r.attrs, out, lead)
                     if saved is not None:
                         saved[...], r.saved = r.saved, saved
+                else:
+                    call = partial(_rerun, r, out, lead)
                 steps.append((call, out, r))
             self.segments.append((steps, _stretches([s[1] for s in steps if s[1] is not None]), cuts.get(b)))
 
@@ -641,14 +661,15 @@ class Program:
                 callback()
 
 
-def _rerun(r: TapeRecord, out: np.ndarray | None):
-    """r's call, bound to its operands' current arrays, made into out; with
-    out None (unplanned), into a new output, checked as evaluate does."""
+def _rerun(r: TapeRecord, out: np.ndarray | None, batch: int):
+    """r's call, bound at `batch` to its operands' current arrays, made into
+    out; with out None (unplanned), into a new output, checked as evaluate
+    does."""
     arrays = [t.data for t in r.inputs]
     if out is None:
-        r.output.data, r.saved = _apply(r.kind, arrays, r.attrs)
+        r.output.data, r.saved = _apply(r.kind, arrays, r.attrs, batch)
     else:
-        call, r.saved = r.kind.bind(arrays, r.attrs, out)
+        call, r.saved = r.kind.bind(arrays, r.attrs, out, batch)
         call()
 
 
@@ -820,16 +841,20 @@ def check_gradients(
         p.gradient.fill(0.0)
     backpropagate(tape, out)
 
+    # One walk over the tape: per tensor, the parameters whose values reach
+    # it, bit i standing for parameters[i].
+    reach: dict[Tensor, int] = {}
+    for i, p in enumerate(parameters):
+        reach[p] = reach.get(p, 0) | 1 << i
+    for r in tape.records:
+        reach[r.output] = reduce(or_, [reach.get(t, 0) for t in r.inputs])
     report, worst = GradCheckReport(tolerance=tolerance, step=step), []
-    for p in parameters:
+    for i, p in enumerate(parameters):
         # The records downstream of p, each reading p or the output of one
         # kept before it, and per record the stacks that no later record,
         # the kink test or the output reads.
-        reached, downstream = {p}, []
-        for r in tape.records:
-            if any(t in reached for t in r.inputs):
-                reached.add(r.output)
-                downstream.append(r)
+        downstream = [r for r in tape.records if reach[r.output] >> i & 1]
+        reached = {p, *(r.output for r in downstream)}
         relus = [r.inputs[0] for r in downstream if r.kind is PrimitiveKind.RELU]
         last = {t: r for r in downstream for t in r.inputs if t in reached}
         kept = {out, *relus}

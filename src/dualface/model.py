@@ -16,6 +16,7 @@ and still reproduce the teacher-forced pass.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import struct
@@ -23,7 +24,8 @@ import struct
 import numpy as np
 
 from dataclasses import dataclass, asdict
-from typing import Callable, Iterator
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 from . import diffcore as dc
 from .data import Count, FeatureSequence, FileFormatError, MotionSequence, Reader, SYNTH_FPS, check_field_types
@@ -221,6 +223,27 @@ class KVCache:
         return self.leaves
 
 
+class KVBatch:
+    """One head's K/V caches of B sequences, `caches`, each over its row of
+    (B, T, dk) arrays. Once every cache holds the same rows, extend adds a
+    row to all of them at once from (B, 1, dk) stacks and hands out the
+    (B, dk, rows) and (B, rows, dk) stacks through the first cache's
+    leaves."""
+
+    def __init__(self, frames: int, dk: int, batch: int):
+        self.keys, self.values = np.empty((batch, frames, dk)), np.empty((batch, frames, dk))
+        self.caches = [KVCache(frames, dk) for _ in range(batch)]
+        for cache, keys, values in zip(self.caches, self.keys, self.values):
+            cache.keys, cache.values = keys, values
+
+    def extend(self, k: dc.Tensor, v: dc.Tensor):
+        first = self.caches[0]
+        self.keys[:, first.rows], self.values[:, first.rows] = k.data[:, 0], v.data[:, 0]
+        first.rows += 1
+        keys_t, values = first.leaves
+        keys_t.data, values.data = self.keys[:, : first.rows].transpose(0, 2, 1).copy(), self.values[:, : first.rows]
+
+
 # ---------------------------------------------------------------------------
 # building blocks
 
@@ -408,62 +431,87 @@ def _forward(params: ModelParams, d: Direction, source, speaker: int, target) ->
     return ForwardOutputs(d.decode(params, fused, d.out_weight(params)), fused, latents["audio"], latents["motion"])
 
 
-def _generate(params: ModelParams, d: Direction, source, speaker: int) -> np.ndarray:
-    """Decodes one row per frame: the source is encoded once, then frame t
-    sends one history row (the start token, or frame t-1 encoded at position
-    t-1) through every block, attending over per-head K/V caches. Only
-    attention mixes rows, and the caches hold exactly the rows frame t may
-    see, so frame t equals row t of teacher forcing on the output.
+def _generate(params: ModelParams, d: Direction, sources: Sequence, speakers: Sequence[int]) -> list[np.ndarray]:
+    """Decodes sources of one length, each with its speaker, one row per
+    frame: a source is encoded once, then frame t sends one history row
+    (the start token, or frame t-1 encoded at position t-1) through every
+    block, attending over per-head K/V caches. Only attention mixes rows,
+    and the caches hold exactly the rows frame t may see, so frame t equals
+    row t of teacher forcing on the output.
 
-    Frame 0 runs the model code; frame 1 runs it under a tape, and every
-    later frame replays its records as a diffcore.Program with the inputs
-    rebound (the previous prediction, the source row, the positional
-    slice): the same forward rules on the same operands in the same order,
-    so the output is bit-identical. The records are cut after each head's
-    k/v matmuls, where each segment is checked and the replay extends that
-    head's cache as the traced frame did, rebinding the cache's leaves (so
-    they are leaves of the program too). Each head's logits, scaled logits
-    and softmax over its cache have the cache's row count in their shapes,
-    so those records allocate and check their outputs one by one; every
-    other output, the (1, dk) weighted values included, is written in
-    place into the tape's storage, where frame 1 left it. Each prediction,
-    frame 1's too, is copied out before a later frame overwrites it."""
-    c = params.config
-    source_latent = _encoder(d.source)(params, source)
-    frames = source_latent.data.shape[0]
-    style = style_embed(params, speaker)
-    self_cache = [KVCache(frames, c.d // c.self_heads) for _ in range(c.self_heads)]
-    fusion_cache = [KVCache(frames, c.d // c.fusion_heads) for _ in range(c.fusion_heads)]
+    Frames 0 and 1 of each sequence run the model code, frame 1 of the
+    first under a tape. Every later frame replays those records once for
+    all the sequences, as a diffcore.Program of batch len(sources), with
+    the inputs rebound: the previous predictions, the source rows, the
+    style rows (of several sequences) and the positional slice. Each
+    sequence meets the forward calls that decoding it alone makes, so the
+    output is bit-identical. The records are cut after each head's k/v
+    matmuls, where each segment is checked and the replay extends that
+    head's caches (through its KVBatch, for several) as the traced frame
+    did, rebinding the first cache's leaves. Each head's logits, scaled
+    logits and softmax have the cache's row count in their shapes, so those
+    records allocate and check their outputs one by one. A NonFiniteError
+    from several sequences decodes them again one at a time, in order, and
+    raises what that raises first."""
+    try:
+        return _decode(params, d, sources, speakers)
+    except dc.NonFiniteError:
+        if len(sources) > 1:
+            for source, speaker in zip(sources, speakers):
+                _decode(params, d, [source], [speaker])
+        raise
+
+
+def _decode(params: ModelParams, d: Direction, sources: Sequence, speakers: Sequence[int]) -> list[np.ndarray]:
+    c, batch = params.config, len(sources)
+    rows = np.stack([_encoder(d.source)(params, source).data for source in sources], 1)
+    frames = rows.shape[0]
+    rows = rows.reshape(frames, batch, 1, -1)  # source row t of sequence b at [t, b]
+    styles = [style_embed(params, speaker) for speaker in speakers]
+    heads = [c.d // c.self_heads] * c.self_heads + [c.d // c.fusion_heads] * c.fusion_heads
+    kv = [KVBatch(frames, dk, batch) for dk in heads]  # self, then fusion heads
+    caches = [[head.caches[b] for head in kv] for b in range(batch)]
     out_weight = d.out_weight(params)  # constant: a tied codec transposes once
-    row = dc.Tensor._wrap(source_latent.data[:1])  # source row t read in place: a leaf of checked data
+    out = np.empty((batch, frames, out_weight.data.shape[1]))
 
-    def frame(history: dc.Tensor) -> dc.Tensor:
-        ctx = self_attend(params, history, d.name, self_cache)
-        gated = speaker_modulate(params, ctx, style, d.name)
-        return d.decode(params, cross_attend(params, row, gated, d.name, fusion_cache), out_weight)
+    def frame(history: dc.Tensor, t: int, b: int) -> tuple[dc.Tensor, dc.Tensor]:
+        row = dc.Tensor._wrap(rows[t, b])  # read in place: a leaf of checked data
+        ctx = self_attend(params, history, d.name, caches[b][:c.self_heads])
+        gated = speaker_modulate(params, ctx, styles[b], d.name)
+        pred = d.decode(params, cross_attend(params, row, gated, d.name, caches[b][c.self_heads:]), out_weight)
+        out[b, t] = pred.data[0]
+        return row, pred
 
-    prev = frame(params[f"start_token.{d.target}"])
-    out = [prev.data]
-    if frames > 1:
-        row.data = source_latent.data[1:2]
-        with dc.Tape() as tape:
-            pred = frame(_encoder(d.target)(params, prev, start=0))
-        out.append(pred.data.copy())
-        records, caches = tape.records, self_cache + fusion_cache
+    for b in range(batch):
+        _, prev = frame(params[f"start_token.{d.target}"], 0, b)
+        if frames > 1:
+            with dc.Tape() if b == 0 else contextlib.nullcontext() as tape:
+                row, pred = frame(_encoder(d.target)(params, prev, start=0), 1, b)
+            if b == 0:
+                leaves, records, last = [prev, row], tape.records, pred
+    if frames > 2:
         pos = next(r for r in records if r.inputs[0] is params["positional_table"])
         ends = {r.output: i + 1 for i, r in enumerate(records)}
 
         def reader(leaf):
             return next(i for i, r in enumerate(records) if leaf in r.inputs)
 
+        first = caches[0]
+        if batch > 1:  # the style row, a constant of one sequence, is a leaf of several
+            leaves.append(styles[0])
+            inputs, style, extend = rows, [np.stack([s.data for s in styles])], [head.extend for head in kv]
+        else:
+            inputs, style, extend = rows[:, 0], [], [cache.extend for cache in first]
         program = dc.Program(
-            records, [prev, row, *(leaf for cache in caches for leaf in cache.leaves)], [pos],
-            {max(ends[t] for t in cache.fed): lambda cache=cache: cache.extend(*cache.fed) for cache in caches},
-            [r for cache in caches for r in records[reader(cache.leaves[0]):reader(cache.leaves[1])]])
-    for t in range(2, frames):
-        program.run([out[-1], source_latent.data[t:t + 1]], start=t - 1, stop=t)
-        out.append(pred.data.copy())
-    return np.concatenate(out)
+            records, [*leaves, *(leaf for cache in first for leaf in cache.leaves)], [pos],
+            {max(ends[t] for t in cache.fed): partial(e, *cache.fed) for cache, e in zip(first, extend)},
+            [r for cache in first for r in records[reader(cache.leaves[0]):reader(cache.leaves[1])]], batch)
+        prev = out[:, 1:2].reshape(last.data.shape).copy()
+        for t in range(2, frames):
+            program.run([prev, inputs[t], *style], start=t - 1, stop=t)
+            prev = last.data.copy()  # out of the storage the next frame overwrites
+            out[:, t] = prev.reshape(batch, -1)
+    return list(out)
 
 
 def forward_primal(params: ModelParams, features, speaker: int, gt_motion) -> ForwardOutputs:
@@ -476,16 +524,25 @@ def forward_dual(params: ModelParams, motion, speaker: int, gt_features) -> Forw
     return _forward(params, DIRECTIONS["dual"], motion, speaker, gt_features)
 
 
+def generate_motions(params: ModelParams, features: Sequence, speakers: Sequence[int],
+                     fps: float = SYNTH_FPS) -> list[MotionSequence]:
+    """generate_motion of each features sequence, all of one length, with
+    its speaker, decoded together; bit-identical to one at a time."""
+    return [MotionSequence(out.reshape(out.shape[0], params.config.vertex_count, 3), fps)
+            for out in _generate(params, DIRECTIONS["primal"], features, speakers)]
+
+
 def generate_motion(params: ModelParams, features, speaker: int, fps: float = SYNTH_FPS) -> MotionSequence:
     """Strict autoregressive decoding: frame t is predicted from audio rows
     0..t and the frames generated before it."""
-    out = _generate(params, DIRECTIONS["primal"], features, speaker)
-    return MotionSequence(out.reshape(out.shape[0], params.config.vertex_count, 3), fps)
+    (motion,) = generate_motions(params, [features], [speaker], fps)
+    return motion
 
 
 def generate_audio(params: ModelParams, motion, speaker: int) -> FeatureSequence:
     """Autoregressive feature decoding, mirror of generate_motion."""
-    return FeatureSequence(_generate(params, DIRECTIONS["dual"], motion, speaker))
+    (out,) = _generate(params, DIRECTIONS["dual"], [motion], [speaker])
+    return FeatureSequence(out)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .model import (
     check_speaker,
     forward_dual,
     forward_primal,
-    generate_motion,
+    generate_motions,
     load_checkpoint,
     save_checkpoint,
 )
@@ -215,30 +215,42 @@ def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state
     return LossBundle.read(program.terms, program.total)
 
 
+def _split_predictions(params: ModelParams, rows: list[SequenceRecord]) -> list[MotionSequence]:
+    """generate_motion of each sequence of a split, in split order; the
+    sequences of one length and fps are decoded as one group, bit-identical
+    to one at a time."""
+    groups: dict[tuple, list[int]] = {}
+    for i, seq in enumerate(rows):
+        groups.setdefault((seq.features.frames, seq.motion.fps), []).append(i)
+    preds = {}
+    for (_, fps), group in groups.items():
+        preds.update(zip(group, generate_motions(params, [rows[i].features for i in group],
+                                                 [rows[i].speaker for i in group], fps)))
+    return [preds[i] for i in range(len(rows))]
+
+
+def _score(dataset: LoadedDataset, rows: list[SequenceRecord], preds: list[MotionSequence]) -> MetricReport:
+    """LVE/FDD of each prediction against its sequence's ground truth."""
+    lips = RegionSet("lips", dataset.manifest.lip_indices)
+    upper = RegionSet("upper", dataset.manifest.upper_indices)
+    return build_report([SequenceMetrics(seq.name, lip_vertex_error(pred, seq.motion, lips), fdd(pred, seq.motion, upper))
+                         for seq, pred in zip(rows, preds)])
+
+
 def evaluate_params(
     params: ModelParams,
     dataset: LoadedDataset,
     split: str = "test",
     predict_gt: bool = False,
 ) -> MetricReport:
-    """Autoregressive generation per sequence, then LVE/FDD against ground
-    truth. predict_gt swaps the prediction for the ground truth itself (the
-    all-zero oracle row used to sanity-check the metric plumbing)."""
-    lips = RegionSet("lips", dataset.manifest.lip_indices)
-    upper = RegionSet("upper", dataset.manifest.upper_indices)
+    """Autoregressive generation of the split (_split_predictions), then
+    LVE/FDD against ground truth. predict_gt swaps the prediction for the
+    ground truth itself (the all-zero oracle row used to sanity-check the
+    metric plumbing)."""
     rows = dataset.split(split)
     if not rows:
         raise ValueError(f"split {split!r} is empty")
-    per_seq = []
-    for seq in rows:
-        if predict_gt:
-            pred = seq.motion
-        else:
-            pred = generate_motion(params, seq.features, seq.speaker, seq.motion.fps)
-        per_seq.append(
-            SequenceMetrics(seq.name, lip_vertex_error(pred, seq.motion, lips), fdd(pred, seq.motion, upper))
-        )
-    return build_report(per_seq)
+    return _score(dataset, rows, [seq.motion for seq in rows] if predict_gt else _split_predictions(params, rows))
 
 
 @dataclass
@@ -294,12 +306,13 @@ def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_
                     cache[idx] = arrays
                 bundle = train_step(params, seq, cfg, state, arrays)
                 log.write(_bundle_line(state.step, bundle) + "\n")
+            if epoch + 1 == cfg.epochs:
+                state.program = None  # traced for this run's parameters only; freed before the last validation
             if val_rows and ((epoch + 1) % cfg.val_every == 0 or epoch + 1 == cfg.epochs):
                 report = evaluate_params(params, dataset, "val")
                 if report.lve < state.best_val_lve:
                     state.best_val_lve = report.lve
                     save_checkpoint(ckpt_path, params)
-    state.program = None  # traced for this run's parameters only
     if state.best_val_lve == float("inf"):
         save_checkpoint(ckpt_path, params)
     return TrainResult(str(ckpt_path), str(log_path), state)
@@ -358,8 +371,8 @@ def ablate(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, see
     lips = list(dataset.manifest.lip_indices)
     upper_lip = RegionSet("upper_lip", lips[: len(lips) // 2] or lips[:1])
     lower_lip = RegionSet("lower_lip", lips[len(lips) // 2 :] or lips[-1:])
-    split = "val" if dataset.split("val") else "train"
-    probe = dataset.split(split)[0]
+    split = dataset.split("val") or dataset.split("train")
+    probe = split[0]
     gt = lip_distance(probe.motion, dataset.template, upper_lip, lower_lip)
     names = ["gt", *variants]
     rows: list[AblationRow] = []
@@ -368,11 +381,10 @@ def ablate(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, see
         curves = {"gt": gt}
         for variant, (m_cfg, t_cfg) in variants.items():
             result = train(dataset, m_cfg, replace(t_cfg, seed=seed), out / f"{variant}_seed{seed}")
-            params = load_checkpoint(result.checkpoint)
-            report = evaluate_params(params, dataset, split)
+            preds = _split_predictions(load_checkpoint(result.checkpoint), split)
+            report = _score(dataset, split, preds)
             rows.append(AblationRow(variant, seed, report.lve, report.fdd))
-            pred = generate_motion(params, probe.features, probe.speaker, probe.motion.fps)
-            curves[variant] = lip_distance(pred, dataset.template, upper_lip, lower_lip)
+            curves[variant] = lip_distance(preds[0], dataset.template, upper_lip, lower_lip)
         csv_path = out / f"lip_distance_seed{seed}.csv"
         with open(csv_path, "w", encoding="utf-8") as f:
             f.write("frame," + ",".join(names) + "\n")

@@ -245,6 +245,108 @@ def test_generation_equals_eager_decoding_bit_for_bit(tied):
             _eager_generate(params, "dual", motion, 2).tobytes(), f"dual at T={t}"
 
 
+def _decode_group(params, direction, sources, speakers):
+    """A group's decode, and the same sources decoded one at a time."""
+    d = dm.DIRECTIONS[direction]
+    alone = [dm._generate(params, d, [source], [speaker])[0] for source, speaker in zip(sources, speakers)]
+    return dm._generate(params, d, sources, speakers), alone
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+def test_batched_generation_equals_one_at_a_time(tied):
+    """Equal-length sequences with mixed speakers, decoded as one group
+    (every frame after frame 1 replayed once over their stacks), are
+    byte-identical to decoding each alone, in both directions, through
+    generate_motions and generate_motion too."""
+    params = dm.ModelParams(small_config(max_frames=60, share_transpose_codec=tied), np.random.default_rng(650))
+    rng = np.random.default_rng(750)
+    for t in (1, 2, 3, 60):
+        for speakers in ([2, 0], [1, 2, 1]):
+            feats = [FeatureSequence(rng.standard_normal((t, 5))) for _ in speakers]
+            motions = [MotionSequence(0.1 * rng.standard_normal((t, 6, 3)), 25.0) for _ in speakers]
+            for direction, sources in (("primal", feats), ("dual", motions)):
+                group, alone = _decode_group(params, direction, sources, speakers)
+                assert [g.tobytes() for g in group] == [a.tobytes() for a in alone], f"{direction} at T={t}"
+            got = dm.generate_motions(params, feats, speakers)
+            assert [g.displacements.tobytes() for g in got] == \
+                [dm.generate_motion(params, f, s).displacements.tobytes() for f, s in zip(feats, speakers)]
+
+
+def test_batched_generation_rejects_unequal_lengths():
+    params = dm.ModelParams(small_config(), np.random.default_rng(651))
+    feats = [FeatureSequence(np.zeros((t, 5))) for t in (4, 5)]
+    with pytest.raises(ValueError):
+        dm.generate_motions(params, feats, [0, 1])
+
+
+def _first_error(decode):
+    with pytest.raises(dc.NonFiniteError) as raised:
+        decode()
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("direction", ["primal", "dual"])
+def test_batched_overflow_raises_as_serial(direction):
+    """A group whose decode fails raises the NonFiniteError that decoding
+    its sequences one at a time, in order, raises first. With one
+    overflowing sequence (row 3 of the second, read in a replayed frame)
+    that is the layer norm that its frame 3 meets. With the first sequence
+    overflowing at frame 3 and the second at its encoding, which a group
+    reaches first, it is still the first sequence's error."""
+    params = dm.ModelParams(small_config(), np.random.default_rng(652))
+    width = {"primal": 5, "dual": 18}[direction]
+    rng = np.random.default_rng(752)
+    speakers = [0, 2, 1]
+
+    def decoders(rows):
+        sources = [dc.Tensor(r) for r in rows]
+        d = dm.DIRECTIONS[direction]
+
+        def serial():
+            for source, speaker in zip(sources, speakers):
+                dm._generate(params, d, [source], [speaker])
+
+        return serial, lambda: dm._generate(params, d, sources, speakers)
+
+    with np.errstate(all="ignore"):
+        rows = [0.1 * rng.standard_normal((9, width)) for _ in speakers]
+        rows[1][3] *= 1e200
+        serial, group = decoders(rows)
+        assert _first_error(group) == _first_error(serial)
+        assert _first_error(serial).startswith("layer-normalize-per-row")
+        rows[0][3] *= 1e200
+        rows[1][4] = 1.5e308
+        serial, group = decoders(rows)
+        assert _first_error(group) == _first_error(serial)
+        assert _first_error(serial).startswith("layer-normalize-per-row")
+        assert _first_error(lambda: dm._generate(params, dm.DIRECTIONS[direction], [dc.Tensor(rows[1])], [2])) \
+            .startswith("matmul")
+
+
+def test_batched_generation_calls_per_frame_do_not_grow_with_batch(monkeypatch):
+    """Each frame after frame 1 applies every record once for the whole
+    group: the forward calls per frame are the same at B=1, 2 and 4."""
+    params = dm.ModelParams(small_config(max_frames=16), np.random.default_rng(653))
+    rng = np.random.default_rng(753)
+    calls = [0]
+
+    def counted(kind, arrays, attrs, out):
+        calls[0] += 1
+
+    _spy_forward_rules(monkeypatch, counted)
+    for direction, width in (("primal", 5), ("dual", 18)):
+        per_frame = []
+        for batch in (1, 2, 4):
+            counts = []
+            for t in (6, 16):
+                sources = [dc.Tensor(0.1 * rng.standard_normal((t, width))) for _ in range(batch)]
+                calls[0] = 0
+                dm._generate(params, dm.DIRECTIONS[direction], sources, [b % 3 for b in range(batch)])
+                counts.append(calls[0])
+            per_frame.append((counts[1] - counts[0]) / 10)
+        assert per_frame[0] == per_frame[1] == per_frame[2] > 0, f"{direction}: calls per frame {per_frame}"
+
+
 @pytest.mark.parametrize("direction", ["primal", "dual"])
 def test_generation_rereads_the_caches_by_each_rule_alone(monkeypatch, direction):
     """Two rules keep a replayed frame reading its K/V caches as extended,

@@ -10,7 +10,8 @@ from dualface import train as dt
 from dualface.data import FeatureSequence, MotionSequence, SequenceRecord, SyntheticSpec, generate_synthetic, load_dataset
 from dualface.diffcore import NonFiniteError
 from dualface.losses import CCRLConfig, LossWeights
-from dualface.model import ModelConfig, ModelParams, forward_primal, load_checkpoint
+from dualface.metrics import RegionSet, SequenceMetrics, build_report, fdd, lip_vertex_error
+from dualface.model import ModelConfig, ModelParams, forward_primal, generate_motion, load_checkpoint
 
 import oracles
 from oracles import assert_close
@@ -306,6 +307,33 @@ def test_no_val_split_checkpoints_final_parameters(tmp_path, monkeypatch):
     assert Path(res.checkpoint) == tmp_path / "run" / "best.ckpt"
     assert np.array_equal(load_checkpoint(res.checkpoint).values, stores[-1].values)
     assert res.state.step == len(stores) == 2 * len(ds.split("train"))
+
+
+def test_evaluate_groups_lengths_as_a_per_sequence_loop(tmp_path, monkeypatch):
+    """A split of two lengths, interleaved, is decoded in two groups, one
+    per length, and its report is byte-equal to that of generating each
+    sequence alone, in split order."""
+    ds = tiny_dataset(tmp_path)
+    rng = np.random.default_rng(31)
+    lengths = [(7, 0), (12, 1), (7, 1), (12, 0), (7, 1)]
+    rows = [SequenceRecord(speaker, FeatureSequence(rng.standard_normal((frames, ds.audio_dim))),
+                           MotionSequence(0.1 * rng.standard_normal((frames, 24, 3)), 25.0), "val", f"mixed{i}")
+            for i, (frames, speaker) in enumerate(lengths)]
+    ds = replace(ds, sequences=ds.split("train") + rows)
+    params = ModelParams(tiny_model(ds), np.random.default_rng(32))
+    lips, upper = RegionSet("lips", ds.manifest.lip_indices), RegionSet("upper", ds.manifest.upper_indices)
+    expect = build_report([
+        SequenceMetrics(seq.name, lip_vertex_error(pred, seq.motion, lips), fdd(pred, seq.motion, upper))
+        for seq in rows for pred in [generate_motion(params, seq.features, seq.speaker, seq.motion.fps)]])
+    groups, real = [], dt.generate_motions
+
+    def spy(params, features, speakers, fps):
+        groups.append([f.frames for f in features])
+        return real(params, features, speakers, fps)
+
+    monkeypatch.setattr(dt, "generate_motions", spy)
+    assert dt.evaluate_params(params, ds, "val").to_json() == expect.to_json()
+    assert groups == [[7, 7, 7], [12, 12]]
 
 
 def test_evaluate_predict_gt_is_zero(tmp_path):
