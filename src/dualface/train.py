@@ -218,14 +218,20 @@ def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state
 def _split_predictions(params: ModelParams, rows: list[SequenceRecord]) -> list[MotionSequence]:
     """generate_motion of each sequence of a split, in split order; the
     sequences of one length and fps are decoded as one group, bit-identical
-    to one at a time."""
+    to one at a time. A NonFiniteError decodes the split again one sequence
+    at a time, in split order, and raises what that raises first."""
     groups: dict[tuple, list[int]] = {}
     for i, seq in enumerate(rows):
         groups.setdefault((seq.features.frames, seq.motion.fps), []).append(i)
     preds = {}
-    for (_, fps), group in groups.items():
-        preds.update(zip(group, generate_motions(params, [rows[i].features for i in group],
-                                                 [rows[i].speaker for i in group], fps)))
+    try:
+        for (_, fps), group in groups.items():
+            preds.update(zip(group, generate_motions(params, [rows[i].features for i in group],
+                                                     [rows[i].speaker for i in group], fps)))
+    except dc.NonFiniteError:
+        for seq in rows:
+            generate_motions(params, [seq.features], [seq.speaker])
+        raise
     return [preds[i] for i in range(len(rows))]
 
 

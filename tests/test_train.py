@@ -336,6 +336,30 @@ def test_evaluate_groups_lengths_as_a_per_sequence_loop(tmp_path, monkeypatch):
     assert groups == [[7, 7, 7], [12, 12]]
 
 
+def test_evaluate_raises_the_error_of_a_per_sequence_loop(tmp_path):
+    """On a split of two lengths whose second sequence overflows in a
+    replayed frame and whose third, decoded in the first group, overflows
+    at its encoding, evaluate_params raises what generating each sequence
+    alone, in split order, raises first: the second sequence's error."""
+    ds = tiny_dataset(tmp_path)
+    rng = np.random.default_rng(33)
+    features = [0.1 * rng.standard_normal((frames, ds.audio_dim)) for frames in (7, 5, 7)]
+    features[1][3] *= 1e200
+    features[2][4] = 1.5e308
+    rows = [SequenceRecord(0, FeatureSequence(f), MotionSequence(0.1 * rng.standard_normal((len(f), 24, 3)), 25.0),
+                           "val", f"failing{i}") for i, f in enumerate(features)]
+    ds = replace(ds, sequences=ds.split("train") + rows)
+    params = ModelParams(tiny_model(ds), np.random.default_rng(34))
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteError) as serial:
+            for seq in rows:
+                generate_motion(params, seq.features, seq.speaker)
+        with pytest.raises(NonFiniteError) as grouped:
+            dt.evaluate_params(params, ds, "val")
+    assert str(grouped.value) == str(serial.value)
+    assert str(serial.value).startswith("layer-normalize-per-row")
+
+
 def test_evaluate_predict_gt_is_zero(tmp_path):
     ds = tiny_dataset(tmp_path)
     params = ModelParams(tiny_model(ds), np.random.default_rng(0))
