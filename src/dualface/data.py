@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -430,16 +431,25 @@ def default_region_sets(vertex_count: int) -> tuple[list[int], list[int]]:
     return lips, upper
 
 
+_SEQUENCE_FILE = re.compile(r"seq\d{3,}_(features|motion)\.bin")  # the generator's own file names
+
+
 def generate_synthetic(spec: SyntheticSpec, out_dir) -> DatasetManifest:
     """Generate a paired dataset under out_dir and return its manifest.
 
     Draw order from the single seeded generator is fixed (template, then
     per-speaker mixing/blendshape matrices, then per-sequence latent noise
     and feature noise), so a given spec reproduces byte-identical files.
+    The sequence files (seqNNN_*.bin) that a manifest already in out_dir
+    names and the new one does not are removed once it is written.
     """
     spec.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    try:
+        earlier = {name for e in load_manifest(out / "manifest.json").entries for name in (e.features, e.motion)}
+    except (OSError, FileFormatError):
+        earlier = set()
     rng = np.random.default_rng(spec.seed)
     t, v, b, p = spec.frames, spec.vertex_count, spec.bands, spec.latent_dim
 
@@ -488,6 +498,9 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> DatasetManifest:
         upper_indices=upper,
     )
     save_manifest(out / "manifest.json", manifest)
+    for name in earlier - {name for e in entries for name in (e.features, e.motion)}:
+        if _SEQUENCE_FILE.fullmatch(name):
+            (out / name).unlink(missing_ok=True)
     return manifest
 
 

@@ -3,8 +3,8 @@
 A closed catalog of float64 tensor primitives with tape recording, reverse
 accumulation into parameters, replay of a recorded graph (Program), and a
 central-finite-difference checking harness. Model and loss code compose
-these primitives and nothing else; no fused kernels, no implicit
-broadcasting outside broadcast-row.
+these primitives and nothing else; no fused kernels, and no implicit
+broadcasting outside broadcast-row and matmul's leading (head) axes.
 
 An evaluated primitive's output is checked on its own; under a tape it is
 then copied into the tape's storage, where a replayed graph writes it again
@@ -62,7 +62,8 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        """Takes a C-contiguous, finite float64 array as it is, unchecked."""
+        """Takes a finite float64 array as it is, unchecked: C-contiguous, or
+        a view that only primitives read (a cache leaf, a broadcast mask)."""
         t = object.__new__(cls)
         t.data = arr
         return t
@@ -177,11 +178,18 @@ _TAPE_STACK: list[Tape] = []
 # does the output: one value of the output per row of the batch.
 
 def _fw_matmul(arrays, attrs, out, batch=0):
+    """Matrices, or stacks whose leading axes broadcast, such as (T, d) by
+    (H, d, dk) heads; at batch=1 a lower rank gains axes after the batch's."""
     a, b = arrays
-    if a.ndim != 2 + batch or b.ndim != 2 + batch:
-        raise ShapeMismatchError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
+    if a.ndim < 2 + batch or b.ndim < 2 + batch:
+        raise ShapeMismatchError(f"matmul expects operands of rank >= 2, got {a.shape} and {b.shape}")
+    if batch and a.ndim != b.ndim:
+        rank = max(a.ndim, b.ndim)
+        a, b = (x.reshape(x.shape[:1] + (1,) * (rank - x.ndim) + x.shape[1:]) for x in (a, b))
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    if any(x != y and x != 1 != y for x, y in zip(a.shape[-3::-1], b.shape[-3::-1])):
+        raise ShapeMismatchError(f"matmul leading axes do not broadcast: {a.shape} @ {b.shape}")
     return partial(np.matmul, a, b, out), None
 
 
@@ -301,6 +309,23 @@ def _fw_broadcast_row(arrays, attrs, out, batch=0):
     return _copy(a.reshape(*lead, 1, row[-1]), (*lead, rows, row[-1]), out)
 
 
+def _merge_heads(heads, out):
+    np.copyto(out.reshape(heads.shape), heads)
+    return out
+
+
+def _fw_merge_heads(arrays, attrs, out, batch=0):
+    """(H, T, dk) heads side by side, in order, as (T, H·dk): the axes
+    between the batch axis and the last two are all head axes."""
+    (a,) = arrays
+    if a.ndim < 3 + batch:
+        raise ShapeMismatchError(f"merge-heads expects (heads, rows, width), got {a.shape}")
+    lead, (t, w) = a.shape[:batch], a.shape[-2:]
+    heads = np.moveaxis(a.reshape(*lead, -1, t, w), -3, -2)  # (T, H, dk), a view
+    shape = (*lead, t, heads.shape[-2] * w)
+    return partial(_merge_heads, heads, np.empty(shape) if out is None else out), None
+
+
 def _layer_norm_rows(a, out, inv):
     dev = a - np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
     var = np.add.reduce(dev ** 2, axis=-1, keepdims=True) / a.shape[-1]
@@ -323,10 +348,17 @@ def _fw_layer_norm_rows(arrays, attrs, out, batch=0):
 # backward rules: (record, upstream grad) -> one gradient per input; matmul
 # and multiply skip the product (None) for an input the record does not need
 
+def _sum_to(g, shape):
+    """g summed over the leading axes that broadcasting added to `shape` or stretched."""
+    extra = g.ndim - len(shape)
+    axes = (*range(extra), *(extra + i for i, n in enumerate(shape[:-2]) if n == 1 < g.shape[extra + i]))
+    return np.add.reduce(g, axis=axes).reshape(shape) if axes else g
+
+
 def _bw_matmul(r, g):
     a, b = (t.data for t in r.inputs)
     need_a, need_b = r.needs
-    return [g @ b.T if need_a else None, a.T @ g if need_b else None]
+    return [_sum_to(g @ b.mT, a.shape) if need_a else None, _sum_to(a.mT @ g, b.shape) if need_b else None]
 
 
 def _bw_add(r, g):
@@ -412,6 +444,12 @@ def _bw_broadcast_row(r, g):
     return [np.add.reduce(g, axis=0).reshape(x.shape)]
 
 
+def _bw_merge_heads(r, g):
+    x = r.inputs[0].data
+    t, w = x.shape[-2:]
+    return [np.ascontiguousarray(np.moveaxis(g.reshape(t, -1, w), 1, 0)).reshape(x.shape)]
+
+
 def _bw_layer_norm_rows(r, g):
     normed, inv = r.output.data, r.saved
     gm = np.add.reduce(g, axis=-1, keepdims=True) / g.shape[-1]
@@ -449,6 +487,7 @@ class PrimitiveKind(Enum):
     MEAN = "mean", _fw_mean, _bw_mean
     BROADCAST_ROW = "broadcast-row", _fw_broadcast_row, _bw_broadcast_row
     LAYER_NORM_ROWS = "layer-normalize-per-row", _fw_layer_norm_rows, _bw_layer_norm_rows
+    MERGE_HEADS = "merge-heads", _fw_merge_heads, _bw_merge_heads
 
 
 def _apply(kind: PrimitiveKind, arrays: list, attrs: dict, batch: int = 0) -> tuple:
@@ -485,124 +524,71 @@ def evaluate(kind: PrimitiveKind, inputs: Sequence[Tensor], **attrs) -> Tensor:
 
 # Thin named wrappers; model and loss code reads better through these.
 
-def matmul(a, b):
-    return evaluate(PrimitiveKind.MATMUL, (a, b))
+def _wrapper(kind: PrimitiveKind) -> Callable[..., Tensor]:
+    """evaluate(kind, inputs) of the input tensors given positionally; evaluate
+    is looked up at each call, so a wrapper installed on it sees every call."""
+    return lambda *inputs: evaluate(kind, inputs)
 
 
-def add(a, b):
-    return evaluate(PrimitiveKind.ADD, (a, b))
-
-
-def subtract(a, b):
-    return evaluate(PrimitiveKind.SUBTRACT, (a, b))
-
-
-def multiply(a, b):
-    return evaluate(PrimitiveKind.MULTIPLY, (a, b))
+matmul = _wrapper(PrimitiveKind.MATMUL)
+add = _wrapper(PrimitiveKind.ADD)
+subtract = _wrapper(PrimitiveKind.SUBTRACT)
+multiply = _wrapper(PrimitiveKind.MULTIPLY)
+relu = _wrapper(PrimitiveKind.RELU)
+sigmoid = _wrapper(PrimitiveKind.SIGMOID)
+tanh = _wrapper(PrimitiveKind.TANH)
+exp = _wrapper(PrimitiveKind.EXP)
+log = _wrapper(PrimitiveKind.LOG)
+softmax_rows = _wrapper(PrimitiveKind.SOFTMAX_ROWS)
+concat_last = _wrapper(PrimitiveKind.CONCAT_LAST)
+transpose_last_two = _wrapper(PrimitiveKind.TRANSPOSE_LAST_TWO)
+sum_all = _wrapper(PrimitiveKind.SUM)
+mean_all = _wrapper(PrimitiveKind.MEAN)
+layer_norm_rows = _wrapper(PrimitiveKind.LAYER_NORM_ROWS)
+merge_heads = _wrapper(PrimitiveKind.MERGE_HEADS)
 
 
 def scalar_multiply(a, scalar: float):
     return evaluate(PrimitiveKind.SCALAR_MULTIPLY, (a,), scalar=float(scalar))
 
 
-def relu(a):
-    return evaluate(PrimitiveKind.RELU, (a,))
-
-
-def sigmoid(a):
-    return evaluate(PrimitiveKind.SIGMOID, (a,))
-
-
-def tanh(a):
-    return evaluate(PrimitiveKind.TANH, (a,))
-
-
-def exp(a):
-    return evaluate(PrimitiveKind.EXP, (a,))
-
-
-def log(a):
-    return evaluate(PrimitiveKind.LOG, (a,))
-
-
-def softmax_rows(a):
-    return evaluate(PrimitiveKind.SOFTMAX_ROWS, (a,))
-
-
-def concat_last(*tensors):
-    return evaluate(PrimitiveKind.CONCAT_LAST, tuple(tensors))
-
-
 def slice_axis(a, axis: int, start: int, stop: int):
     return evaluate(PrimitiveKind.SLICE, (a,), axis=axis, start=start, stop=stop)
-
-
-def transpose_last_two(a):
-    return evaluate(PrimitiveKind.TRANSPOSE_LAST_TWO, (a,))
-
-
-def sum_all(a):
-    return evaluate(PrimitiveKind.SUM, (a,))
-
-
-def mean_all(a):
-    return evaluate(PrimitiveKind.MEAN, (a,))
 
 
 def broadcast_row(a, rows: int):
     return evaluate(PrimitiveKind.BROADCAST_ROW, (a,), rows=int(rows))
 
 
-def layer_norm_rows(a):
-    return evaluate(PrimitiveKind.LAYER_NORM_ROWS, (a,))
-
-
 class Program:
     """Records of a trace, re-run in place, in order, on their inputs'
-    current values.
+    current values (README, "Replay programs").
 
-    `leaves` are the tensors whose arrays are rebound between runs:
-    run(values, **attrs) rebinds the first len(values) of them to
-    `values`, which must be checked data (a finite, C-contiguous float64
-    array, as a record output is), and a cut callback may rebind the
-    others. run also sets `attrs` on every record of `settable`. `cuts`
-    maps a record index to a callback: the records split into segments
-    that end there, and each callback runs once the segment before it is
-    checked.
-
-    The records come from one tape, and the trace is the program's first
-    run: the program allocates and copies nothing, and every run writes
-    each planned output into the tape storage that holds its traced value,
-    then checks the segment's stretch of that storage once per chunk. A
-    stretch runs from the segment's first planned output to the end of its
-    last, so the other slots inside it hold finite values checked before:
-    the traced outputs of records it does not plan.
-    The records in `unplanned`, whose output shapes change from run to
-    run, allocate and check their outputs one by one, as evaluate does. A
-    failed check, or an exception raised inside a segment, is reported for
-    the first planned output before that point, in record order, that is
-    not finite, with evaluate's message; so a replay names the primitive
-    that an eager build names, even when a later rule raises on its own or
-    masks the bad value. Rules run after a bad output may add NumPy
-    RuntimeWarnings before that error.
+    run(values, **attrs) rebinds the first len(values) `leaves` to
+    `values`, checked data as a record output is (a cut callback may rebind
+    the others), and sets `attrs` on every record of `settable`. `cuts`
+    maps a record index to a callback, run once the segment of records
+    ending there is checked. Every run writes each planned output into the
+    tape storage that holds its traced value, then checks the segment's
+    stretch of that storage once per chunk; the `unplanned` records, whose
+    output shapes change from run to run, allocate and check their outputs
+    one by one. A failed check, or an exception inside a segment, is
+    reported for the first planned output before that point that is not
+    finite, with evaluate's message, so a replay names the primitive an
+    eager build names.
 
     An operand is read once, when the program is built, unless it is a
-    leaf or an unplanned output: a parameter's array (so between runs its
-    values may change in place, but the parameter is never rebound), a
-    planned output or a constant. A planned record whose operands are all
-    read once, and that is not settable, is bound then to its kind's call
-    (`bind`), which a run makes and nothing else: no rule frame, no shape
-    check, no operand list. Layer norm's call writes its row scales in
-    place, into an array that its record saves from then on, filled with
-    the traced ones when the program is built. Any other record binds its
-    call to its operands' current arrays on every run (_rerun).
+    leaf or an unplanned output. A planned record whose operands are all
+    read once, and that is not settable, is bound then to its kind's call,
+    which a run makes and nothing else (layer norm's writes its row scales
+    into the array its record saves from then on); any other record binds
+    its call on every run (_rerun).
 
-    With `batch` B > 1 a run applies each record once to B graphs' (B, ...)
-    stacks, by its bind rule at batch=1: the leaves' values, the unplanned
-    outputs and each planned output tensor, rebound when the program is
-    built to a stack in one new block per segment (its one stretch). A
-    constant or a parameter is read, as _batched reads it, with a leading
-    axis of 1."""
+    With `batch` B > 1 each record runs once over B graphs' (B, ...) stacks
+    by its bind rule at batch=1: the leaves' values, the unplanned outputs
+    and the planned output tensors, rebound at build to a stack in one new
+    block per segment. A constant or parameter is read with a leading axis
+    of 1, as _batched reads it."""
 
     def __init__(self, records: Sequence[TapeRecord], leaves: Sequence[Tensor] = (),
                  settable: Sequence[TapeRecord] = (), cuts: dict[int, Callable[[], None]] | None = None,

@@ -123,6 +123,16 @@ def _layout(c: ModelConfig) -> Iterator[tuple[str, tuple[int, int], Callable[[np
     yield b("audio_decoder.out.bias", c.audio_dim)
 
 
+def _head_stacks(c: ModelConfig) -> Iterator[tuple[str, str, tuple[int, ...]]]:
+    """Each block's per-head weights, which lie together in the layout, as
+    one stack: its name, its first member's and its shape, (H, 3, d, dk) for
+    a self-attention stream's q, k and v, (H, d, dk) for a fusion role's."""
+    for stream in ("motion", "audio"):
+        yield f"self_attn.{stream}.h*.qkv", f"self_attn.{stream}.h0.q", (c.self_heads, 3, c.d, c.d // c.self_heads)
+    for role in ("qk_audio", "qk_motion", "primal.v", "dual.v"):
+        yield f"fusion.{role}.h*", f"fusion.{role}.h0", (c.fusion_heads, c.d, c.d // c.fusion_heads)
+
+
 class ModelParams:
     """Registration-ordered parameter store.
 
@@ -131,7 +141,8 @@ class ModelParams:
     everywhere they are used. All values, and all gradients, sit in one flat
     float64 buffer each (`values`, `gradients`) in that order; every
     parameter's value and gradient is a view into them, so the optimizer
-    updates every parameter with whole-buffer operations.
+    updates every parameter with whole-buffer operations. Unregistered
+    stacks of the blocks' per-head weights view the same buffers.
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
@@ -148,26 +159,29 @@ class ModelParams:
     def _lay_out(self, config: ModelConfig, value_of: Callable[[str, Callable], np.ndarray]):
         layout = list(_layout(config))
         self.config = config
-        self._shapes = {name: shape for name, shape, _ in layout}
-        size = sum(math.prod(shape) for shape in self._shapes.values())
-        self.values, self.gradients = np.empty(size), np.zeros(size)
+        self._spans, start = {}, 0  # name -> (offset, shape)
+        for name, shape, _ in layout:
+            self._spans[name], start = (start, shape), start + math.prod(shape)
+        self.values, self.gradients = np.empty(start), np.zeros(start)
         values, gradients = self.views(self.values), self.views(self.gradients)
         self._params = {}
         for name, _, init in layout:
             values[name][...] = value_of(name, init)
             self._params[name] = dc.Parameter(name, values[name], gradients[name])
+        self._stacks = {}
+        for name, first, shape in _head_stacks(config):
+            start, size = self._spans[first][0], math.prod(shape)
+            self._stacks[name] = dc.Parameter(name, *(flat[start:start + size].reshape(shape)
+                                                      for flat in (self.values, self.gradients)))
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter's view, by name, into a buffer laid out like `values`."""
-        out, start = {}, 0
-        for name, shape in self._shapes.items():
-            end = start + math.prod(shape)
-            out[name] = flat[start:end].reshape(shape)
-            start = end
-        return out
+        return {name: flat[start:start + math.prod(shape)].reshape(shape)
+                for name, (start, shape) in self._spans.items()}
 
     def __getitem__(self, name: str) -> dc.Parameter:
-        return self._params[name]
+        """A registered parameter, or a stack of per-head weights (`…h*…`)."""
+        return self._params[name] if name in self._params else self._stacks[name]
 
     def named_parameters(self) -> list[tuple[str, dc.Parameter]]:
         return list(self._params.items())
@@ -201,54 +215,45 @@ class ForwardOutputs:
 
 
 class KVCache:
-    """One attention head's keys and values of the rows decoded so far, in
-    preallocated (T, dk) arrays. Each row is written once from a checked
-    primitive output; what it hands out are two tape leaves, rebound on each
-    extend, so a traced frame's records read the rows cached since
-    (generation only)."""
+    """One attention block's keys and values of the rows decoded so far, in
+    (..., T, dk) arrays allocated at the first extend, with a leading axis
+    per head (and per sequence of a group). Each row is written once from a
+    checked primitive output; it hands out two tape leaves, rebound on each
+    extend, so a traced frame's records read the rows cached since."""
 
-    def __init__(self, frames: int, dk: int):
-        self.keys, self.values, self.rows = np.empty((frames, dk)), np.empty((frames, dk)), 0
-        self.leaves = dc.Tensor._wrap(self.keys[:0].T), dc.Tensor._wrap(self.values[:0])
+    def __init__(self, frames: int):
+        self.frames, self.rows = frames, 0
+        self.leaves = dc.Tensor._wrap(np.empty(0)), dc.Tensor._wrap(np.empty(0))
         self.fed = None  # the (k, v) tensors of the last extend
 
+    @classmethod
+    def group(cls, caches: Sequence[KVCache]) -> KVCache:
+        """The caches of B sequences holding the same rows, as one over (B,
+        ...) stacks of their arrays, handing out through the first's leaves."""
+        group = cls(caches[0].frames)
+        group.keys, group.values = (np.stack(arrays) for arrays in zip(*((c.keys, c.values) for c in caches)))
+        group.rows, group.leaves = caches[0].rows, caches[0].leaves
+        return group
+
     def extend(self, k: dc.Tensor, v: dc.Tensor) -> tuple[dc.Tensor, dc.Tensor]:
-        """Store the newest row's key and value; returns the keys of every
-        row so far transposed, (dk, rows), as a C-contiguous copy, the array
+        """Store the newest row's keys and values, (..., 1, dk); returns all
+        rows' keys transposed, (..., dk, rows), as the C-contiguous copy that
         transpose-last-two would give, and a view of their values."""
-        self.keys[self.rows], self.values[self.rows] = k.data[0], v.data[0]
+        if self.rows == 0:
+            self.keys, self.values = (np.empty((*x.shape[:-2], self.frames, x.shape[-1])) for x in (k.data, v.data))
+        self.keys[..., self.rows, :], self.values[..., self.rows, :] = k.data[..., 0, :], v.data[..., 0, :]
         self.rows, self.fed = self.rows + 1, (k, v)
         keys_t, values = self.leaves
-        keys_t.data, values.data = self.keys[: self.rows].T.copy(), self.values[: self.rows]
+        keys_t.data, values.data = np.swapaxes(self.keys[..., :self.rows, :], -1, -2).copy(), self.values[..., :self.rows, :]
         return self.leaves
-
-
-class KVBatch:
-    """One head's K/V caches of B sequences, `caches`, each over its row of
-    (B, T, dk) arrays. Once every cache holds the same rows, extend adds a
-    row to all of them at once from (B, 1, dk) stacks and hands out the
-    (B, dk, rows) and (B, rows, dk) stacks through the first cache's
-    leaves."""
-
-    def __init__(self, frames: int, dk: int, batch: int):
-        self.keys, self.values = np.empty((batch, frames, dk)), np.empty((batch, frames, dk))
-        self.caches = [KVCache(frames, dk) for _ in range(batch)]
-        for cache, keys, values in zip(self.caches, self.keys, self.values):
-            cache.keys, cache.values = keys, values
-
-    def extend(self, k: dc.Tensor, v: dc.Tensor):
-        first = self.caches[0]
-        self.keys[:, first.rows], self.values[:, first.rows] = k.data[:, 0], v.data[:, 0]
-        first.rows += 1
-        keys_t, values = first.leaves
-        keys_t.data, values.data = self.keys[:, : first.rows].transpose(0, 2, 1).copy(), self.values[:, : first.rows]
 
 
 # ---------------------------------------------------------------------------
 # building blocks
 
-def _causal_mask(t: int) -> dc.Tensor:
-    return dc.Tensor(np.triu(np.full((t, t), _MASK_VALUE), k=1))
+def _causal_mask(shape: tuple[int, ...]) -> dc.Tensor:
+    """The additive mask of (..., T, T) logits, a view of one (T, T) array."""
+    return dc.Tensor._wrap(np.broadcast_to(np.triu(np.full(shape[-2:], _MASK_VALUE), k=1), shape))
 
 
 def _repeat_row(row: dc.Tensor, rows: int) -> dc.Tensor:
@@ -260,25 +265,18 @@ def _affine(x: dc.Tensor, weight: dc.Tensor, bias: dc.Tensor) -> dc.Tensor:
     return dc.add(dc.matmul(x, weight), _repeat_row(bias, x.data.shape[0]))
 
 
-def attention_heads(q_src, kv_src, q_weights, k_weights, v_weights, cache: list[KVCache] | None = None) -> list[dc.Tensor]:
-    """Per-head scaled-dot-product contexts (pre output projection). Query
-    row t attends kv rows 0..t: through a causal mask or, with per-head
-    caches, as the one newest row over the cached rows and its own."""
-    if cache is not None and q_src.data.shape[0] != 1:
+def attention_heads(q: dc.Tensor, k: dc.Tensor, v: dc.Tensor, cache: KVCache | None = None) -> dc.Tensor:
+    """A block's heads' scaled-dot-product contexts, side by side, (T, H·dk),
+    from (..., T, dk) queries, keys and values whose leading axes are head
+    axes: one record per step for all the heads. Query row t attends kv rows
+    0..t through a causal mask or, with a cache, as the one newest row."""
+    if cache is not None and q.shape[-2] != 1:
         raise dc.ShapeMismatchError("cached attention decodes one row per call")
-    mask = None if cache is not None else _causal_mask(q_src.data.shape[0])
-    scale = 1.0 / np.sqrt(q_weights[0].data.shape[1])
-    heads = []
-    for h, (qw, kw, vw) in enumerate(zip(q_weights, k_weights, v_weights)):
-        q = dc.matmul(q_src, qw)
-        k = dc.matmul(kv_src, kw)
-        v = dc.matmul(kv_src, vw)
-        k_t, v = cache[h].extend(k, v) if cache is not None else (dc.transpose_last_two(k), v)
-        logits = dc.scalar_multiply(dc.matmul(q, k_t), scale)
-        if mask is not None:
-            logits = dc.add(logits, mask)
-        heads.append(dc.matmul(dc.softmax_rows(logits), v))
-    return heads
+    k_t, v = cache.extend(k, v) if cache is not None else (dc.transpose_last_two(k), v)
+    logits = dc.scalar_multiply(dc.matmul(q, k_t), 1.0 / np.sqrt(q.shape[-1]))
+    if cache is None:
+        logits = dc.add(logits, _causal_mask(logits.shape))
+    return dc.merge_heads(dc.matmul(dc.softmax_rows(logits), v))
 
 
 def _check_frames(params: ModelParams, t: int, what: str):
@@ -369,14 +367,15 @@ def _direction(name: str) -> Direction:
     return DIRECTIONS[name]
 
 
-def self_attend(params: ModelParams, stream: dc.Tensor, direction: str, cache: list[KVCache] | None = None) -> dc.Tensor:
+def self_attend(params: ModelParams, stream: dc.Tensor, direction: str, cache: KVCache | None = None) -> dc.Tensor:
     """Causally masked multi-head self-attention with post-norm residual;
-    with a per-head cache, `stream` is the one newest history row."""
+    with a cache, `stream` is the one newest history row. One product
+    projects every head's q, k and v, (H, 3, T, dk), each then a slice."""
     name = _direction(direction).target
     _check_frames(params, stream.data.shape[0], "self_attend")
-    qw, kw, vw = ([params[f"self_attn.{name}.h{h}.{p}"] for h in range(params.config.self_heads)] for p in "qkv")
-    heads = attention_heads(stream, stream, qw, kw, vw, cache)
-    ctx = dc.matmul(dc.concat_last(*heads), params[f"self_attn.{name}.out"])
+    qkv = dc.matmul(stream, params[f"self_attn.{name}.h*.qkv"])
+    heads = attention_heads(*(dc.slice_axis(qkv, 1, i, i + 1) for i in range(3)), cache)
+    ctx = dc.matmul(heads, params[f"self_attn.{name}.out"])
     return dc.layer_norm_rows(dc.add(stream, ctx))
 
 
@@ -391,19 +390,19 @@ def speaker_modulate(params: ModelParams, stream: dc.Tensor, style: dc.Tensor, d
 
 
 def cross_attend(params: ModelParams, queries: dc.Tensor, kv: dc.Tensor, direction: str,
-                 cache: list[KVCache] | None = None) -> dc.Tensor:
+                 cache: KVCache | None = None) -> dc.Tensor:
     """Fusion attention between modalities, then position-wise feed-forward.
     Projections are shared across directions per modality of the projected
-    rows; query row t sees history rows 0..t only."""
+    rows, each one product over its (H, d, dk) stack of heads; query row t
+    sees history rows 0..t only."""
     d = _direction(direction)
     tq, tk = queries.data.shape[0], kv.data.shape[0]
     if tq != tk:
         raise dc.ShapeMismatchError(f"cross_attend expects equal lengths, got {tq} and {tk}")
     own = f"fusion.{d.name}"
     roles = (f"fusion.qk_{d.source}", f"fusion.qk_{d.target}", f"{own}.v")
-    qw, kw, vw = ([params[f"{role}.h{h}"] for h in range(params.config.fusion_heads)] for role in roles)
-    heads = attention_heads(queries, kv, qw, kw, vw, cache)
-    ctx = dc.matmul(dc.concat_last(*heads), params[f"{own}.out"])
+    q, k, v = (dc.matmul(x, params[f"{role}.h*"]) for x, role in zip((queries, kv, kv), roles))
+    ctx = dc.matmul(attention_heads(q, k, v, cache), params[f"{own}.out"])
     x = dc.layer_norm_rows(dc.add(queries, ctx))
     hidden = dc.relu(_affine(x, params[f"{own}.ff1.weight"], params[f"{own}.ff1.bias"]))
     ff = _affine(hidden, params[f"{own}.ff2.weight"], params[f"{own}.ff2.bias"])
@@ -435,24 +434,21 @@ def _generate(params: ModelParams, d: Direction, sources: Sequence, speakers: Se
     """Decodes sources of one length, each with its speaker, one row per
     frame: a source is encoded once, then frame t sends one history row
     (the start token, or frame t-1 encoded at position t-1) through every
-    block, attending over per-head K/V caches. Only attention mixes rows,
-    and the caches hold exactly the rows frame t may see, so frame t equals
-    row t of teacher forcing on the output.
+    block, attending over the block's K/V cache, which holds exactly the
+    rows frame t may see; so frame t equals row t of teacher forcing.
 
     Frames 0 and 1 of each sequence run the model code, frame 1 of the
     first under a tape. Every later frame replays those records once for
-    all the sequences, as a diffcore.Program of batch len(sources), with
-    the inputs rebound: the previous predictions, the source rows, the
-    style rows (of several sequences) and the positional slice. Each
-    sequence meets the forward calls that decoding it alone makes, so the
-    output is bit-identical. The records are cut after each head's k/v
-    matmuls, where each segment is checked and the replay extends that
-    head's caches (through its KVBatch, for several) as the traced frame
-    did, rebinding the first cache's leaves. Each head's logits, scaled
-    logits and softmax have the cache's row count in their shapes, so those
-    records allocate and check their outputs one by one. A NonFiniteError
-    from several sequences decodes them again one at a time, in order, and
-    raises what that raises first."""
+    all the sequences, as a diffcore.Program of batch len(sources) with the
+    previous predictions, source rows, style rows (of several sequences)
+    and positional slice rebound, so each sequence meets the forward calls
+    that decoding it alone makes: the output is bit-identical. The records
+    are cut after each block's k and v, where the replay extends the
+    block's cache (a KVCache.group, for several) as the traced frame did;
+    the block's logits, scaled logits and softmax, whose shapes grow with
+    the cache, are unplanned. A NonFiniteError from several sequences
+    decodes them again one at a time, in order, and raises what that
+    raises first."""
     try:
         return _decode(params, d, sources, speakers)
     except dc.NonFiniteError:
@@ -463,22 +459,21 @@ def _generate(params: ModelParams, d: Direction, sources: Sequence, speakers: Se
 
 
 def _decode(params: ModelParams, d: Direction, sources: Sequence, speakers: Sequence[int]) -> list[np.ndarray]:
-    c, batch = params.config, len(sources)
+    batch = len(sources)
     rows = np.stack([_encoder(d.source)(params, source).data for source in sources], 1)
     frames = rows.shape[0]
     rows = rows.reshape(frames, batch, 1, -1)  # source row t of sequence b at [t, b]
     styles = [style_embed(params, speaker) for speaker in speakers]
-    heads = [c.d // c.self_heads] * c.self_heads + [c.d // c.fusion_heads] * c.fusion_heads
-    kv = [KVBatch(frames, dk, batch) for dk in heads]  # self, then fusion heads
-    caches = [[head.caches[b] for head in kv] for b in range(batch)]
+    caches = [(KVCache(frames), KVCache(frames)) for _ in range(batch)]  # self-attention, fusion
     out_weight = d.out_weight(params)  # constant: a tied codec transposes once
     out = np.empty((batch, frames, out_weight.data.shape[1]))
 
     def frame(history: dc.Tensor, t: int, b: int) -> tuple[dc.Tensor, dc.Tensor]:
         row = dc.Tensor._wrap(rows[t, b])  # read in place: a leaf of checked data
-        ctx = self_attend(params, history, d.name, caches[b][:c.self_heads])
+        self_cache, fusion_cache = caches[b]
+        ctx = self_attend(params, history, d.name, self_cache)
         gated = speaker_modulate(params, ctx, styles[b], d.name)
-        pred = d.decode(params, cross_attend(params, row, gated, d.name, caches[b][c.self_heads:]), out_weight)
+        pred = d.decode(params, cross_attend(params, row, gated, d.name, fusion_cache), out_weight)
         out[b, t] = pred.data[0]
         return row, pred
 
@@ -499,12 +494,12 @@ def _decode(params: ModelParams, d: Direction, sources: Sequence, speakers: Sequ
         first = caches[0]
         if batch > 1:  # the style row, a constant of one sequence, is a leaf of several
             leaves.append(styles[0])
-            inputs, style, extend = rows, [np.stack([s.data for s in styles])], [head.extend for head in kv]
+            inputs, style, group = rows, [np.stack([s.data for s in styles])], map(KVCache.group, zip(*caches))
         else:
-            inputs, style, extend = rows[:, 0], [], [cache.extend for cache in first]
+            inputs, style, group = rows[:, 0], [], first
         program = dc.Program(
             records, [*leaves, *(leaf for cache in first for leaf in cache.leaves)], [pos],
-            {max(ends[t] for t in cache.fed): partial(e, *cache.fed) for cache, e in zip(first, extend)},
+            {max(ends[t] for t in cache.fed): partial(g.extend, *cache.fed) for cache, g in zip(first, group)},
             [r for cache in first for r in records[reader(cache.leaves[0]):reader(cache.leaves[1])]], batch)
         prev = out[:, 1:2].reshape(last.data.shape).copy()
         for t in range(2, frames):

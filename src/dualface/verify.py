@@ -24,7 +24,7 @@ _K = dc.PrimitiveKind
 
 # Input shapes and attributes of the check of each primitive kind; a kind
 # not listed takes one (3, 4) input.
-_OPS: dict[dc.PrimitiveKind, tuple[list[tuple[int, int]], dict]] = {
+_OPS: dict[dc.PrimitiveKind, tuple[list[tuple[int, ...]], dict]] = {
     _K.MATMUL: ([(3, 4), (4, 2)], {}),
     _K.ADD: ([(3, 4), (3, 4)], {}),
     _K.SUBTRACT: ([(3, 4), (3, 4)], {}),
@@ -38,7 +38,12 @@ _OPS: dict[dc.PrimitiveKind, tuple[list[tuple[int, int]], dict]] = {
     _K.MEAN: ([(4, 5)], {}),
     _K.BROADCAST_ROW: ([(1, 4)], {"rows": 5}),
     _K.LAYER_NORM_ROWS: ([(3, 5)], {}),
+    _K.MERGE_HEADS: ([(2, 3, 4)], {}),
 }
+# Every op check: name, kind, input shapes and attributes; matmul is checked
+# once more, of a matrix by a stack of two, as a block projects its heads.
+_OP_CASES = [(f"op {k.value}", k, *_OPS.get(k, ([(3, 4)], {}))) for k in dc.PrimitiveKind] + [
+    ("op matmul (3, 4) @ (2, 4, 2)", _K.MATMUL, [(3, 4), (2, 4, 2)], {})]
 
 
 def _inputs(rng: np.random.Generator, *shapes, kind: dc.PrimitiveKind | None = None) -> list[dc.Parameter]:
@@ -69,11 +74,10 @@ def _small_model(rng: np.random.Generator, tied: bool = False) -> ModelParams:
 
 def _op_checks(rng: np.random.Generator):
     checks = []
-    for kind in dc.PrimitiveKind:
-        shapes, attrs = _OPS.get(kind, ([(3, 4)], {}))
+    for name, kind, shapes, attrs in _OP_CASES:
         inputs = _inputs(rng, *shapes, kind=kind)
         output = lambda kind=kind, inputs=inputs, attrs=attrs: dc.evaluate(kind, inputs, **attrs)
-        checks.append((f"op {kind.value}", _projected(output, rng.standard_normal(output().shape))))
+        checks.append((name, _projected(output, rng.standard_normal(output().shape))))
     return checks
 
 

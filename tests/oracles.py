@@ -89,6 +89,47 @@ def cross_attention(x_q, x_kv, q_ws, k_ws, v_ws, w_out, ff1_w, ff1_b, ff2_w, ff2
     return layer_norm_rows(x + ff)
 
 
+def _softmax_rows_exact(a):
+    """The library's softmax, ufunc for ufunc, so outputs compare by bytes."""
+    e = np.exp(a - np.maximum.reduce(a, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def _layer_norm_exact(a):
+    """The library's layer norm, ufunc for ufunc."""
+    dev = a - np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+    var = np.add.reduce(dev ** 2, axis=-1, keepdims=True) / a.shape[-1]
+    return dev * (1.0 / np.sqrt(var + LN_EPS))
+
+
+def per_head_attention(x_q, x_kv, q_ws, k_ws, v_ws, w_out, cached=False):
+    """A block's attention, residual and layer norm computed head by head:
+    each head's 2-D products, its own mask and softmax, then the heads
+    joined by np.concatenate in head order; softmax and layer norm use the
+    library's per-row formulas, so the output can be compared by bytes.
+    Teacher-forced, query row t attends kv rows 0..t through the additive
+    mask. Cached, x_q is the newest row and attends every x_kv row, whose
+    keys and values are projected one row at a time, as decoding does."""
+    def project(x, w):
+        return np.concatenate([row @ w for row in x[:, None]]) if cached else x @ w
+
+    heads = []
+    for qw, kw, vw in zip(q_ws, k_ws, v_ws):
+        q, k, v = x_q @ qw, project(x_kv, kw), project(x_kv, vw)
+        logits = (q @ np.ascontiguousarray(k.T)) * (1.0 / np.sqrt(qw.shape[1]))
+        if not cached:
+            logits = logits + np.triu(np.full(logits.shape, MASK_VALUE), k=1)
+        heads.append(_softmax_rows_exact(logits) @ v)
+    return _layer_norm_exact(x_q + np.concatenate(heads, axis=1) @ w_out)
+
+
+def per_head_cross_attention(x_q, x_kv, q_ws, k_ws, v_ws, w_out, ff1_w, ff1_b, ff2_w, ff2_b, cached=False):
+    """per_head_attention, then the feed-forward, residual and layer norm."""
+    x = per_head_attention(x_q, x_kv, q_ws, k_ws, v_ws, w_out, cached)
+    hidden = np.maximum(x @ ff1_w + ff1_b, 0.0)
+    return _layer_norm_exact(x + (hidden @ ff2_w + ff2_b))
+
+
 def _sigmoid(z):
     if z >= 0.0:
         return 1.0 / (1.0 + math.exp(-z))

@@ -47,6 +47,20 @@ SMALL_MODEL = [
 ]
 
 
+def test_synth_over_an_earlier_dataset_leaves_no_stale_file(tmp_path):
+    """synth into a directory holding a larger earlier dataset removes the
+    sequence files that only the earlier manifest names; files that no
+    manifest names stay."""
+    out = make_dataset(tmp_path, n_sequences=12).parent
+    (out / "notes.txt").write_text("kept")
+    (out / "seq099_motion.bin").write_bytes(b"kept")
+    manifest = load_manifest(make_dataset(tmp_path, n_sequences=4))
+    named = {name for e in manifest.entries for name in (e.features, e.motion)}
+    assert len(named) == 8
+    assert {f.name for f in out.iterdir()} == named | {
+        "manifest.json", "template.bin", "run_manifest.json", "notes.txt", "seq099_motion.bin"}
+
+
 def test_default_config_keys():
     cfg = cli.default_config()
     assert set(cfg) == {"synthetic", "model", "train"}
@@ -623,10 +637,11 @@ def test_train_determinism_via_cli(tmp_path):
 
 
 def test_gradcheck_op_scope(capsys):
-    """The op scope checks every primitive kind of the catalog, once."""
+    """The op scope checks every primitive kind of the catalog once, and
+    matmul once more, of a matrix by a stack of two."""
     assert run(["gradcheck", "--scope", "op"]) == 0
     names = [m.group(2) for m in map(CHECK_LINE.match, capsys.readouterr().out.splitlines()) if m]
-    assert sorted(names) == sorted(f"op {k.value}" for k in dc.PrimitiveKind)
+    assert sorted(names) == sorted([f"op {k.value}" for k in dc.PrimitiveKind] + ["op matmul (3, 4) @ (2, 4, 2)"])
 
 
 # Entries each check of `gradcheck --scope full` perturbs: every parameter its
@@ -636,7 +651,7 @@ FULL_SCOPE_ENTRIES = {
     "op scalar-multiply": 12, "op relu": 12, "op sigmoid": 12, "op tanh": 12, "op exp": 12,
     "op log": 12, "op softmax-per-row": 15, "op concat-last-axis": 15, "op slice": 20,
     "op transpose-last-two": 20, "op sum": 20, "op mean": 20, "op broadcast-row": 4,
-    "op layer-normalize-per-row": 15,
+    "op layer-normalize-per-row": 15, "op matmul (3, 4) @ (2, 4, 2)": 28, "op merge-heads": 24,
     "block encode_audio": 95, "block encode_motion": 172,
     "block self_attend primal": 280, "block self_attend dual": 280,
     "block speaker_modulate primal": 148, "block speaker_modulate dual": 148,

@@ -101,6 +101,50 @@ def test_shape_validation():
         dc.broadcast_row(a, 3)
 
 
+def test_broadcast_matmul_and_merge_heads_match_numpy():
+    """A matrix times a stack of heads, and merge-heads of the products,
+    give NumPy's bytes eagerly and through a Program of batch 3, with
+    either operand the batch's leaf; the backward rules give NumPy's
+    gradients, the matrix's summed over the heads; and the gradient
+    checker passes them. Leading axes that do not broadcast, and a
+    merge-heads operand without a head axis, are shape errors."""
+    rng = np.random.default_rng(62)
+    x, w, proj = rng.standard_normal((5, 4)), rng.standard_normal((3, 4, 2)), rng.standard_normal((5, 6))
+
+    def merged(x, w):
+        return np.concatenate(list(x @ w), axis=-1)
+
+    xp, wp = dc.Parameter("x", x), dc.Parameter("w", w)
+
+    def build():
+        return dc.sum_all(dc.multiply(dc.merge_heads(dc.matmul(xp, wp)), dc.Tensor(proj)))
+
+    with dc.Tape() as tape:
+        out = build()
+    heads, m = (r.output.data for r in tape.records[:2])
+    assert heads.tobytes() == (x @ w).tobytes() and m.tobytes() == merged(x, w).tobytes()
+    dc.backpropagate(tape, out)
+    g = np.stack(np.split(proj, 3, axis=1))  # each head's columns of the upstream gradient
+    assert wp.gradient.tobytes() == (x.T @ g).tobytes()
+    assert_close(xp.gradient, sum(g[h] @ w[h].T for h in range(3)), 1e-14, "broadcast operand's gradient")
+    report = dc.check_gradients([xp, wp], build)
+    assert report.passed and report.n_entries == x.size + w.size, report.format()
+
+    for leaf, stacked in ((dc.Tensor(x), 0.1 * rng.standard_normal((3, 5, 4))),
+                          (dc.Tensor(w), rng.standard_normal((3, 3, 4, 2)))):
+        other = wp if leaf.shape == x.shape else xp
+        with dc.Tape() as tape:
+            m = dc.merge_heads(dc.matmul(*((leaf, other) if other is wp else (other, leaf))))
+        dc.Program(tape.records, [leaf], batch=3).run([stacked])
+        for b, values in enumerate(stacked):
+            expect = merged(values, w) if other is wp else merged(x, values)
+            assert m.data[b].tobytes() == expect.tobytes()
+    with pytest.raises(dc.ShapeMismatchError):
+        dc.matmul(dc.Tensor(np.ones((2, 3, 4))), dc.Tensor(np.ones((3, 4, 5))))
+    with pytest.raises(dc.ShapeMismatchError):
+        dc.merge_heads(dc.Tensor(np.ones((3, 4))))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_outputs_rejected():
     """A non-finite result fails with its primitive's name; NumPy's
@@ -456,7 +500,7 @@ def test_gradcheck_replay_runs_no_single_call_rule(monkeypatch):
     perturbed graph reads a constant and an output recorded outside it,
     and each run gives a fresh build's value."""
     K = dc.PrimitiveKind
-    single = set(K) - {K.SIGMOID, K.SOFTMAX_ROWS, K.MEAN, K.LAYER_NORM_ROWS}
+    single = set(K) - {K.SIGMOID, K.SOFTMAX_ROWS, K.MEAN, K.LAYER_NORM_ROWS, K.MERGE_HEADS}
     rng = np.random.default_rng(61)
     p, q = dc.Parameter("p", rng.standard_normal((3, 4))), dc.Parameter("q", rng.standard_normal((4, 3)))
     eye = dc.Tensor(np.eye(3))
@@ -601,7 +645,7 @@ def _output_invariant_cases():
     could hand back a view of its input: one row transposed, one row
     broadcast to one row, one operand concatenated."""
     K = dc.PrimitiveKind
-    cases = [(kind, *verify._OPS.get(kind, ([(3, 4)], {}))) for kind in K]
+    cases = [(kind, shapes, attrs) for _, kind, shapes, attrs in verify._OP_CASES]
     cases += [(K.TRANSPOSE_LAST_TWO, [(1, 4)], {}), (K.BROADCAST_ROW, [(1, 4)], {"rows": 1}),
               (K.CONCAT_LAST, [(3, 4)], {})]
     return [pytest.param(*case, id=f"{case[0].value} {case[1]}") for case in cases]
@@ -621,22 +665,22 @@ def test_outputs_are_fresh_contiguous_float64(kind, shapes, attrs):
 def test_rule_written_into_out_gives_the_same_bytes(kind):
     """Each kind's call, bound with a C-contiguous slice of a larger buffer
     as `out`, writes every entry of it and returns it, with the bytes it
-    gives for out=None, at the kind's gradient-check shapes, each time it
-    is made."""
-    shapes, attrs = verify._OPS.get(kind, ([(3, 4)], {}))
-    arrays = [t.data for t in verify._inputs(np.random.default_rng(7), *shapes, kind=kind)]
-    call, saved = kind.bind(arrays, attrs, None)
-    expect = call()
-    buffer = np.full(expect.size + 2, np.nan)
-    out = buffer[1:-1].reshape(expect.shape)
-    call, saved_out = kind.bind(arrays, attrs, out)
-    got = call()
-    assert got is out and out.tobytes() == expect.tobytes()
-    assert np.isnan(buffer[[0, -1]]).all()
-    assert (saved is None) == (saved_out is None)
-    buffer[:] = np.nan
-    call()
-    assert out.tobytes() == expect.tobytes() and np.isnan(buffer[[0, -1]]).all()
+    gives for out=None, at each of the kind's gradient-check shapes, each
+    time it is made."""
+    for _, _, shapes, attrs in (case for case in verify._OP_CASES if case[1] is kind):
+        arrays = [t.data for t in verify._inputs(np.random.default_rng(7), *shapes, kind=kind)]
+        call, saved = kind.bind(arrays, attrs, None)
+        expect = call()
+        buffer = np.full(expect.size + 2, np.nan)
+        out = buffer[1:-1].reshape(expect.shape)
+        call, saved_out = kind.bind(arrays, attrs, out)
+        got = call()
+        assert got is out and out.tobytes() == expect.tobytes()
+        assert np.isnan(buffer[[0, -1]]).all()
+        assert (saved is None) == (saved_out is None)
+        buffer[:] = np.nan
+        call()
+        assert out.tobytes() == expect.tobytes() and np.isnan(buffer[[0, -1]]).all()
 
 
 def _replay_against_eager(build, good, bad):
@@ -740,10 +784,10 @@ def test_leaf_a_cut_rebinds_is_read_at_each_run():
 def test_replays_check_once_per_segment(monkeypatch):
     """The finite check of a replay runs once per segment and chunk, over
     its stretch of the tape's storage, plus once per unplanned record. A
-    replayed generated frame at the default heads (4 + 4, so 9 segments,
-    one chunk each at these sizes) calls all_finite 33 times: once per
-    segment and once for each of the 24 attention records (logits, scaled
-    logits, softmax) whose shapes grow with the K/V caches. A replayed
+    replayed generated frame (2 attention blocks, so 3 segments, one chunk
+    each at these sizes) calls all_finite 9 times: once per segment and
+    once for each of the 6 attention records (logits, scaled logits,
+    softmax) whose shapes grow with the K/V caches. A replayed
     training step calls it once per chunk its segment spans, plus once per
     rebound leaf. (Layer norm's variance check is its own.)"""
     from dualface import model as dm, train as dt
@@ -767,7 +811,7 @@ def test_replays_check_once_per_segment(monkeypatch):
             calls[0] = 0
             generate(params, source, 1)
             per_length.append(calls[0])
-        assert per_length[2] - per_length[1] == per_length[1] - per_length[0] == 33, generate.__name__
+        assert per_length[2] - per_length[1] == per_length[1] - per_length[0] == 9, generate.__name__
 
     feats = FeatureSequence(rng.standard_normal((6, 5)))
     motion = MotionSequence(0.1 * rng.standard_normal((6, 6, 3)), 25.0)

@@ -9,6 +9,7 @@ from dualface import diffcore as dc
 from dualface import model as dm
 from dualface.data import FeatureSequence, MotionSequence
 
+import oracles
 from oracles import assert_close
 
 
@@ -209,15 +210,52 @@ def test_generation_matches_teacher_forcing_at_240_frames():
     assert_close(tf_a.prediction.data, gen_a.values, 1e-9, "dual consistency at T=240")
 
 
+def _heads(params, pattern, count):
+    return [params[pattern.format(h=h)].data for h in range(count)]
+
+
+@pytest.mark.parametrize("direction", ["primal", "dual"])
+def test_stacked_heads_equal_the_per_head_reference_bit_for_bit(direction):
+    """self_attend and cross_attend, which compute a block's heads as one
+    stack, give the bytes of a per-head reference (2-D products per head,
+    joined by np.concatenate in head order) at the default heads, both
+    teacher-forced and decoding one row per call over a K/V cache."""
+    params = dm.ModelParams(small_config(max_frames=60, d=32, fusion_heads=4, self_heads=4),
+                            np.random.default_rng(660))
+    d, rng = dm.DIRECTIONS[direction], np.random.default_rng(760)
+    own = f"fusion.{direction}"
+    self_w = [_heads(params, f"self_attn.{d.target}.h{{h}}.{p}", 4) for p in "qkv"]
+    fusion_w = [_heads(params, f"fusion.{role}.h{{h}}", 4) for role in (f"qk_{d.source}", f"qk_{d.target}", f"{direction}.v")]
+    ff = [params[f"{own}.{name}"].data for name in ("ff1.weight", "ff1.bias", "ff2.weight", "ff2.bias")]
+
+    def reference(block, x_q, x_kv, cached=False):
+        if block == "self":
+            return oracles.per_head_attention(x_q, x_kv, *self_w, params[f"self_attn.{d.target}.out"].data, cached)
+        return oracles.per_head_cross_attention(x_q, x_kv, *fusion_w, params[f"{own}.out"].data, *ff, cached)
+
+    for t in (1, 2, 3, 60):
+        x, kv = rng.standard_normal((t, 32)), rng.standard_normal((t, 32))
+        assert dm.self_attend(params, dc.Tensor(x), direction).data.tobytes() == \
+            reference("self", x, x).tobytes(), f"self_attend at T={t}"
+        assert dm.cross_attend(params, dc.Tensor(x), dc.Tensor(kv), direction).data.tobytes() == \
+            reference("fusion", x, kv).tobytes(), f"cross_attend at T={t}"
+        self_cache, fusion_cache = dm.KVCache(t), dm.KVCache(t)
+        for i in range(t):
+            row, kv_row = dc.Tensor(x[i:i + 1]), dc.Tensor(kv[i:i + 1])
+            assert dm.self_attend(params, row, direction, self_cache).data.tobytes() == \
+                reference("self", x[i:i + 1], x[:i + 1], cached=True).tobytes(), f"cached self_attend row {i} of {t}"
+            assert dm.cross_attend(params, row, kv_row, direction, fusion_cache).data.tobytes() == \
+                reference("fusion", x[i:i + 1], kv[:i + 1], cached=True).tobytes(), f"cached cross_attend row {i} of {t}"
+
+
 def _eager_generate(params, direction, source, speaker):
     """The per-frame decoding loop that runs the model code for every frame,
     with fresh caches: what generation computes, frame by frame."""
-    d, c = dm.DIRECTIONS[direction], params.config
+    d = dm.DIRECTIONS[direction]
     source_latent = dm._encoder(d.source)(params, source)
     frames = source_latent.data.shape[0]
     style = dm.style_embed(params, speaker)
-    self_cache = [dm.KVCache(frames, c.d // c.self_heads) for _ in range(c.self_heads)]
-    fusion_cache = [dm.KVCache(frames, c.d // c.fusion_heads) for _ in range(c.fusion_heads)]
+    self_cache, fusion_cache = dm.KVCache(frames), dm.KVCache(frames)
     out, history, out_weight = [], params[f"start_token.{d.target}"], d.out_weight(params)
     for t in range(frames):
         ctx = dm.self_attend(params, history, d.name, self_cache)
@@ -376,7 +414,7 @@ def test_generation_rereads_the_caches_by_each_rule_alone(monkeypatch, direction
     monkeypatch.setattr(dc, "Program", withheld)
     generate = {"primal": dm.generate_motion, "dual": dm.generate_audio}[direction]
     got = generate(params, source, 1)
-    assert len(caches) == 4 and len(declared) == 1
+    assert len(caches) == 2 and len(declared) == 1
     assert all(leaf in declared[0] for cache in caches for leaf in cache.leaves)
     assert (got.displacements if direction == "primal" else got.values).tobytes() == expect
 
@@ -430,20 +468,62 @@ def test_generation_work_per_frame_is_flat(monkeypatch):
         assert per_frame[0] == per_frame[1] > 0, f"{generate.__name__}: rows per frame {per_frame}"
 
 
+def test_record_counts_at_the_default_config(monkeypatch):
+    """At the default widths and heads each attention block runs its heads
+    as one stack: a traced training step has at most 250 records, and a
+    replayed generated frame at most 45 (48 in the dual direction, whose
+    decoder has a hidden layer), with 2 cache extends, one per block."""
+    from dualface import train as dt
+
+    cfg = dm.ModelConfig(audio_dim=32, vertex_count=120, n_speakers=8, max_frames=60)
+    params = dm.ModelParams(cfg, np.random.default_rng(670))
+    rng = np.random.default_rng(770)
+    feats = FeatureSequence(rng.standard_normal((60, 32)))
+    motion = MotionSequence(0.1 * rng.standard_normal((60, 120, 3)), 25.0)
+    train_cfg = dt.TrainConfig()
+    assert len(dt._StepProgram(params, 1, dt.step_arrays(feats, motion, train_cfg), train_cfg).tape.records) <= 250
+    programs, extends = [], [0]
+    real_program, real_extend = dc.Program, dm.KVCache.extend
+
+    def program(*args):
+        programs.append(real_program(*args))
+        return programs[-1]
+
+    def extend(cache, k, v):
+        extends[0] += 1
+        return real_extend(cache, k, v)
+
+    monkeypatch.setattr(dc, "Program", program)
+    monkeypatch.setattr(dm.KVCache, "extend", extend)
+    for generate, source, most in ((dm.generate_motion, lambda t: FeatureSequence(feats.values[:t]), 45),
+                                   (dm.generate_audio, lambda t: MotionSequence(motion.displacements[:t], 25.0), 48)):
+        counts = []
+        for t in (6, 7):
+            extends[0] = 0
+            generate(params, source(t), 0)
+            counts.append(extends[0])
+        records = sum(len(steps) for steps, _, _ in programs[-1].segments)
+        assert records <= most and counts[1] - counts[0] == 2, (generate.__name__, records, counts)
+
+
 def test_kv_cache_hands_out_keys_transposed():
-    """After each extend, the cache's keys are transpose-last-two of the rows
-    stored so far, bit for bit and C-contiguous, and its values are those
-    rows; so cached attention evaluates no transpose of its own."""
+    """After each extend with one (..., 1, dk) row per head, a block's cache
+    (fusion's (H, ...), self-attention's (H, 1, ...)) hands out
+    transpose-last-two of the rows stored so far, bit for bit and
+    C-contiguous, and those rows as its values; so cached attention
+    evaluates no transpose of its own."""
     rng = np.random.default_rng(622)
-    cache, rows = dm.KVCache(6, 3), []
-    for _ in range(6):
-        k, v = dc.Tensor(rng.standard_normal((1, 3))), dc.Tensor(rng.standard_normal((1, 3)))
-        rows.append((k.data[0], v.data[0]))
-        keys_t, values = cache.extend(k, v)
-        expect = dc.transpose_last_two(dc.Tensor(np.array([key for key, _ in rows])))
-        assert keys_t.data.flags.c_contiguous and keys_t.shape == expect.shape
-        assert keys_t.data.tobytes() == expect.data.tobytes()
-        assert np.array_equal(values.data, [value for _, value in rows])
+    for heads in ((4,), (4, 1)):
+        cache, keys, values = dm.KVCache(6), [], []
+        for _ in range(6):
+            k, v = (dc.Tensor(rng.standard_normal((*heads, 1, 3))) for _ in range(2))
+            keys.append(k.data)
+            values.append(v.data)
+            keys_t, cached = cache.extend(k, v)
+            expect = dc.transpose_last_two(dc.Tensor(np.concatenate(keys, -2)))
+            assert keys_t.data.flags.c_contiguous and keys_t.shape == expect.shape
+            assert keys_t.data.tobytes() == expect.data.tobytes()
+            assert np.array_equal(cached.data, np.concatenate(values, -2))
 
 
 def test_generation_broadcasts_no_row_to_one_row(monkeypatch):
@@ -558,6 +638,53 @@ def test_parameters_are_views_into_one_flat_store(tmp_path, tied):
         assert store.views(store.gradients)[name].all()
         store.zero_gradients()
         assert not store.gradients.any()
+        for stack, _, _ in _stack_members(store):
+            assert stack.id not in dict(store.named_parameters())
+            assert stack.data.base is store.values and stack.gradient.base is store.gradients
+
+
+def _stack_members(params):
+    """Each block's stack of per-head weights with, per member, its index
+    in the stack and the registered parameter of that name."""
+    for name, _, shape in dm._head_stacks(params.config):
+        stack = params[name]
+        assert stack.shape == shape
+        for index in np.ndindex(shape[:-2]):
+            proj = "qkv"[index[1]] if len(index) > 1 else ""
+            yield stack, index, params[name.replace("h*", f"h{index[0]}").replace("qkv", proj)]
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_head_stacks_view_their_members(tied, monkeypatch):
+    """A stack's value and gradient are the stretch of the flat buffers that
+    its per-head members view, in head order; after a training step's
+    backward pass each member's gradient is its slice of the stack's, and
+    after its Adam update each member's value is its slice of the stack's."""
+    from dualface import train as dt
+    from dualface.data import SequenceRecord
+
+    params = dm.ModelParams(small_config(share_transpose_codec=tied), np.random.default_rng(24))
+    for stack, index, member in _stack_members(params):
+        assert np.shares_memory(member.data, stack.data) and np.shares_memory(member.gradient, stack.gradient)
+        assert member.data.ctypes.data == stack.data[index].ctypes.data, member.id
+        assert member.gradient.ctypes.data == stack.gradient[index].ctypes.data, member.id
+    checked, real = [], dt.adam_step
+
+    def adam_step(store, state, cfg):
+        for stack, index, member in _stack_members(store):
+            assert member.gradient.tobytes() == stack.gradient[index].tobytes() and member.gradient.any(), member.id
+            checked.append(member.id)
+        real(store, state, cfg)
+
+    monkeypatch.setattr(dt, "adam_step", adam_step)
+    rng = np.random.default_rng(25)
+    seq = SequenceRecord(1, FeatureSequence(rng.standard_normal((4, 5))),
+                         MotionSequence(0.1 * rng.standard_normal((4, 6, 3)), 25.0), "train", "seq")
+    before = params.values.copy()
+    dt.train_step(params, seq, dt.TrainConfig(), dt.TrainState())
+    assert len(checked) == 2 * 2 * 3 + 4 * 2 and not np.array_equal(params.values, before)
+    for stack, index, member in _stack_members(params):
+        assert member.data.tobytes() == stack.data[index].tobytes()
 
 
 def test_store_is_freed_without_the_cycle_collector(tmp_path):

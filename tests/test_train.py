@@ -228,7 +228,8 @@ def test_gradient_check_builds_the_graph_that_trains():
 
     assert layout(program.tape.records) == layout(checked.records)
     assert {r.kind for r in checked.records} >= {dc.PrimitiveKind.SOFTMAX_ROWS, dc.PrimitiveKind.EXP}
-    assert sum(name is not None for *_, names in layout(checked.records) for name in names) > 50
+    read = dict.fromkeys(x for r in checked.records for x in r.inputs if isinstance(x, dc.Parameter))
+    assert sum(p.data.size for p in read) == params.values.size  # every value, a block's heads through their stack
 
 
 def test_one_motion_kernel_per_sequence_per_train_call(tmp_path, monkeypatch):
@@ -510,7 +511,7 @@ def test_step_program_is_bound_once_and_kept_per_length():
 
 def test_step_program_holds_its_outputs_once():
     """Tracing and binding a default-scale step program (T=60, V=120, 32
-    bands, d=32, default weights: both directions, 351 records) allocates
+    bands, d=32, default weights: both directions, 245 records) allocates
     little beyond its outputs: the eager outputs are copied into the tape's
     storage one by one, and the program replays there, so the traced step
     is never held twice. A program with a buffer of its own beside the
@@ -530,7 +531,7 @@ def test_step_program_holds_its_outputs_once():
     finally:
         tracemalloc.stop()
     outputs = sum(r.output.data.nbytes for r in program.tape.records)
-    assert len(program.tape.records) == 351 and outputs > 5e6
+    assert len(program.tape.records) == 245 and outputs > 5e6
     assert peak < 1.5 * outputs, peak / outputs
 
 
