@@ -39,8 +39,7 @@ from .data import (
 )
 from .losses import CCRLConfig, LossWeights
 from .model import ModelConfig, ModelParams, generate_audio, generate_motion, load_checkpoint
-from .train import (ABLATION_VARIANTS, NonFiniteLossError, TrainConfig, _variant_configs, ablate, evaluate_params,
-                    file_sha256, train)
+from .train import NonFiniteLossError, TrainConfig, ablate, evaluate_params, file_sha256, train, variant_configs
 from .verify import run_gradcheck
 
 
@@ -296,9 +295,9 @@ def cmd_ablate(args, resolved: dict) -> int:
     train_cfg = _train_config(resolved["train"])
     dataset = load_dataset(args.data)
     model_cfg = _model_config(resolved["model"], dataset)
-    for variant in ABLATION_VARIANTS:
+    for variant, (_, t_cfg) in variant_configs(model_cfg, train_cfg).items():
         try:
-            _variant_configs(model_cfg, train_cfg, variant)[1].validate()
+            t_cfg.validate()
         except ValueError as e:
             raise ConfigError(f"invalid train config of ablation variant {variant!r}: {e}") from e
     seeds = [train_cfg.seed + i for i in range(args.seeds)]

@@ -431,38 +431,46 @@ def _forward(params: ModelParams, d: Direction, source, speaker: int, target) ->
 
 
 def _generate(params: ModelParams, d: Direction, sources: Sequence, speakers: Sequence[int]) -> list[np.ndarray]:
-    """Decodes sources of one length, each with its speaker, one row per
-    frame: a source is encoded once, then frame t sends one history row
-    (the start token, or frame t-1 encoded at position t-1) through every
-    block, attending over the block's K/V cache, which holds exactly the
-    rows frame t may see; so frame t equals row t of teacher forcing.
+    """Decodes each source with its speaker, in input order: every source
+    is encoded once, and those of one frame count, in order of first
+    appearance, decode as one group (_decode), one row per frame. Frame t
+    sends one history row (the start token, or frame t-1 encoded at
+    position t-1) through every block, attending over the block's K/V
+    cache, which holds exactly the rows frame t may see; so frame t equals
+    row t of teacher forcing.
 
-    Frames 0 and 1 of each sequence run the model code, frame 1 of the
-    first under a tape. Every later frame replays those records once for
-    all the sequences, as a diffcore.Program of batch len(sources) with the
+    Frames 0 and 1 of each sequence run the model code, frame 1 of a
+    group's first under a tape. Every later frame replays those records
+    once for the group, as a diffcore.Program of the group's batch with the
     previous predictions, source rows, style rows (of several sequences)
     and positional slice rebound, so each sequence meets the forward calls
     that decoding it alone makes: the output is bit-identical. The records
     are cut after each block's k and v, where the replay extends the
     block's cache (a KVCache.group, for several) as the traced frame did;
     the block's logits, scaled logits and softmax, whose shapes grow with
-    the cache, are unplanned. A NonFiniteError from several sequences
-    decodes them again one at a time, in order, and raises what that
-    raises first."""
+    the cache, are unplanned. A NonFiniteError from several sources decodes
+    them again one at a time, in input order, and raises what that raises
+    first."""
+    if len(speakers) != len(sources):
+        raise ValueError(f"{len(speakers)} speakers for {len(sources)} sequences")
+    outputs, groups = {}, {}
     try:
-        return _decode(params, d, sources, speakers)
+        rows = [_encoder(d.source)(params, source).data for source in sources]
+        for i, r in enumerate(rows):
+            groups.setdefault(r.shape[0], []).append(i)
+        for group in groups.values():
+            outputs.update(zip(group, _decode(params, d, [rows[i] for i in group], [speakers[i] for i in group])))
     except dc.NonFiniteError:
         if len(sources) > 1:
             for source, speaker in zip(sources, speakers):
-                _decode(params, d, [source], [speaker])
+                _generate(params, d, [source], [speaker])
         raise
+    return [outputs[i] for i in range(len(sources))]
 
 
-def _decode(params: ModelParams, d: Direction, sources: Sequence, speakers: Sequence[int]) -> list[np.ndarray]:
-    batch = len(sources)
-    rows = np.stack([_encoder(d.source)(params, source).data for source in sources], 1)
-    frames = rows.shape[0]
-    rows = rows.reshape(frames, batch, 1, -1)  # source row t of sequence b at [t, b]
+def _decode(params: ModelParams, d: Direction, rows: Sequence[np.ndarray], speakers: Sequence[int]) -> list[np.ndarray]:
+    batch, frames = len(rows), rows[0].shape[0]
+    rows = np.stack(rows, 1).reshape(frames, batch, 1, -1)  # source row t of sequence b at [t, b]
     styles = [style_embed(params, speaker) for speaker in speakers]
     caches = [(KVCache(frames), KVCache(frames)) for _ in range(batch)]  # self-attention, fusion
     out_weight = d.out_weight(params)  # constant: a tied codec transposes once
@@ -521,8 +529,8 @@ def forward_dual(params: ModelParams, motion, speaker: int, gt_features) -> Forw
 
 def generate_motions(params: ModelParams, features: Sequence, speakers: Sequence[int],
                      fps: float = SYNTH_FPS) -> list[MotionSequence]:
-    """generate_motion of each features sequence, all of one length, with
-    its speaker, decoded together; bit-identical to one at a time."""
+    """generate_motion of each features sequence with its speaker, those of
+    one length decoded together; bit-identical to one at a time."""
     return [MotionSequence(out.reshape(out.shape[0], params.config.vertex_count, 3), fps)
             for out in _generate(params, DIRECTIONS["primal"], features, speakers)]
 

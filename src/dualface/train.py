@@ -215,26 +215,6 @@ def train_step(params: ModelParams, seq: SequenceRecord, cfg: TrainConfig, state
     return LossBundle.read(program.terms, program.total)
 
 
-def _split_predictions(params: ModelParams, rows: list[SequenceRecord]) -> list[MotionSequence]:
-    """generate_motion of each sequence of a split, in split order; the
-    sequences of one length and fps are decoded as one group, bit-identical
-    to one at a time. A NonFiniteError decodes the split again one sequence
-    at a time, in split order, and raises what that raises first."""
-    groups: dict[tuple, list[int]] = {}
-    for i, seq in enumerate(rows):
-        groups.setdefault((seq.features.frames, seq.motion.fps), []).append(i)
-    preds = {}
-    try:
-        for (_, fps), group in groups.items():
-            preds.update(zip(group, generate_motions(params, [rows[i].features for i in group],
-                                                     [rows[i].speaker for i in group], fps)))
-    except dc.NonFiniteError:
-        for seq in rows:
-            generate_motions(params, [seq.features], [seq.speaker])
-        raise
-    return [preds[i] for i in range(len(rows))]
-
-
 def _score(dataset: LoadedDataset, rows: list[SequenceRecord], preds: list[MotionSequence]) -> MetricReport:
     """LVE/FDD of each prediction against its sequence's ground truth."""
     lips = RegionSet("lips", dataset.manifest.lip_indices)
@@ -249,14 +229,17 @@ def evaluate_params(
     split: str = "test",
     predict_gt: bool = False,
 ) -> MetricReport:
-    """Autoregressive generation of the split (_split_predictions), then
-    LVE/FDD against ground truth. predict_gt swaps the prediction for the
-    ground truth itself (the all-zero oracle row used to sanity-check the
-    metric plumbing)."""
+    """Autoregressive generation of the split's sequences (generate_motions,
+    which decodes those of one length together), then LVE/FDD against
+    ground truth. predict_gt swaps the prediction for the ground truth
+    itself (the all-zero oracle row used to sanity-check the metric
+    plumbing)."""
     rows = dataset.split(split)
     if not rows:
         raise ValueError(f"split {split!r} is empty")
-    return _score(dataset, rows, [seq.motion for seq in rows] if predict_gt else _split_predictions(params, rows))
+    preds = ([seq.motion for seq in rows] if predict_gt
+             else generate_motions(params, [seq.features for seq in rows], [seq.speaker for seq in rows]))
+    return _score(dataset, rows, preds)
 
 
 @dataclass
@@ -354,11 +337,13 @@ class AblationResult:
         return "\n".join(lines)
 
 
-def _variant_configs(model_cfg: ModelConfig, cfg: TrainConfig, variant: str) -> tuple[ModelConfig, TrainConfig]:
-    """Configs of one variant: the base configs with the variant's weights
-    zeroed and the codec tied only for share_transpose_codec."""
-    weights = replace(cfg.weights, **dict.fromkeys(ABLATION_VARIANTS[variant], 0.0))
-    return replace(model_cfg, share_transpose_codec=variant == "share_transpose_codec"), replace(cfg, weights=weights)
+def variant_configs(model_cfg: ModelConfig, cfg: TrainConfig) -> dict[str, tuple[ModelConfig, TrainConfig]]:
+    """Each ablation variant's configs, by name: the base configs with the
+    variant's weights zeroed and the codec tied only for
+    share_transpose_codec."""
+    return {variant: (replace(model_cfg, share_transpose_codec=variant == "share_transpose_codec"),
+                      replace(cfg, weights=replace(cfg.weights, **dict.fromkeys(zeroed, 0.0))))
+            for variant, zeroed in ABLATION_VARIANTS.items()}
 
 
 def ablate(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, seeds: list[int], out_dir) -> AblationResult:
@@ -369,7 +354,7 @@ def ablate(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, see
     An empty val split scores and traces the train split instead. Data that
     some variant cannot train on raises ValueError before out_dir is created.
     """
-    variants = {variant: _variant_configs(model_cfg, cfg, variant) for variant in ABLATION_VARIANTS}
+    variants = variant_configs(model_cfg, cfg)
     for _, t_cfg in variants.values():
         trainable_rows(dataset, t_cfg)
     out = Path(out_dir)
@@ -387,7 +372,8 @@ def ablate(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, see
         curves = {"gt": gt}
         for variant, (m_cfg, t_cfg) in variants.items():
             result = train(dataset, m_cfg, replace(t_cfg, seed=seed), out / f"{variant}_seed{seed}")
-            preds = _split_predictions(load_checkpoint(result.checkpoint), split)
+            preds = generate_motions(load_checkpoint(result.checkpoint), [seq.features for seq in split],
+                                     [seq.speaker for seq in split])
             report = _score(dataset, split, preds)
             rows.append(AblationRow(variant, seed, report.lve, report.fdd))
             curves[variant] = lip_distance(preds[0], dataset.template, upper_lip, lower_lip)

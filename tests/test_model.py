@@ -310,11 +310,33 @@ def test_batched_generation_equals_one_at_a_time(tied):
                 [dm.generate_motion(params, f, s).displacements.tobytes() for f, s in zip(feats, speakers)]
 
 
-def test_batched_generation_rejects_unequal_lengths():
+def test_generation_of_mixed_lengths_equals_one_at_a_time():
+    """Interleaved lengths with mixed speakers, decoded in one call (one
+    group per length), give each sequence's own output, in input order, in
+    both directions."""
     params = dm.ModelParams(small_config(), np.random.default_rng(651))
+    rng = np.random.default_rng(751)
+    lengths, speakers = [7, 12, 7, 12, 7], [0, 2, 1, 0, 2]
+    feats = [FeatureSequence(rng.standard_normal((t, 5))) for t in lengths]
+    motions = [MotionSequence(0.1 * rng.standard_normal((t, 6, 3)), 25.0) for t in lengths]
+    for direction, sources in (("primal", feats), ("dual", motions)):
+        group, alone = _decode_group(params, direction, sources, speakers)
+        assert [g.shape[0] for g in group] == lengths
+        assert [g.tobytes() for g in group] == [a.tobytes() for a in alone], direction
+    got = dm.generate_motions(params, feats, speakers)
+    assert [g.displacements.tobytes() for g in got] == \
+        [dm.generate_motion(params, f, s).displacements.tobytes() for f, s in zip(feats, speakers)]
+
+
+def test_generate_motions_checks_the_speaker_count():
+    """One speaker per sequence: a shorter or longer list is refused before
+    anything is decoded, and no sequences give no motions."""
+    params = dm.ModelParams(small_config(), np.random.default_rng(653))
     feats = [FeatureSequence(np.zeros((t, 5))) for t in (4, 5)]
-    with pytest.raises(ValueError):
-        dm.generate_motions(params, feats, [0, 1])
+    for features, speakers in ((feats, [0]), (feats, [0, 1, 2]), (feats[:1], [0, 1])):
+        with pytest.raises(ValueError, match=f"{len(speakers)} speakers for {len(features)} sequences"):
+            dm.generate_motions(params, features, speakers)
+    assert dm.generate_motions(params, [], []) == []
 
 
 def _first_error(decode):

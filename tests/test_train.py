@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dualface import model as dm
 from dualface import train as dt
 from dualface.data import FeatureSequence, MotionSequence, SequenceRecord, SyntheticSpec, generate_synthetic, load_dataset
 from dualface.diffcore import NonFiniteError
@@ -326,13 +327,13 @@ def test_evaluate_groups_lengths_as_a_per_sequence_loop(tmp_path, monkeypatch):
     expect = build_report([
         SequenceMetrics(seq.name, lip_vertex_error(pred, seq.motion, lips), fdd(pred, seq.motion, upper))
         for seq in rows for pred in [generate_motion(params, seq.features, seq.speaker, seq.motion.fps)]])
-    groups, real = [], dt.generate_motions
+    groups, real = [], dm._decode
 
-    def spy(params, features, speakers, fps):
-        groups.append([f.frames for f in features])
-        return real(params, features, speakers, fps)
+    def spy(params, d, rows, speakers):
+        groups.append([r.shape[0] for r in rows])
+        return real(params, d, rows, speakers)
 
-    monkeypatch.setattr(dt, "generate_motions", spy)
+    monkeypatch.setattr(dm, "_decode", spy)
     assert dt.evaluate_params(params, ds, "val").to_json() == expect.to_json()
     assert groups == [[7, 7, 7], [12, 12]]
 
@@ -456,8 +457,8 @@ def _replay_configs():
     base = dt.TrainConfig(learning_rate=1e-2, weights=LossWeights(1.0, 0.5, 0.1, 0.2))
     yield "default", model_cfg, base
     yield "grad_clip", model_cfg, replace(base, grad_clip=0.05)
-    for variant in list(dt.ABLATION_VARIANTS)[1:]:
-        yield variant, *dt._variant_configs(model_cfg, base, variant)
+    for variant, configs in list(dt.variant_configs(model_cfg, base).items())[1:]:
+        yield variant, *configs
     yield "kernel anchors sigma=0.5", model_cfg, replace(base, ccrl=CCRLConfig(sigma=0.5, anchor_weighting="kernel"))
 
 
@@ -578,21 +579,21 @@ def test_variant_configs():
                  fusion_heads=2, self_heads=2, squeeze_ratio=4, ff_dim=8)
     model_cfg = ModelConfig(**sizes)
     cfg = dt.TrainConfig()
-    m, t = dt._variant_configs(model_cfg, cfg, "disable_dual")
+    variants = dt.variant_configs(model_cfg, cfg)
+    assert list(variants) == list(dt.ABLATION_VARIANTS)
+    m, t = variants["disable_dual"]
     assert (t.weights.dual, t.weights.dr, t.weights.ccrl) == (0.0, 0.0, 0.0) and cfg.weights.dual != 0.0
     assert not m.share_transpose_codec
-    m1, t1 = dt._variant_configs(model_cfg, cfg, "disable_ccrl")
+    m1, t1 = variants["disable_ccrl"]
     assert t1.weights.ccrl == 0.0 and cfg.weights.ccrl != 0.0
-    m2, t2 = dt._variant_configs(model_cfg, cfg, "share_transpose_codec")
+    m2, t2 = variants["share_transpose_codec"]
     assert m2.share_transpose_codec and t2 == cfg
-    m3, t3 = dt._variant_configs(model_cfg, cfg, "full")
+    m3, t3 = variants["full"]
     assert m3 == model_cfg and t3 == cfg
     tied = ModelConfig(**{**asdict(model_cfg), "share_transpose_codec": True})
-    assert not dt._variant_configs(tied, cfg, "full")[0].share_transpose_codec  # the base stays untied
+    assert not dt.variant_configs(tied, cfg)["full"][0].share_transpose_codec  # the base stays untied
     # the given configs come back unchanged
     assert (model_cfg, cfg) == (ModelConfig(**sizes), dt.TrainConfig()) and tied.share_transpose_codec
-    with pytest.raises(KeyError):
-        dt._variant_configs(model_cfg, cfg, "bogus")
     for config, name in [(m, "d"), (t, "seed"), (t.weights, "dual"), (t.ccrl, "sigma")]:
         with pytest.raises(FrozenInstanceError):
             setattr(config, name, getattr(config, name))
