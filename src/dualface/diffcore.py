@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 _LN_EPS = 1e-5
 _CHUNK = 1 << 17  # float64 values in the largest chunk of a tape's storage (1 MiB)
-_PERTURBATIONS = 32  # perturbed values of a parameter per pass of the gradient checker
+_PASS_BYTES = 128 << 10  # bytes of stacks a pass of the gradient checker may hold at once (128 KiB)
 
 
 class ShapeMismatchError(ValueError):
@@ -773,20 +773,26 @@ def _check_perturbable(parameters: Sequence[Parameter], step: float):
                 raise NonFiniteError(f"gradient check: {p.id} +/- {step:g} is not finite")
 
 
-def _batched(steps: Sequence[tuple], p: Parameter, rows: np.ndarray) -> dict:
+def _batched(steps: Sequence[tuple], p: Parameter, rows: np.ndarray) -> tuple[dict, np.ndarray]:
     """The records downstream of p, evaluated once for all the values of p
     stacked along the leading axis of rows. `steps` pairs each record, in
     tape order, with the operands whose stacks no later record reads. A
     record is applied with batch=1, as evaluate applies it, to its operands'
-    stacks where they have one and to their recorded arrays otherwise.
-    Returns the stacks still held at the end, keyed by tensor; nothing is
-    written into p or the tape."""
-    stacks = {p: rows}
+    stacks where they have one and to their recorded arrays otherwise. A
+    relu's input is tested for its kink as soon as the relu has run, and
+    then dropped like any other dead stack. Returns the stacks still held
+    at the end, keyed by tensor, and per pair of rows (2k, 2k+1) whether
+    some relu input changes sign between them; nothing is written into p
+    or the tape."""
+    stacks, kinked = {p: rows}, np.zeros(len(rows) // 2, dtype=bool)
     for r, dead in steps:
         stacks[r.output] = _apply(r.kind, [stacks[t] if t in stacks else t.data[None] for t in r.inputs], r.attrs, 1)[0]
+        if r.kind is PrimitiveKind.RELU:
+            positive = stacks[r.inputs[0]].reshape(len(rows), -1) > 0.0
+            kinked |= (positive[0::2] != positive[1::2]).any(axis=1)
         for t in dead:
             del stacks[t]
-    return stacks
+    return stacks, kinked
 
 
 def check_gradients(
@@ -802,14 +808,16 @@ def check_gradients(
     is a record's output. It is called once, under a tape. `parameters`
     None checks every Parameter the build reads, in the order it first
     reads them. Every parameter entry is then perturbed by +/-step, and the
-    perturbed values come from one pass over the records downstream of that
-    parameter per _PERTURBATIONS of them (entry i at +step in row 2i, at
-    -step in row 2i+1), with nothing written into the parameter or the
-    tape. When a pass fails its rows are evaluated again one at a time, in
-    that order, so the error raised is the one the first failing entry
-    gives alone. Entries whose relu activation pattern differs between the
-    two perturbed evaluations sit on a kink and are counted as flagged
-    rather than judged. The report keeps the ten judged entries of largest
+    perturbed values come from passes over the records downstream of that
+    parameter (entry i at +step in row 2i, at -step in row 2i+1), with
+    nothing written into the parameter or the tape. A pass takes as many
+    entries as fit _PASS_BYTES: 2 rows of the most float64 values per row
+    that its stacks hold at once, at least 1 entry and at most all of them.
+    When a pass fails its rows are evaluated again one at a time, in that
+    order, so the error raised is the one the first failing entry gives
+    alone. Entries whose relu activation pattern differs between the two
+    perturbed evaluations sit on a kink and are counted as flagged rather
+    than judged. The report keeps the ten judged entries of largest
     relative error; of equal ones, the earlier parameter's and then the
     lower index's first. Raises NonFiniteError, before anything is
     evaluated, if a perturbed value would not be finite; given parameters
@@ -837,33 +845,36 @@ def check_gradients(
     report, worst = GradCheckReport(tolerance=tolerance, step=step), []
     for i, p in enumerate(parameters):
         # The records downstream of p, each reading p or the output of one
-        # kept before it, and per record the stacks that no later record,
-        # the kink test or the output reads.
+        # kept before it; per record the stacks that no later record or the
+        # output reads; and the most values per row that the pass's stacks
+        # hold at once (each record adds its output, its dead operands leave).
         downstream = [r for r in tape.records if reach[r.output] >> i & 1]
         reached = {p, *(r.output for r in downstream)}
-        relus = [r.inputs[0] for r in downstream if r.kind is PrimitiveKind.RELU]
         last = {t: r for r in downstream for t in r.inputs if t in reached}
-        kept = {out, *relus}
-        steps = [(r, [t for t in dict.fromkeys(r.inputs) if last.get(t) is r and t not in kept]) for r in downstream]
         flat = p.data.reshape(-1)
-        numeric, kinked = np.empty(flat.size), np.zeros(flat.size, dtype=bool)
-        for lo in range(0, flat.size, _PERTURBATIONS // 2):
-            batch = np.arange(lo, min(lo + _PERTURBATIONS // 2, flat.size))
+        steps, live, peak = [], flat.size, flat.size
+        for r in downstream:
+            dead = [t for t in dict.fromkeys(r.inputs) if last.get(t) is r and t is not out]
+            live += r.output.data.size
+            peak = max(peak, live)
+            live -= sum(t.data.size for t in dead)
+            steps.append((r, dead))
+        width = max(1, min(flat.size, _PASS_BYTES // (2 * 8 * max(peak, 1))))  # entries per pass
+        numeric, kinked = np.empty(flat.size), np.empty(flat.size, dtype=bool)
+        for lo in range(0, flat.size, width):
+            batch = np.arange(lo, min(lo + width, flat.size))
             rows = np.repeat(flat[None], 2 * len(batch), axis=0)
             rows[2 * (batch - lo), batch] += step
             rows[2 * (batch - lo) + 1, batch] -= step
             rows = rows.reshape(len(rows), *p.shape)
             try:
-                stacks = _batched(steps, p, rows)
+                stacks, kinked[batch] = _batched(steps, p, rows)
             except NonFiniteError:
                 for k in range(len(rows)):
                     _batched(steps, p, rows[k:k + 1])
                 raise
             f = np.broadcast_to(stacks.get(out, out.data).reshape(-1), len(rows))
             numeric[batch] = (f[0::2] - f[1::2]) / (2.0 * step)
-            for t in relus:
-                positive = stacks[t].reshape(len(rows), -1) > 0.0
-                kinked[batch] |= (positive[0::2] != positive[1::2]).any(axis=1)
         judged = np.flatnonzero(~kinked)
         a, n = p.gradient.reshape(-1)[judged], numeric[judged]
         err = np.abs(a - n) / np.maximum(1e-8, np.abs(a) + np.abs(n))

@@ -6,7 +6,8 @@ program, a diffcore.Program of one segment in the storage of the step's
 tape; any other step traces anew. Checkpointing keeps whichever parameters
 score the best validation lip-vertex error. A non-finite value aborts the step, before
 anything is logged, at the primitive that produced it (NonFiniteLossError
-"forward pass") or at Adam's checks of the gradients and of the update.
+"forward pass") or at Adam's checks of the gradients and of the update; one
+in a validation decode raises NonFiniteLossError "validation".
 """
 
 from __future__ import annotations
@@ -298,7 +299,10 @@ def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_
             if epoch + 1 == cfg.epochs:
                 state.program = None  # traced for this run's parameters only; freed before the last validation
             if val_rows and ((epoch + 1) % cfg.val_every == 0 or epoch + 1 == cfg.epochs):
-                report = evaluate_params(params, dataset, "val")
+                try:
+                    report = evaluate_params(params, dataset, "val")
+                except dc.NonFiniteError as e:  # finite weights can still overflow a decode
+                    raise NonFiniteLossError("validation", state.step, cfg.grad_clip) from e
                 if report.lve < state.best_val_lve:
                     state.best_val_lve = report.lve
                     save_checkpoint(ckpt_path, params)

@@ -212,6 +212,22 @@ def test_synth_values_float32_cannot_hold_exit_3(tmp_path):
         _load_written(path)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_validation_overflow_exits_4(tmp_path, capsys):
+    """A learning rate of 1e300 leaves one step's weights finite, but the
+    validation decode overflows: that is a numeric failure (exit 4, with
+    the learning-rate advice), not a data error, and no checkpoint is
+    written."""
+    manifest = make_dataset(tmp_path, n_sequences=3)
+    out = tmp_path / "run"
+    assert run(["train", "--data", manifest, "--out", out, "--set", "train.learning_rate=1e300",
+                "--set", "train.epochs=1"]) == 4
+    err = capsys.readouterr().err
+    assert "numeric failure: non-finite value in 'validation' at step 1; lower the learning rate" in err
+    assert len((out / "train_log.jsonl").read_text().splitlines()) == 1
+    assert not (out / "best.ckpt").exists()
+
+
 def test_invalid_model_dims_exit_2(tmp_path):
     """The data has 10 frames, so a max_frames below that is rejected too."""
     manifest = make_dataset(tmp_path)

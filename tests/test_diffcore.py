@@ -230,12 +230,13 @@ def test_gradcheck_names_the_first_entry_that_fails(monkeypatch):
 
 
 def test_gradcheck_memory_is_bounded_per_pass():
-    """The full-model check (54 parameters of up to 96 entries) evaluates
-    at most _PERTURBATIONS perturbed values of a parameter per pass, drops
-    each output's stack once no later record reads it and keeps only its
-    ten worst entries, so it peaks under 768 KiB of traced allocations (480
-    KiB at 32 perturbations). One pass over all 192 perturbations of the
-    largest parameters peaks at about 1,070 KiB."""
+    """The full-model check (40 parameters of up to 192 entries) takes as
+    many entries per pass as fit _PASS_BYTES (128 KiB) at the most values
+    its stacks hold at once, drops each output's stack, a relu's input
+    included, once no later record reads it, and keeps only its ten worst
+    entries, so it peaks under 768 KiB of traced allocations (about 535
+    KiB). One pass over all of each parameter's perturbations peaks at
+    about 1,360 KiB."""
     import tracemalloc
 
     build = dict(verify._full_checks(np.random.default_rng(1234)))["full model + all losses"]
@@ -247,6 +248,50 @@ def test_gradcheck_memory_is_bounded_per_pass():
         tracemalloc.stop()
     assert report.passed and report.n_entries == 1977
     assert peak < 768 * 1024, peak
+
+
+def _spy_passes(monkeypatch) -> list:
+    """Installs a spy on dc._batched; returns the list of its row counts."""
+    rows, real = [], dc._batched
+
+    def spy(steps, p, stacked):
+        rows.append(len(stacked))
+        return real(steps, p, stacked)
+
+    monkeypatch.setattr(dc, "_batched", spy)
+    return rows
+
+
+def test_gradcheck_reports_do_not_depend_on_the_pass_width(monkeypatch):
+    """Every check of the full scope reports the same counts and worst
+    entries, to the bit, whether a pass takes one entry, as many as fit the
+    default budget, or all of a parameter's entries."""
+    rows = _spy_passes(monkeypatch)
+    reports, passes = [], []
+    for budget in (0, dc._PASS_BYTES, 1 << 62):
+        monkeypatch.setattr(dc, "_PASS_BYTES", budget)
+        rows.clear()
+        reports.append([])
+        for suite in verify._SUITES["full"]:
+            for name, build in suite(np.random.default_rng(1234)):
+                r = dc.check_gradients(None, build)
+                reports[-1].append((name, r.passed, r.n_entries, r.n_flagged, r.max_rel_err.hex(),
+                                    [(e.param, e.index, e.analytic.hex(), e.numeric.hex(), e.rel_err.hex())
+                                     for e in r.worst]))
+        passes.append(list(rows))
+    assert reports[0] == reports[1] == reports[2]
+    one, default, whole = passes
+    assert set(one) == {2} and len(one) == sum(n + f for _, _, n, f, _, _ in reports[0])
+    assert len(whole) < len(default) < len(one)
+
+
+def test_gradcheck_full_model_runs_in_few_passes(monkeypatch):
+    """The full-model check sizes each parameter's passes by its stacks'
+    peak, so it runs in at most 70 passes (132 at 32 perturbations a pass)."""
+    rows = _spy_passes(monkeypatch)
+    build = dict(verify._full_checks(np.random.default_rng(1234)))["full model + all losses"]
+    assert dc.check_gradients(None, build).passed
+    assert len(rows) <= 70, len(rows)
 
 
 def test_backprop_rejects_foreign_output():
@@ -476,7 +521,7 @@ def test_gradcheck_replay_equals_fresh_build(monkeypatch):
                     return out
 
                 def spy(steps, param, rows):
-                    stacks = real(steps, param, rows)
+                    stacks, kinked = real(steps, param, rows)
                     for row, f in zip(rows.reshape(len(rows), -1), stacks[traced[0][0]]):
                         if not np.array_equal(row[[0, -1]], values[[0, -1]]):
                             flat[:] = row
@@ -484,7 +529,7 @@ def test_gradcheck_replay_equals_fresh_build(monkeypatch):
                             flat[:] = values
                             assert f.item() == fresh, f"{name}: {p.id} at {row[[0, -1]]}"
                             compared.append(fresh)
-                    return stacks
+                    return stacks, kinked
 
                 monkeypatch.setattr(dc, "_batched", spy)
                 dc.check_gradients([p], traced_build, step=1e-5)

@@ -51,3 +51,23 @@ def test_no_module_imports_another_modules_private_name():
                     if isinstance(node, ast.Attribute) and is_private(node.attr)
                     and isinstance(node.value, ast.Name) and node.value.id in modules]
     assert not private, private
+
+
+def test_no_module_reads_the_environment():
+    """Behaviour is set by config keys and flags alone: no package module
+    reads an environment variable, through `os.environ`, `os.getenv` (or
+    their bytes forms), under any name `os` is imported as, or imported
+    from `os` directly."""
+    env = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names if alias.name == "os"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}: from os import {a.name}" for a in node.names if a.name in env]
+            elif (isinstance(node, ast.Attribute) and node.attr in env
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                reads.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert not reads, reads
