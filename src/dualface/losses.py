@@ -98,15 +98,17 @@ def motion_kernel(gt_motion: MotionSequence, cfg: CCRLConfig) -> tuple[np.ndarra
     cfg.validate()
     t = gt_motion.frames
     flat = gt_motion.displacements.reshape(t, -1)
-    # Filled from the upper triangle one row at a time, which avoids a
-    # (T, T, 3V) temporary. Each pair is summed over the same contiguous row
-    # as a full broadcast would, and (a-b)**2 == (b-a)**2 exactly, so the
-    # matrix is bit-identical to the broadcast one.
+    # Filled one frame offset k at a time into the k-th superdiagonal, then
+    # mirrored, without a (T, T, 3V) temporary. Each pair is summed over the
+    # same contiguous row as a full broadcast would, and (a-b)**2 == (b-a)**2
+    # exactly, so the matrix is bit-identical to the broadcast one.
     sq = np.zeros((t, t))
-    for i in range(t - 1):
-        row = ((flat[i] - flat[i + 1 :]) ** 2).sum(axis=1)
-        sq[i, i + 1 :] = row
-        sq[i + 1 :, i] = row
+    scratch = np.empty_like(flat)
+    for k in range(1, t):
+        d = np.subtract(flat[k:], flat[:-k], out=scratch[: t - k])
+        np.multiply(d, d, out=d)
+        np.add.reduce(d, axis=1, out=sq.reshape(-1)[k :: t + 1][: t - k])
+    sq += sq.T
     if cfg.sigma is not None:
         sigma = float(cfg.sigma)
     else:
@@ -132,13 +134,14 @@ def _row_normalize(m: dc.Tensor) -> dc.Tensor:
 
 def ccrl_constants(gt_motion: MotionSequence, cfg: CCRLConfig) -> list[np.ndarray]:
     """The per-sequence constants of the CCRL loss under gt_motion's kernel
-    weights w: 1 - w and, with kernel anchor weighting, the (T, 1) anchor
-    weights, each row's mass of w normalized to sum 1."""
+    weights w: 1 - w (in the kernel's storage) and, with kernel anchor weighting,
+    the (T, 1) anchor weights, each row's mass of w normalized to sum 1."""
     kernel, _ = motion_kernel(gt_motion, cfg)
-    constants = [1.0 - kernel]
+    constants = [kernel]
     if cfg.anchor_weighting == "kernel":
         anchor_mass = kernel.mean(axis=1)
         constants.append((anchor_mass / anchor_mass.sum()).reshape(-1, 1))
+    np.subtract(1.0, kernel, out=kernel)
     return constants
 
 

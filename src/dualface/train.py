@@ -279,10 +279,9 @@ def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams(model_cfg, rng)
     state = TrainState()
-    # Step data depends only on the sequence, so each training sequence's
-    # step_arrays (with its CCRL motion kernel) are built at its first step
-    # and kept only while a later epoch will use them.
-    cache: dict[int, list[np.ndarray]] = {}
+    # Step data depends only on the sequence, so every training sequence's
+    # step_arrays (with its CCRL constants) are built once, before the first step.
+    data = [step_arrays(seq.features, seq.motion, cfg) for seq in train_rows]
     val_rows = dataset.split("val")
     ckpt_path = out / "best.ckpt"
     log_path = out / "train_log.jsonl"
@@ -290,11 +289,7 @@ def train(dataset: LoadedDataset, model_cfg: ModelConfig, cfg: TrainConfig, out_
         for epoch in range(cfg.epochs):
             order = rng.permutation(len(train_rows))
             for idx in order:
-                seq = train_rows[idx]
-                arrays = cache.pop(idx, None) or step_arrays(seq.features, seq.motion, cfg)
-                if epoch + 1 < cfg.epochs:
-                    cache[idx] = arrays
-                bundle = train_step(params, seq, cfg, state, arrays)
+                bundle = train_step(params, train_rows[idx], cfg, state, data[idx])
                 log.write(_bundle_line(state.step, bundle) + "\n")
             if epoch + 1 == cfg.epochs:
                 state.program = None  # traced for this run's parameters only; freed before the last validation

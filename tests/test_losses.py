@@ -74,22 +74,32 @@ def test_motion_kernel_sigma_override_and_fallback():
 
 
 @pytest.mark.parametrize(
-    "frames, cfg, identical",
+    "frames, vertices, cfg, identical",
     [
-        (1, dl.CCRLConfig(), False),
-        (2, dl.CCRLConfig(), False),
-        (7, dl.CCRLConfig(), False),
-        (60, dl.CCRLConfig(), False),
-        (7, dl.CCRLConfig(), True),
-        (60, dl.CCRLConfig(sigma=0.5), False),
-        (60, dl.CCRLConfig(anchor_weighting="kernel"), False),
+        (1, 120, dl.CCRLConfig(), False),
+        (2, 120, dl.CCRLConfig(), False),
+        (7, 120, dl.CCRLConfig(), False),
+        (60, 120, dl.CCRLConfig(), False),
+        (7, 120, dl.CCRLConfig(), True),
+        (60, 120, dl.CCRLConfig(sigma=0.5), False),
+        (60, 120, dl.CCRLConfig(anchor_weighting="kernel"), False),
+        # 3V = 6, 33, 150 and 1200 reach each branch of NumPy's pairwise sum:
+        # under 8 terms, 8-128 terms not a multiple of 8, one split, several
+        (60, 2, dl.CCRLConfig(), False),
+        (60, 11, dl.CCRLConfig(), False),
+        (60, 50, dl.CCRLConfig(), False),
+        (60, 400, dl.CCRLConfig(), False),
+        (3, 400, dl.CCRLConfig(), False),
+        (61, 400, dl.CCRLConfig(), False),
     ],
 )
-def test_motion_kernel_is_bit_identical_to_broadcast(frames, cfg, identical):
-    """The row-by-row kernel equals the (T, T, 3V) broadcast formula exactly,
-    weights and bandwidth both."""
+def test_motion_kernel_is_bit_identical_to_broadcast(frames, vertices, cfg, identical):
+    """The kernel, filled one frame offset at a time, equals the (T, T, 3V)
+    broadcast formula exactly, weights and bandwidth both; and a row's
+    squared distance sums to the same bits in a block of any height, which
+    the offset form relies on."""
     rng = np.random.default_rng(frames)
-    disp = rng.standard_normal((frames, 120, 3))
+    disp = rng.standard_normal((frames, vertices, 3))
     if identical:
         disp[:] = disp[0]  # zero median: the bandwidth falls back to 1.0
     flat = disp.reshape(frames, -1)
@@ -107,6 +117,10 @@ def test_motion_kernel_is_bit_identical_to_broadcast(frames, cfg, identical):
     assert sigma == want_sigma
     if identical:
         assert sigma == 1.0
+    rows = (flat - flat[0]) ** 2
+    one_by_one = np.array([row.sum() for row in rows])
+    for height in range(1, frames + 1):
+        assert np.array_equal(np.add.reduce(rows[:height], axis=1), one_by_one[:height])
 
 
 def test_ccrl_matches_oracle():

@@ -235,35 +235,41 @@ def test_gradient_check_builds_the_graph_that_trains():
 
 def test_one_motion_kernel_per_sequence_per_train_call(tmp_path, monkeypatch):
     """train builds one CCRL motion kernel per training sequence, however
-    many epochs it runs, and none when CCRL or the dual pass is off; a bare
-    train_step builds the one its two CCRL directions share."""
+    many epochs it runs, all of them before its first step, and none when
+    CCRL or the dual pass is off; a bare train_step builds the one its two
+    CCRL directions share."""
     from dualface import losses
 
     ds = tiny_dataset(tmp_path / "data")
     n_train = len(ds.split("train"))
-    calls = []
-    kernel = losses.motion_kernel
+    events = []
+    kernel, step = losses.motion_kernel, dt.train_step
 
-    def counting(*args, **kwargs):
-        calls.append(1)
+    def counting_kernel(*args, **kwargs):
+        events.append("kernel")
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(losses, "motion_kernel", counting)
+    def counting_step(*args, **kwargs):
+        events.append("step")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(losses, "motion_kernel", counting_kernel)
+    monkeypatch.setattr(dt, "train_step", counting_step)
     for run in ("a", "b"):
-        calls.clear()
+        events.clear()
         dt.train(ds, tiny_model(ds), dt.TrainConfig(epochs=2, seed=0), tmp_path / run)
-        assert len(calls) == n_train
+        assert events == ["kernel"] * n_train + ["step"] * (2 * n_train)
     for weights in (LossWeights(ccrl=0.0), LossWeights(dual=0.0, dr=0.0, ccrl=0.0)):
-        calls.clear()
+        events.clear()
         dt.train(ds, tiny_model(ds), dt.TrainConfig(epochs=2, seed=0, weights=weights), tmp_path / "c")
-        assert calls == []
+        assert events == ["step"] * (2 * n_train)
     seq = ds.split("train")[0]
     for ccrl, want in ((LossWeights().ccrl, 1), (0.0, 0)):
-        calls.clear()
+        events.clear()
         cfg = dt.TrainConfig(weights=LossWeights(ccrl=ccrl))
         params = ModelParams(tiny_model(ds), np.random.default_rng(0))
-        dt.train_step(params, seq, cfg, dt.TrainState())
-        assert len(calls) == want
+        step(params, seq, cfg, dt.TrainState())
+        assert events.count("kernel") == want
 
 
 def test_training_reduces_primal_loss(tmp_path):
