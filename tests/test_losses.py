@@ -73,26 +73,28 @@ def test_motion_kernel_sigma_override_and_fallback():
         dl.motion_kernel(motion, dl.CCRLConfig(anchor_weighting="softmax"))
 
 
-@pytest.mark.parametrize(
-    "frames, vertices, cfg, identical",
-    [
-        (1, 120, dl.CCRLConfig(), False),
-        (2, 120, dl.CCRLConfig(), False),
-        (7, 120, dl.CCRLConfig(), False),
-        (60, 120, dl.CCRLConfig(), False),
-        (7, 120, dl.CCRLConfig(), True),
-        (60, 120, dl.CCRLConfig(sigma=0.5), False),
-        (60, 120, dl.CCRLConfig(anchor_weighting="kernel"), False),
-        # 3V = 6, 33, 150 and 1200 reach each branch of NumPy's pairwise sum:
-        # under 8 terms, 8-128 terms not a multiple of 8, one split, several
-        (60, 2, dl.CCRLConfig(), False),
-        (60, 11, dl.CCRLConfig(), False),
-        (60, 50, dl.CCRLConfig(), False),
-        (60, 400, dl.CCRLConfig(), False),
-        (3, 400, dl.CCRLConfig(), False),
-        (61, 400, dl.CCRLConfig(), False),
-    ],
-)
+KERNEL_CASES = [
+    (1, 120, dl.CCRLConfig(), False),
+    (2, 120, dl.CCRLConfig(), False),
+    (7, 120, dl.CCRLConfig(), False),
+    (60, 120, dl.CCRLConfig(), False),
+    (7, 120, dl.CCRLConfig(), True),
+    (60, 120, dl.CCRLConfig(sigma=0.5), False),
+    (60, 120, dl.CCRLConfig(anchor_weighting="kernel"), False),
+    # 3V = 6, 33, 150 and 1200 reach each branch of NumPy's pairwise sum:
+    # under 8 terms, 8-128 terms not a multiple of 8, one split, several
+    (60, 2, dl.CCRLConfig(), False),
+    (60, 11, dl.CCRLConfig(), False),
+    (60, 50, dl.CCRLConfig(), False),
+    (60, 400, dl.CCRLConfig(), False),
+    (3, 400, dl.CCRLConfig(), False),
+    (61, 400, dl.CCRLConfig(), False),
+]
+
+
+@pytest.mark.parametrize("frames, vertices, cfg, identical", KERNEL_CASES,
+                         ids=[f"{t}-cfg{i}-{same}" if v == 120 else f"{t}-3V{3 * v}"
+                              for i, (t, v, _, same) in enumerate(KERNEL_CASES)])
 def test_motion_kernel_is_bit_identical_to_broadcast(frames, vertices, cfg, identical):
     """The kernel, filled one frame offset at a time, equals the (T, T, 3V)
     broadcast formula exactly, weights and bandwidth both; and a row's
