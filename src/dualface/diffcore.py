@@ -230,13 +230,6 @@ def _softmax_rows(a, out):
     return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
-def _fw_softmax_rows(arrays, attrs, out, batch=0):
-    (a,) = arrays
-    if a.ndim < 1:
-        raise ShapeMismatchError("softmax-per-row needs rank >= 1")
-    return partial(_softmax_rows, a, out), None
-
-
 def _fw_concat_last(arrays, attrs, out, batch=0):
     first = arrays[0]
     for a in arrays[1:]:
@@ -338,8 +331,6 @@ def _layer_norm_rows(a, out, inv):
 
 def _fw_layer_norm_rows(arrays, attrs, out, batch=0):
     (a,) = arrays
-    if a.ndim < 1:
-        raise ShapeMismatchError("layer-normalize-per-row needs rank >= 1")
     inv = np.empty(a.shape[:-1] + (1,))
     return partial(_layer_norm_rows, a, out, inv), inv
 
@@ -479,7 +470,7 @@ class PrimitiveKind(Enum):
     TANH = "tanh", _elementwise(np.tanh), _bw_tanh
     EXP = "exp", _elementwise(np.exp), _bw_exp
     LOG = "log", _elementwise(np.log), _bw_log
-    SOFTMAX_ROWS = "softmax-per-row", _fw_softmax_rows, _bw_softmax_rows
+    SOFTMAX_ROWS = "softmax-per-row", _elementwise(_softmax_rows), _bw_softmax_rows
     CONCAT_LAST = "concat-last-axis", _fw_concat_last, _bw_concat_last
     SLICE = "slice", _fw_slice, _bw_slice
     TRANSPOSE_LAST_TWO = "transpose-last-two", _fw_transpose_last_two, _bw_transpose_last_two
@@ -564,15 +555,16 @@ class Program:
     """Records of a trace, re-run in place, in order, on their inputs'
     current values (README, "Replay programs").
 
-    run(values, **attrs) rebinds the first len(values) `leaves` to
+    run(values, until, **attrs) rebinds the first len(values) `leaves` to
     `values`, checked data as a record output is (a cut callback may rebind
     the others), and sets `attrs` on every record of `settable`. `cuts`
-    maps a record index to a callback, run once the segment of records
-    ending there is checked. Every run writes each planned output into the
-    tape storage that holds its traced value, then checks the segment's
-    stretch of that storage once per chunk; the `unplanned` records, whose
-    output shapes change from run to run, allocate and check their outputs
-    one by one. A failed check, or an exception inside a segment, is
+    maps a record index to a callback, or None, run once the segment of
+    records ending there is checked; `until`, a cut or the record count,
+    runs the segments up to it only. Every run writes each planned output
+    into the tape storage that holds its traced value, then checks the
+    segment's stretch of that storage once per chunk; the `unplanned`
+    records, whose output shapes change from run to run, allocate and check
+    their outputs one by one. A failed check, or an exception inside a segment, is
     reported for the first planned output before that point that is not
     finite, with evaluate's message, so a replay names the primitive an
     eager build names.
@@ -591,7 +583,7 @@ class Program:
     of 1, as _batched reads it."""
 
     def __init__(self, records: Sequence[TapeRecord], leaves: Sequence[Tensor] = (),
-                 settable: Sequence[TapeRecord] = (), cuts: dict[int, Callable[[], None]] | None = None,
+                 settable: Sequence[TapeRecord] = (), cuts: dict[int, Callable[[], None] | None] | None = None,
                  unplanned: Sequence[TapeRecord] = (), batch: int = 1):
         self.leaves = list(leaves)
         self.settable = [r.attrs for r in settable]
@@ -600,7 +592,7 @@ class Program:
         rebound = {*self.leaves, *(r.output for r in unplanned)}
         lead = int(batch > 1)  # the bind rules' batch: 1 when every output is a stack
         stacked = {*rebound, *(r.output for r in records)} if lead else set()
-        ends = sorted({*cuts, len(records)})
+        self.ends = ends = sorted({*cuts, len(records)})
         # Per segment: a step (call, output array or None if unplanned,
         # record) per record, the stretches to check and the callback.
         self.segments = []
@@ -627,12 +619,12 @@ class Program:
                 steps.append((call, out, r))
             self.segments.append((steps, _stretches([s[1] for s in steps if s[1] is not None]), cuts.get(b)))
 
-    def run(self, values: Sequence[np.ndarray] = (), **attrs):
+    def run(self, values: Sequence[np.ndarray] = (), until: int | None = None, **attrs):
         for leaf, value in zip(self.leaves, values):
             leaf.data = value
         for a in self.settable:
             a.update(attrs)
-        for steps, stretches, callback in self.segments:
+        for steps, stretches, callback in self.segments[:None if until is None else self.ends.index(until) + 1]:
             try:
                 for step in steps:
                     step[0]()

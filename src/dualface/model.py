@@ -16,7 +16,6 @@ and still reproduce the teacher-forced pass.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import struct
@@ -216,24 +215,16 @@ class ForwardOutputs:
 
 class KVCache:
     """One attention block's keys and values of the rows decoded so far, in
-    (..., T, dk) arrays allocated at the first extend, with a leading axis
-    per head (and per sequence of a group). Each row is written once from a
-    checked primitive output; it hands out two tape leaves, rebound on each
-    extend, so a traced frame's records read the rows cached since."""
+    (..., T, dk) arrays allocated at the first extend (whenever `rows` is
+    0), with a leading axis per head (and per sequence of a group). Each
+    row is written once from a checked primitive output; it hands out two
+    tape leaves, rebound on each extend, so a traced frame's records read
+    the rows cached since."""
 
     def __init__(self, frames: int):
         self.frames, self.rows = frames, 0
         self.leaves = dc.Tensor._wrap(np.empty(0)), dc.Tensor._wrap(np.empty(0))
         self.fed = None  # the (k, v) tensors of the last extend
-
-    @classmethod
-    def group(cls, caches: Sequence[KVCache]) -> KVCache:
-        """The caches of B sequences holding the same rows, as one over (B,
-        ...) stacks of their arrays, handing out through the first's leaves."""
-        group = cls(caches[0].frames)
-        group.keys, group.values = (np.stack(arrays) for arrays in zip(*((c.keys, c.values) for c in caches)))
-        group.rows, group.leaves = caches[0].rows, caches[0].leaves
-        return group
 
     def extend(self, k: dc.Tensor, v: dc.Tensor) -> tuple[dc.Tensor, dc.Tensor]:
         """Store the newest row's keys and values, (..., 1, dk); returns all
@@ -439,18 +430,19 @@ def _generate(params: ModelParams, d: Direction, sources: Sequence, speakers: Se
     cache, which holds exactly the rows frame t may see; so frame t equals
     row t of teacher forcing.
 
-    Frames 0 and 1 of each sequence run the model code, frame 1 of a
-    group's first under a tape. Every later frame replays those records
-    once for the group, as a diffcore.Program of the group's batch with the
-    previous predictions, source rows, style rows (of several sequences)
-    and positional slice rebound, so each sequence meets the forward calls
+    Only frame 0 of a group's first sequence runs the model code, under a
+    tape, ending with its prediction encoded at position 0 as the next
+    history row. Every frame, frame 0 included, replays those records once
+    for the group, as a diffcore.Program of the group's batch with the
+    history rows, source rows, style rows (of several sequences) and
+    positional slice rebound, so each sequence meets the forward calls
     that decoding it alone makes: the output is bit-identical. The records
     are cut after each block's k and v, where the replay extends the
-    block's cache (a KVCache.group, for several) as the traced frame did;
-    the block's logits, scaled logits and softmax, whose shapes grow with
-    the cache, are unplanned. A NonFiniteError from several sources decodes
-    them again one at a time, in input order, and raises what that raises
-    first."""
+    block's cache, emptied after the trace, as the traced frame did, and
+    before the encoding, where the last frame stops; the block's logits,
+    scaled logits and softmax, whose shapes grow with the cache, are
+    unplanned. A NonFiniteError from several sources decodes them again one
+    at a time, in input order, and raises what that raises first."""
     if len(speakers) != len(sources):
         raise ValueError(f"{len(speakers)} speakers for {len(sources)} sequences")
     outputs, groups = {}, {}
@@ -472,48 +464,41 @@ def _decode(params: ModelParams, d: Direction, rows: Sequence[np.ndarray], speak
     batch, frames = len(rows), rows[0].shape[0]
     rows = np.stack(rows, 1).reshape(frames, batch, 1, -1)  # source row t of sequence b at [t, b]
     styles = [style_embed(params, speaker) for speaker in speakers]
-    caches = [(KVCache(frames), KVCache(frames)) for _ in range(batch)]  # self-attention, fusion
+    start = params[f"start_token.{d.target}"].data
+    caches = KVCache(frames), KVCache(frames)  # self-attention, fusion
     out_weight = d.out_weight(params)  # constant: a tied codec transposes once
-    out = np.empty((batch, frames, out_weight.data.shape[1]))
-
-    def frame(history: dc.Tensor, t: int, b: int) -> tuple[dc.Tensor, dc.Tensor]:
-        row = dc.Tensor._wrap(rows[t, b])  # read in place: a leaf of checked data
-        self_cache, fusion_cache = caches[b]
-        ctx = self_attend(params, history, d.name, self_cache)
-        gated = speaker_modulate(params, ctx, styles[b], d.name)
-        pred = d.decode(params, cross_attend(params, row, gated, d.name, fusion_cache), out_weight)
-        out[b, t] = pred.data[0]
-        return row, pred
-
-    for b in range(batch):
-        _, prev = frame(params[f"start_token.{d.target}"], 0, b)
+    history, row = dc.Tensor._wrap(start), dc.Tensor._wrap(rows[0, 0])  # leaves of checked data
+    with dc.Tape() as tape:
+        ctx = self_attend(params, history, d.name, caches[0])
+        gated = speaker_modulate(params, ctx, styles[0], d.name)
+        pred = d.decode(params, cross_attend(params, row, gated, d.name, caches[1]), out_weight)
+        encoding = len(tape.records)
         if frames > 1:
-            with dc.Tape() if b == 0 else contextlib.nullcontext() as tape:
-                row, pred = frame(_encoder(d.target)(params, prev, start=0), 1, b)
-            if b == 0:
-                leaves, records, last = [prev, row], tape.records, pred
-    if frames > 2:
-        pos = next(r for r in records if r.inputs[0] is params["positional_table"])
-        ends = {r.output: i + 1 for i, r in enumerate(records)}
+            _encoder(d.target)(params, pred, start=0)
+    records, leaves = tape.records, [history, row]
+    ends = {r.output: i + 1 for i, r in enumerate(records)}
 
-        def reader(leaf):
-            return next(i for i, r in enumerate(records) if leaf in r.inputs)
+    def reader(leaf):
+        return next(i for i, r in enumerate(records) if leaf in r.inputs)
 
-        first = caches[0]
-        if batch > 1:  # the style row, a constant of one sequence, is a leaf of several
-            leaves.append(styles[0])
-            inputs, style, group = rows, [np.stack([s.data for s in styles])], map(KVCache.group, zip(*caches))
-        else:
-            inputs, style, group = rows[:, 0], [], first
-        program = dc.Program(
-            records, [*leaves, *(leaf for cache in first for leaf in cache.leaves)], [pos],
-            {max(ends[t] for t in cache.fed): partial(g.extend, *cache.fed) for cache, g in zip(first, group)},
-            [r for cache in first for r in records[reader(cache.leaves[0]):reader(cache.leaves[1])]], batch)
-        prev = out[:, 1:2].reshape(last.data.shape).copy()
-        for t in range(2, frames):
-            program.run([prev, inputs[t], *style], start=t - 1, stop=t)
-            prev = last.data.copy()  # out of the storage the next frame overwrites
-            out[:, t] = prev.reshape(batch, -1)
+    # A stacked Program at B = 1 costs 14-24% more per frame than the plain one.
+    if batch > 1:  # the style row, a constant of one sequence, is a leaf of several
+        leaves.append(styles[0])
+        inputs, prev, style = rows, np.repeat(start[None], batch, 0), [np.stack([s.data for s in styles])]
+    else:
+        inputs, prev, style = rows[:, 0], start, []
+    program = dc.Program(
+        records, [*leaves, *(leaf for cache in caches for leaf in cache.leaves)],
+        [r for r in records[encoding:] if r.inputs[0] is params["positional_table"]],
+        {max(ends[t] for t in cache.fed): partial(cache.extend, *cache.fed) for cache in caches} | {encoding: None},
+        [r for cache in caches for r in records[reader(cache.leaves[0]):reader(cache.leaves[1])]], batch)
+    for cache in caches:
+        cache.rows = 0  # so frame 0's replay extends it again, allocating a group's stacks
+    out = np.empty((batch, frames, out_weight.data.shape[1]))
+    for t in range(frames):
+        program.run([prev, inputs[t], *style], until=None if t + 1 < frames else encoding, start=t, stop=t + 1)
+        out[:, t] = pred.data.reshape(batch, -1)
+        prev = records[-1].output.data.copy()  # the encoding, out of the storage the next run overwrites
     return list(out)
 
 

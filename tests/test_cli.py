@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -122,6 +123,49 @@ def test_config_file_nested_too_deep_exits_2(tmp_path, capsys):
     deep.write_text("[" * 100_000 + "]" * 100_000)
     assert run(["gradcheck", "--scope", "op", "--config", deep]) == 2
     assert capsys.readouterr().err.startswith("config error: config file is not valid JSON")
+
+
+@pytest.mark.parametrize("content, message", [
+    pytest.param(None, "config file not found: {path}", id="missing"),
+    pytest.param("[]", "config file must hold a JSON object", id="not_an_object"),
+    pytest.param('{"train": {"seed": {"x": 1}}}', "config key 'train.seed' is not a section", id="value_as_section"),
+])
+def test_config_file_errors_exit_2(tmp_path, capsys, content, message):
+    """A config file that is missing, is no JSON object, or gives a value a
+    section exits 2 with its own message, before the command runs."""
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    assert run(["gradcheck", "--scope", "op", "--config", path]) == 2
+    assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("case, message", [
+    ("eval_without_val", "split 'val' is empty"),
+    ("train_without_train", "train split is empty"),
+    ("template_one_vertex_more", "seq000_motion.bin: vertex count differs from template"),
+])
+def test_data_errors_exit_3(trained, tmp_path, capsys, case, message):
+    """eval of an empty split, train without training sequences, and
+    motion with one vertex fewer than the template exit 3 and write nothing."""
+    manifest, ckpt = trained
+    data = tmp_path / "data"
+    shutil.copytree(manifest.parent, data)
+    raw = json.loads((data / "manifest.json").read_text())
+    gone = {"eval_without_val": "val", "train_without_train": "train"}.get(case)
+    raw["entries"] = [e for e in raw["entries"] if e["split"] != gone]
+    (data / "manifest.json").write_text(json.dumps(raw))
+    if case == "template_one_vertex_more":
+        wider = make_dataset(tmp_path / "wider", vertex_count=25)
+        shutil.copy(wider.parent / "template.bin", data / "template.bin")
+    out = tmp_path / "out"
+    if case == "eval_without_val":
+        argv = ["eval", "--checkpoint", ckpt, "--split", "val"]
+    else:
+        argv = ["train", *SMALL_MODEL]
+    assert run([*argv, "--data", data / "manifest.json", "--out", out]) == 3
+    assert capsys.readouterr().err.endswith(f"data error: {message}\n")
+    assert not out.exists()
 
 
 def test_missing_data_exits_3(tmp_path):

@@ -16,6 +16,8 @@ def test_tensor_basics():
     with pytest.raises(dc.ShapeMismatchError):
         t.item()
     assert dc.Tensor(5.0).item() == 5.0
+    # No tensor is rank 0, so no rule checks for it (softmax, layer norm).
+    assert dc.Tensor(1.0).shape == (1,) and dc.Parameter("p", 1.0).shape == (1,)
 
 
 def test_tensor_rejects_nonfinite():
@@ -99,6 +101,16 @@ def test_shape_validation():
         dc.slice_axis(a, 0, 2, 1)
     with pytest.raises(dc.ShapeMismatchError):
         dc.broadcast_row(a, 3)
+    with pytest.raises(dc.ShapeMismatchError, match="matmul expects operands of rank >= 2"):
+        dc.matmul(dc.Tensor(np.ones(3)), b)
+    with pytest.raises(dc.ShapeMismatchError, match="slice axis 5 out of range for rank 2"):
+        dc.slice_axis(a, 5, 0, 1)
+    with pytest.raises(dc.ShapeMismatchError, match="transpose-last-two needs rank >= 2"):
+        dc.transpose_last_two(dc.Tensor(np.ones(3)))
+    with pytest.raises(dc.ShapeMismatchError, match="broadcast-row needs rows >= 1"):
+        dc.broadcast_row(dc.Tensor(np.ones((1, 3))), 0)
+    with pytest.raises(dc.ShapeMismatchError, match="gradient check builder must produce a scalar"):
+        dc.check_gradients(None, lambda: dc.scalar_multiply(dc.Parameter("p", np.ones((2, 2))), 2.0))
 
 
 def test_broadcast_matmul_and_merge_heads_match_numpy():
@@ -812,6 +824,24 @@ def test_program_is_bound_when_built():
     assert p.gradient.any() and q.gradient.any()
 
 
+def test_run_until_a_cut_leaves_the_later_segments_unrun():
+    """run(values, until=cut) runs the segments up to that cut, a cut
+    without a callback included, and no later record or callback; until the
+    record count runs them all, as no until does."""
+    leaf = dc.Tensor([[1.0, 2.0]])
+    with dc.Tape() as tape:
+        a = dc.scalar_multiply(leaf, 2.0)
+        b = dc.scalar_multiply(a, 3.0)
+    calls = []
+    program = dc.Program(tape.records, [leaf], cuts={1: None, 2: lambda: calls.append(2)})
+    program.run([np.array([[5.0, 7.0]])], until=1)
+    assert a.data.tolist() == [[10.0, 14.0]] and b.data.tolist() == [[6.0, 12.0]] and not calls
+    program.run([np.array([[1.0, 1.0]])], until=2)
+    assert b.data.tolist() == [[6.0, 6.0]] and calls == [2]
+    program.run([np.array([[5.0, 7.0]])])
+    assert b.data.tolist() == [[30.0, 42.0]] and calls == [2, 2]
+
+
 def test_leaf_a_cut_rebinds_is_read_at_each_run():
     """A leaf that run() is given no value for, and a cut callback rebinds,
     is read again at each run, as KVCache leaves are in generation: its
@@ -829,10 +859,11 @@ def test_leaf_a_cut_rebinds_is_read_at_each_run():
 def test_replays_check_once_per_segment(monkeypatch):
     """The finite check of a replay runs once per segment and chunk, over
     its stretch of the tape's storage, plus once per unplanned record. A
-    replayed generated frame (2 attention blocks, so 3 segments, one chunk
-    each at these sizes) calls all_finite 9 times: once per segment and
-    once for each of the 6 attention records (logits, scaled logits,
-    softmax) whose shapes grow with the K/V caches. A replayed
+    replayed generated frame (cut after 2 attention blocks' keys and values
+    and before encoding the prediction, so 4 segments, one chunk each at
+    these sizes) calls all_finite 10 times: once per segment and once for
+    each of the 6 attention records (logits, scaled logits, softmax) whose
+    shapes grow with the K/V caches. A replayed
     training step calls it once per chunk its segment spans, plus once per
     rebound leaf. (Layer norm's variance check is its own.)"""
     from dualface import model as dm, train as dt
@@ -856,7 +887,7 @@ def test_replays_check_once_per_segment(monkeypatch):
             calls[0] = 0
             generate(params, source, 1)
             per_length.append(calls[0])
-        assert per_length[2] - per_length[1] == per_length[1] - per_length[0] == 9, generate.__name__
+        assert per_length[2] - per_length[1] == per_length[1] - per_length[0] == 10, generate.__name__
 
     feats = FeatureSequence(rng.standard_normal((6, 5)))
     motion = MotionSequence(0.1 * rng.standard_normal((6, 6, 3)), 25.0)

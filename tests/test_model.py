@@ -122,6 +122,28 @@ def test_frame_limit_enforced():
         dm.encode_audio(params, feats)
 
 
+def test_public_argument_checks():
+    """Each public block refuses what it cannot serve, with its own message:
+    cached attention of two query rows, self-attention of no rows, an
+    encoder input that is neither a sequence nor a tensor or is of the wrong
+    width, an unknown direction, and fusion of unequal lengths."""
+    params = dm.ModelParams(small_config(), np.random.default_rng(8))
+    three, four = dc.Tensor(np.ones((3, 8))), dc.Tensor(np.ones((4, 8)))
+    heads = dc.Tensor(np.ones((2, 2, 4)))  # two heads' two rows
+    with pytest.raises(dc.ShapeMismatchError, match="cached attention decodes one row per call"):
+        dm.attention_heads(heads, heads, heads, dm.KVCache(4))
+    with pytest.raises(ValueError, match="self_attend: need at least one frame"):
+        dm.self_attend(params, dc.Tensor(np.ones((0, 8))), "primal")
+    with pytest.raises(TypeError, match="encode_audio: unsupported input type list"):
+        dm.encode_audio(params, [[0.0] * 5])
+    with pytest.raises(dc.ShapeMismatchError, match="encode_audio: expected 5 columns, got 4"):
+        dm.encode_audio(params, dc.Tensor(np.ones((3, 4))))
+    with pytest.raises(ValueError, match="direction must be 'primal' or 'dual', got 'sideways'"):
+        dm.self_attend(params, three, "sideways")
+    with pytest.raises(dc.ShapeMismatchError, match="cross_attend expects equal lengths, got 3 and 4"):
+        dm.cross_attend(params, three, four, "primal")
+
+
 def test_forward_shapes_and_latents():
     params = dm.ModelParams(small_config(), np.random.default_rng(6))
     rng = np.random.default_rng(7)
@@ -405,6 +427,30 @@ def test_batched_generation_calls_per_frame_do_not_grow_with_batch(monkeypatch):
                 counts.append(calls[0])
             per_frame.append((counts[1] - counts[0]) / 10)
         assert per_frame[0] == per_frame[1] == per_frame[2] > 0, f"{direction}: calls per frame {per_frame}"
+
+
+def test_decoding_a_group_runs_the_model_code_for_one_frame(monkeypatch):
+    """_decode traces frame 0 of a group's first sequence and replays every
+    frame of the group: one self_attend and one cross_attend call per
+    decode, whatever the group's size and frame count."""
+    params = dm.ModelParams(small_config(), np.random.default_rng(654))
+    rng = np.random.default_rng(754)
+    calls = []
+    for name in ("self_attend", "cross_attend"):
+        def spy(*args, real=getattr(dm, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dm, name, spy)
+    for direction, width in (("primal", 5), ("dual", 18)):
+        d = dm.DIRECTIONS[direction]
+        for batch in (1, 2, 4):
+            for t in (1, 3, 6):
+                rows = [dm._encoder(d.source)(params, dc.Tensor(0.1 * rng.standard_normal((t, width)))).data
+                        for _ in range(batch)]
+                calls.clear()
+                dm._decode(params, d, rows, [b % 3 for b in range(batch)])
+                assert sorted(calls) == ["cross_attend", "self_attend"], f"{direction}, B={batch}, T={t}"
 
 
 @pytest.mark.parametrize("direction", ["primal", "dual"])
