@@ -292,7 +292,7 @@ def _eager_generate(params, direction, source, speaker):
 
 @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
 def test_generation_equals_eager_decoding_bit_for_bit(tied):
-    """Generation replays one traced frame for frames 2..T-1; its output is
+    """Generation replays one traced frame for frames 0..T-1; its output is
     byte-identical to running the model code for every frame."""
     params = dm.ModelParams(small_config(max_frames=17, share_transpose_codec=tied), np.random.default_rng(640))
     rng = np.random.default_rng(740)
@@ -315,7 +315,7 @@ def _decode_group(params, direction, sources, speakers):
 @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
 def test_batched_generation_equals_one_at_a_time(tied):
     """Equal-length sequences with mixed speakers, decoded as one group
-    (every frame after frame 1 replayed once over their stacks), are
+    (every frame replayed once over their stacks), are
     byte-identical to decoding each alone, in both directions, through
     generate_motions and generate_motion too."""
     params = dm.ModelParams(small_config(max_frames=60, share_transpose_codec=tied), np.random.default_rng(650))
@@ -406,7 +406,7 @@ def test_batched_overflow_raises_as_serial(direction):
 
 
 def test_batched_generation_calls_per_frame_do_not_grow_with_batch(monkeypatch):
-    """Each frame after frame 1 applies every record once for the whole
+    """Each replayed frame applies every record once for the whole
     group: the forward calls per frame are the same at B=1, 2 and 4."""
     params = dm.ModelParams(small_config(max_frames=16), np.random.default_rng(653))
     rng = np.random.default_rng(753)
