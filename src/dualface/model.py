@@ -215,11 +215,11 @@ class ForwardOutputs:
 
 class KVCache:
     """One attention block's keys and values of the rows decoded so far, in
-    (..., T, dk) arrays allocated at the first extend (whenever `rows` is
-    0), with a leading axis per head (and per sequence of a group). Each
-    row is written once from a checked primitive output; it hands out two
-    tape leaves, rebound on each extend, so a traced frame's records read
-    the rows cached since."""
+    (..., T, dk) arrays that an extend at 0 `rows` allocates, with a leading
+    axis per head (and per sequence of a group, whose decode sets `rows`
+    back to 0 after the traced frame). Each row is written once from a
+    checked primitive output; it hands out two tape leaves, rebound on each
+    extend, so a traced frame's records read the rows cached since."""
 
     def __init__(self, frames: int):
         self.frames, self.rows = frames, 0
@@ -277,7 +277,7 @@ def _check_frames(params: ModelParams, t: int, what: str):
         raise ValueError(f"{what}: {t} frames exceeds max_frames={params.config.max_frames}")
 
 
-def _encode(params: ModelParams, x, modality: str, start: int) -> dc.Tensor:
+def _encode(params: ModelParams, x, modality: str) -> dc.Tensor:
     what, c = f"encode_{modality}", params.config
     if isinstance(x, FeatureSequence):
         x = dc.Tensor(x.values)
@@ -290,19 +290,19 @@ def _encode(params: ModelParams, x, modality: str, start: int) -> dc.Tensor:
     if cols != width:
         raise dc.ShapeMismatchError(f"{what}: expected {width} columns, got {cols}")
     t = x.data.shape[0]
-    _check_frames(params, start + t, what)
-    pos = dc.slice_axis(params["positional_table"], 0, start, start + t)
+    _check_frames(params, t, what)
+    pos = dc.slice_axis(params["positional_table"], 0, 0, t)
     return dc.add(_affine(x, params[f"{modality}_encoder.weight"], params[f"{modality}_encoder.bias"]), pos)
 
 
-def encode_audio(params: ModelParams, features, start: int = 0) -> dc.Tensor:
-    """Affine band-feature encoding plus positional rows from `start`, (T, d)."""
-    return _encode(params, features, "audio", start)
+def encode_audio(params: ModelParams, features) -> dc.Tensor:
+    """Affine band-feature encoding plus positional rows 0..T-1, (T, d)."""
+    return _encode(params, features, "audio")
 
 
-def encode_motion(params: ModelParams, motion, start: int = 0) -> dc.Tensor:
-    """Affine flattened-displacement encoding plus positional rows from `start`, (T, d)."""
-    return _encode(params, motion, "motion", start)
+def encode_motion(params: ModelParams, motion) -> dc.Tensor:
+    """Affine flattened-displacement encoding plus positional rows 0..T-1, (T, d)."""
+    return _encode(params, motion, "motion")
 
 
 def _encoder(modality: str):
@@ -424,25 +424,9 @@ def _forward(params: ModelParams, d: Direction, source, speaker: int, target) ->
 def _generate(params: ModelParams, d: Direction, sources: Sequence, speakers: Sequence[int]) -> list[np.ndarray]:
     """Decodes each source with its speaker, in input order: every source
     is encoded once, and those of one frame count, in order of first
-    appearance, decode as one group (_decode), one row per frame. Frame t
-    sends one history row (the start token, or frame t-1 encoded at
-    position t-1) through every block, attending over the block's K/V
-    cache, which holds exactly the rows frame t may see; so frame t equals
-    row t of teacher forcing.
-
-    Only frame 0 of a group's first sequence runs the model code, under a
-    tape, ending with its prediction encoded at position 0 as the next
-    history row. Every frame, frame 0 included, replays those records once
-    for the group, as a diffcore.Program of the group's batch with the
-    history rows, source rows, style rows (of several sequences) and
-    positional slice rebound, so each sequence meets the forward calls
-    that decoding it alone makes: the output is bit-identical. The records
-    are cut after each block's k and v, where the replay extends the
-    block's cache, emptied after the trace, as the traced frame did, and
-    before the encoding, where the last frame stops; the block's logits,
-    scaled logits and softmax, whose shapes grow with the cache, are
-    unplanned. A NonFiniteError from several sources decodes them again one
-    at a time, in input order, and raises what that raises first."""
+    appearance, decode as one group (_decode). A NonFiniteError from
+    several sources decodes them again one at a time, in input order, and
+    raises what that raises first."""
     if len(speakers) != len(sources):
         raise ValueError(f"{len(speakers)} speakers for {len(sources)} sequences")
     outputs, groups = {}, {}
@@ -461,12 +445,28 @@ def _generate(params: ModelParams, d: Direction, sources: Sequence, speakers: Se
 
 
 def _decode(params: ModelParams, d: Direction, rows: Sequence[np.ndarray], speakers: Sequence[int]) -> list[np.ndarray]:
+    """A group's encoded sources decoded one row per frame: frame t sends one
+    history row (the start token, or frame t-1 encoded at position t-1)
+    through every block, attending over the block's K/V cache of exactly
+    the rows frame t may see, so frame t equals row t of teacher forcing.
+
+    Only frame 0 of the first sequence runs the model code, under a tape,
+    ending with its prediction encoded as the next history row. The other
+    frames, and a group's frame 0, replay those records as a
+    diffcore.Program of the group's batch with the history rows, source
+    rows, style rows (of several sequences) and positional slice rebound,
+    so each sequence meets the forward calls that decoding it alone makes:
+    the output is bit-identical. The records are cut at each block's
+    logits, where the replay extends the block's cache (a group's emptied
+    after the trace), and before the encoding, where the last frame stops;
+    the block's logits, scaled logits and softmax, whose shapes grow with
+    the cache, are unplanned."""
     batch, frames = len(rows), rows[0].shape[0]
     rows = np.stack(rows, 1).reshape(frames, batch, 1, -1)  # source row t of sequence b at [t, b]
     styles = [style_embed(params, speaker) for speaker in speakers]
     start = params[f"start_token.{d.target}"].data
     caches = KVCache(frames), KVCache(frames)  # self-attention, fusion
-    out_weight = d.out_weight(params)  # constant: a tied codec transposes once
+    out_weight = d.out_weight(params)  # constant: a tied codec transposes once, not per frame (+14-30% a call)
     history, row = dc.Tensor._wrap(start), dc.Tensor._wrap(rows[0, 0])  # leaves of checked data
     with dc.Tape() as tape:
         ctx = self_attend(params, history, d.name, caches[0])
@@ -474,9 +474,8 @@ def _decode(params: ModelParams, d: Direction, rows: Sequence[np.ndarray], speak
         pred = d.decode(params, cross_attend(params, row, gated, d.name, caches[1]), out_weight)
         encoding = len(tape.records)
         if frames > 1:
-            _encoder(d.target)(params, pred, start=0)
+            _encoder(d.target)(params, pred)
     records, leaves = tape.records, [history, row]
-    ends = {r.output: i + 1 for i, r in enumerate(records)}
 
     def reader(leaf):
         return next(i for i, r in enumerate(records) if leaf in r.inputs)
@@ -490,13 +489,14 @@ def _decode(params: ModelParams, d: Direction, rows: Sequence[np.ndarray], speak
     program = dc.Program(
         records, [*leaves, *(leaf for cache in caches for leaf in cache.leaves)],
         [r for r in records[encoding:] if r.inputs[0] is params["positional_table"]],
-        {max(ends[t] for t in cache.fed): partial(cache.extend, *cache.fed) for cache in caches} | {encoding: None},
+        {reader(cache.leaves[0]): partial(cache.extend, *cache.fed) for cache in caches} | {encoding: None},
         [r for cache in caches for r in records[reader(cache.leaves[0]):reader(cache.leaves[1])]], batch)
     for cache in caches:
-        cache.rows = 0  # so frame 0's replay extends it again, allocating a group's stacks
+        cache.rows = int(batch == 1)  # a group's frame 0 replay extends it again, allocating its stacks
     out = np.empty((batch, frames, out_weight.data.shape[1]))
     for t in range(frames):
-        program.run([prev, inputs[t], *style], until=None if t + 1 < frames else encoding, start=t, stop=t + 1)
+        if t or batch > 1:  # one sequence keeps its traced frame as frame 0
+            program.run([prev, inputs[t], *style], until=None if t + 1 < frames else encoding, start=t, stop=t + 1)
         out[:, t] = pred.data.reshape(batch, -1)
         prev = records[-1].output.data.copy()  # the encoding, out of the storage the next run overwrites
     return list(out)

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -382,6 +383,19 @@ def test_cut_checkpoint_exits_3(trained, tmp_path, capsys):
         assert run(["lipread", "--checkpoint", cut, "--motion", manifest.parent / "seq000_motion.bin",
                     "--out", tmp_path / "lips"]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_motion_holding_nan_exits_3(trained, tmp_path, capsys):
+    """lipread of a DTMO file whose values hold a NaN exits 3, names the
+    file, and writes nothing."""
+    manifest, ckpt = trained
+    motion = tmp_path / "nan_motion.bin"
+    raw = bytearray((manifest.parent / "seq000_motion.bin").read_bytes())
+    raw[-4:] = struct.pack("<f", float("nan"))
+    motion.write_bytes(bytes(raw))
+    assert run(["lipread", "--checkpoint", ckpt, "--motion", motion, "--out", tmp_path / "lips"]) == 3
+    assert capsys.readouterr().err == f"i/o error: {motion}: displacements must be finite\n"
+    assert not (tmp_path / "lips").exists()
 
 
 def test_feature_files_with_different_band_counts_exit_3(trained, tmp_path, capsys):

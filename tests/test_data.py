@@ -115,6 +115,18 @@ def test_truncation_and_trailing_bytes_rejected(tmp_path):
         dd.load_motion(path)
 
 
+def test_nan_payload_rejected(tmp_path):
+    """A DTMO file whose values hold a NaN is a FileFormatError naming it."""
+    path = tmp_path / "m.bin"
+    dd.save_motion(path, _motion(np.random.default_rng(5)))
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = struct.pack("<f", float("nan"))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(dd.FileFormatError) as exc:
+        dd.load_motion(path)
+    assert str(exc.value) == f"{path}: displacements must be finite"
+
+
 def test_container_validation():
     with pytest.raises(ValueError):
         dd.MotionSequence(np.zeros((3, 4)), 25.0)  # not (T, V, 3)
@@ -122,6 +134,8 @@ def test_container_validation():
         dd.MotionSequence(np.zeros((3, 4, 3)), 0.0)  # bad fps
     with pytest.raises(ValueError):
         dd.NeutralTemplate(np.zeros((2, 3)))  # too few vertices
+    with pytest.raises(ValueError, match=r"must be \(V, 3\)"):
+        dd.NeutralTemplate(np.zeros((4, 2)))
     with pytest.raises(ValueError):
         dd.FeatureSequence(np.zeros(5))  # rank 1
 
@@ -177,6 +191,9 @@ _MANIFEST = {"template": "t.bin", "speakers": 2, "entries": [_ENTRY], "lip_indic
     {**_MANIFEST, "lip_indices": 3},
     b"{broken",
     b"\xff\xfe",
+    {**_MANIFEST, "entries": [{**_ENTRY, "split": "dev"}]},
+    {**_MANIFEST, "entries": []},
+    {**_MANIFEST, "lip_indices": []},
 ])
 def test_malformed_manifest_rejected(tmp_path, blob):
     path = tmp_path / "manifest.json"
@@ -299,6 +316,8 @@ def test_export_obj(tmp_path):
     assert abs(x - (tpl.positions[0, 0] + motion.displacements[1, 0, 0])) < 1e-6
     with pytest.raises(ValueError):
         dd.export_obj(path, tpl, motion, 3)
+    with pytest.raises(ValueError, match="vertex count mismatch: motion has 5, template has 4"):
+        dd.export_obj(path, dd.NeutralTemplate(np.ones((4, 3))), motion, 1)
 
 
 def test_motion_to_positions():
@@ -306,6 +325,8 @@ def test_motion_to_positions():
     motion = dd.MotionSequence(np.full((2, 4, 3), 0.5), 25.0)
     pos = dd.motion_to_positions(motion, tpl)
     assert np.array_equal(pos, np.full((2, 4, 3), 1.5))
+    with pytest.raises(ValueError, match="vertex count mismatch: motion has 4, template has 5"):
+        dd.motion_to_positions(motion, dd.NeutralTemplate(np.ones((5, 3))))
 
 
 def test_load_dataset_resamples_feature_frames(tmp_path):

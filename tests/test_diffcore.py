@@ -642,6 +642,15 @@ def test_gradcheck_report_format():
     text = report.format()
     assert "checked 2 entries" in text
     assert "PASS" in text
+    # A failing report with a relu kink among its entries prints the flagged
+    # count, then the judged entries only.
+    p = dc.Parameter("p", np.array([[0.0, 1.3]]))
+    report = dc.check_gradients([p], lambda: dc.sum_all(dc.exp(dc.relu(p.value))), tolerance=1e-15)
+    assert not report.passed and (report.n_entries, report.n_flagged) == (1, 1)
+    lines = report.format().splitlines()
+    assert lines[1].endswith("-> FAIL")
+    assert lines[2] == "1 entries flagged as nondifferentiable points (excluded)"
+    assert len(lines) == 4 and lines[3].startswith("  p[0, 1]: analytic=")
 
 
 def test_constant_operand_gradient_released_at_once(monkeypatch):

@@ -285,15 +285,17 @@ def _eager_generate(params, direction, source, speaker):
         fused = dm.cross_attend(params, dc.Tensor._wrap(source_latent.data[t:t + 1]), gated, d.name, fusion_cache)
         pred = d.decode(params, fused, out_weight)
         out.append(pred.data)
-        if t + 1 < frames:
-            history = dm._encoder(d.target)(params, pred, start=t)
+        if t + 1 < frames:  # the prediction encoded at position t
+            encoded = dm._affine(pred, params[f"{d.target}_encoder.weight"], params[f"{d.target}_encoder.bias"])
+            history = dc.add(encoded, dc.slice_axis(params["positional_table"], 0, t, t + 1))
     return np.concatenate(out)
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
 def test_generation_equals_eager_decoding_bit_for_bit(tied):
-    """Generation replays one traced frame for frames 0..T-1; its output is
-    byte-identical to running the model code for every frame."""
+    """Generation traces frame 0 of one sequence and replays it for frames
+    1..T-1; its output is byte-identical to running the model code for
+    every frame."""
     params = dm.ModelParams(small_config(max_frames=17, share_transpose_codec=tied), np.random.default_rng(640))
     rng = np.random.default_rng(740)
     for t in (1, 2, 3, 17):
@@ -430,9 +432,10 @@ def test_batched_generation_calls_per_frame_do_not_grow_with_batch(monkeypatch):
 
 
 def test_decoding_a_group_runs_the_model_code_for_one_frame(monkeypatch):
-    """_decode traces frame 0 of a group's first sequence and replays every
-    frame of the group: one self_attend and one cross_attend call per
-    decode, whatever the group's size and frame count."""
+    """_decode traces frame 0 of a group's first sequence: one self_attend
+    and one cross_attend call per decode, whatever the group's size and
+    frame count. One sequence keeps the traced frame as its frame 0 and
+    replays the other T-1 frames; a group replays all T."""
     params = dm.ModelParams(small_config(), np.random.default_rng(654))
     rng = np.random.default_rng(754)
     calls = []
@@ -442,6 +445,12 @@ def test_decoding_a_group_runs_the_model_code_for_one_frame(monkeypatch):
             return real(*args, **kwargs)
 
         monkeypatch.setattr(dm, name, spy)
+
+    def run(program, *args, real=dc.Program.run, **kwargs):
+        calls.append("run")
+        return real(program, *args, **kwargs)
+
+    monkeypatch.setattr(dc.Program, "run", run)
     for direction, width in (("primal", 5), ("dual", 18)):
         d = dm.DIRECTIONS[direction]
         for batch in (1, 2, 4):
@@ -450,7 +459,8 @@ def test_decoding_a_group_runs_the_model_code_for_one_frame(monkeypatch):
                         for _ in range(batch)]
                 calls.clear()
                 dm._decode(params, d, rows, [b % 3 for b in range(batch)])
-                assert sorted(calls) == ["cross_attend", "self_attend"], f"{direction}, B={batch}, T={t}"
+                runs = t - 1 if batch == 1 else t
+                assert sorted(calls) == ["cross_attend", *["run"] * runs, "self_attend"], f"{direction}, B={batch}, T={t}"
 
 
 @pytest.mark.parametrize("direction", ["primal", "dual"])

@@ -414,7 +414,7 @@ def test_nonfinite_training_aborts_with_term_name(tmp_path):
     params = ModelParams(tiny_model(ds), np.random.default_rng(0))
     params["audio_encoder.weight"].value.data[0, 0] = 1e308
     state = dt.TrainState()
-    with pytest.raises(dt.NonFiniteLossError) as exc:
+    with pytest.raises(dt.NonFiniteLossError) as exc, pytest.warns(RuntimeWarning, match="overflow"):
         dt.train_step(params, ds.split("train")[0], cfg, state)
     assert "forward pass" in str(exc.value)
     assert "grad_clip" in str(exc.value)
@@ -437,7 +437,7 @@ def test_nonfinite_first_step_numbered_as_logged(tmp_path):
     ds = tiny_dataset(tmp_path)
     params = ModelParams(tiny_model(ds), np.random.default_rng(0))
     params["audio_encoder.weight"].value.data[0, 0] = 1e308
-    with pytest.raises(dt.NonFiniteLossError) as exc:
+    with pytest.raises(dt.NonFiniteLossError) as exc, pytest.warns(RuntimeWarning, match="overflow"):
         dt.train_step(params, ds.split("train")[0], dt.TrainConfig(grad_clip=1.0), dt.TrainState())
     assert exc.value.step == 1 and "at step 1;" in str(exc.value)
     assert "grad_clip" not in str(exc.value)
@@ -554,10 +554,10 @@ def test_nonfinite_value_in_replayed_step():
         dt.train_step(params, seq, cfg, state)
     params["audio_encoder.weight"].value.data[0, 0] = 1e308
     values, moments = params.values.copy(), state.moments.copy()
-    with pytest.raises(dt.NonFiniteLossError) as replayed:
+    with pytest.raises(dt.NonFiniteLossError) as replayed, pytest.warns(RuntimeWarning, match="overflow"):
         dt.train_step(params, rows[3], cfg, state)
     assert replayed.value.term == "forward pass" and replayed.value.step == 4
-    with pytest.raises(dt.NonFiniteLossError) as traced:
+    with pytest.raises(dt.NonFiniteLossError) as traced, pytest.warns(RuntimeWarning, match="overflow"):
         dt.train_step(params, rows[3], cfg, dt.TrainState())
     assert isinstance(replayed.value.__cause__, NonFiniteError)
     assert str(replayed.value.__cause__) == str(traced.value.__cause__)
