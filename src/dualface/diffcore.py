@@ -20,8 +20,7 @@ import numpy as np
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial, reduce
-from operator import or_
+from functools import partial
 from typing import Callable, Sequence
 
 _LN_EPS = 1e-5
@@ -827,21 +826,17 @@ def check_gradients(
         p.gradient.fill(0.0)
     backpropagate(tape, out)
 
-    # One walk over the tape: per tensor, the parameters whose values reach
-    # it, bit i standing for parameters[i].
-    reach: dict[Tensor, int] = {}
-    for i, p in enumerate(parameters):
-        reach[p] = reach.get(p, 0) | 1 << i
-    for r in tape.records:
-        reach[r.output] = reduce(or_, [reach.get(t, 0) for t in r.inputs])
     report, worst = GradCheckReport(tolerance=tolerance, step=step), []
-    for i, p in enumerate(parameters):
+    for p in parameters:
         # The records downstream of p, each reading p or the output of one
         # kept before it; per record the stacks that no later record or the
         # output reads; and the most values per row that the pass's stacks
         # hold at once (each record adds its output, its dead operands leave).
-        downstream = [r for r in tape.records if reach[r.output] >> i & 1]
-        reached = {p, *(r.output for r in downstream)}
+        reached, downstream = {p}, []
+        for r in tape.records:
+            if not reached.isdisjoint(r.inputs):
+                reached.add(r.output)
+                downstream.append(r)
         last = {t: r for r in downstream for t in r.inputs if t in reached}
         flat = p.data.reshape(-1)
         steps, live, peak = [], flat.size, flat.size

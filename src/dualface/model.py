@@ -486,16 +486,16 @@ def _decode(params: ModelParams, d: Direction, rows: Sequence[np.ndarray], speak
         inputs, prev, style = rows, np.repeat(start[None], batch, 0), [np.stack([s.data for s in styles])]
     else:
         inputs, prev, style = rows[:, 0], start, []
-    program = dc.Program(
-        records, [*leaves, *(leaf for cache in caches for leaf in cache.leaves)],
-        [r for r in records[encoding:] if r.inputs[0] is params["positional_table"]],
-        {reader(cache.leaves[0]): partial(cache.extend, *cache.fed) for cache in caches} | {encoding: None},
-        [r for cache in caches for r in records[reader(cache.leaves[0]):reader(cache.leaves[1])]], batch)
     for cache in caches:
         cache.rows = int(batch == 1)  # a group's frame 0 replay extends it again, allocating its stacks
-    out = np.empty((batch, frames, out_weight.data.shape[1]))
+    out, program = np.empty((batch, frames, out_weight.data.shape[1])), None
     for t in range(frames):
         if t or batch > 1:  # one sequence keeps its traced frame as frame 0
+            program = program or dc.Program(  # built by the first frame that runs it: none at T=1 for one sequence
+                records, [*leaves, *(leaf for cache in caches for leaf in cache.leaves)],
+                [r for r in records[encoding:] if r.inputs[0] is params["positional_table"]],
+                {reader(cache.leaves[0]): partial(cache.extend, *cache.fed) for cache in caches} | {encoding: None},
+                [r for cache in caches for r in records[reader(cache.leaves[0]):reader(cache.leaves[1])]], batch)
             program.run([prev, inputs[t], *style], until=None if t + 1 < frames else encoding, start=t, stop=t + 1)
         out[:, t] = pred.data.reshape(batch, -1)
         prev = records[-1].output.data.copy()  # the encoding, out of the storage the next run overwrites

@@ -117,10 +117,8 @@ class TrainState:
 
     step: int = 0
     # (2, n) first and second moments, laid out like ModelParams.values,
-    # and (2, n) scratch for the update, kept so that no step allocates;
-    # both allocated by the first adam_step
+    # allocated by the first adam_step
     moments: np.ndarray | None = None
-    scratch: np.ndarray | None = None
     best_val_lve: float = float("inf")
     # The last step's program, its tape's storage holding the step's
     # outputs; replayed by a next step of the same shapes
@@ -162,13 +160,13 @@ def adam_step(params: ModelParams, state: TrainState, cfg: TrainConfig):
     if not dc.all_finite(g):
         raise NonFiniteLossError(f"gradient of {_first_nonfinite(params, g)}", state.step + 1, cfg.grad_clip)
     if state.moments is None:
-        state.moments, state.scratch = np.zeros((2, g.size)), np.empty((2, g.size))
+        state.moments = np.zeros((2, g.size))
     state.step += 1
     t = state.step
     if cfg.grad_clip is not None:
         _clip_gradients(params, cfg.grad_clip)
     m, v = state.moments
-    tmp, update = state.scratch
+    tmp, update = np.empty((2, g.size))
     # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g^2
     np.multiply(m, cfg.beta1, out=m)
     np.multiply(g, 1.0 - cfg.beta1, out=tmp)

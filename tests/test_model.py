@@ -435,7 +435,9 @@ def test_decoding_a_group_runs_the_model_code_for_one_frame(monkeypatch):
     """_decode traces frame 0 of a group's first sequence: one self_attend
     and one cross_attend call per decode, whatever the group's size and
     frame count. One sequence keeps the traced frame as its frame 0 and
-    replays the other T-1 frames; a group replays all T."""
+    replays the other T-1 frames; a group replays all T. The Program is
+    built once, by the first frame that runs it, so one sequence at T=1
+    builds none."""
     params = dm.ModelParams(small_config(), np.random.default_rng(654))
     rng = np.random.default_rng(754)
     calls = []
@@ -450,7 +452,12 @@ def test_decoding_a_group_runs_the_model_code_for_one_frame(monkeypatch):
         calls.append("run")
         return real(program, *args, **kwargs)
 
+    def build(program, *args, real=dc.Program.__init__, **kwargs):
+        calls.append("program")
+        return real(program, *args, **kwargs)
+
     monkeypatch.setattr(dc.Program, "run", run)
+    monkeypatch.setattr(dc.Program, "__init__", build)
     for direction, width in (("primal", 5), ("dual", 18)):
         d = dm.DIRECTIONS[direction]
         for batch in (1, 2, 4):
@@ -460,7 +467,8 @@ def test_decoding_a_group_runs_the_model_code_for_one_frame(monkeypatch):
                 calls.clear()
                 dm._decode(params, d, rows, [b % 3 for b in range(batch)])
                 runs = t - 1 if batch == 1 else t
-                assert sorted(calls) == ["cross_attend", *["run"] * runs, "self_attend"], f"{direction}, B={batch}, T={t}"
+                assert sorted(calls) == ["cross_attend", *["program"] * min(runs, 1), *["run"] * runs, "self_attend"], \
+                    f"{direction}, B={batch}, T={t}"
 
 
 @pytest.mark.parametrize("direction", ["primal", "dual"])
