@@ -9,12 +9,17 @@ broadcasting outside broadcast-row and matmul's leading (head) axes.
 An evaluated primitive's output is checked on its own; under a tape it is
 then copied into the tape's storage, where a replayed graph writes it again
 and checks each segment's stretch of that storage once, naming the first
-bad output as an eager build would.
+bad output as an eager build would. Each kind's backward rule binds the
+work of one input's gradient as a call, as its forward rule does: the first
+backward pass from an output makes those calls as it walks the records,
+and every later pass from it makes the same calls, bound once, into one
+arena of gradients.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -105,9 +110,7 @@ class Parameter(Tensor):
 
 
 class TapeRecord:
-    # needs: per input, whether the backward rule computes its gradient
-    # (every input until a backward plan clears the constant ones)
-    __slots__ = ("kind", "inputs", "output", "attrs", "saved", "needs")
+    __slots__ = ("kind", "inputs", "output", "attrs", "saved")
 
     def __init__(self, kind, inputs, output, attrs, saved):
         self.kind = kind
@@ -115,7 +118,6 @@ class TapeRecord:
         self.output = output
         self.attrs = attrs
         self.saved = saved
-        self.needs = (True,) * len(inputs)
 
 
 class Tape:
@@ -132,12 +134,14 @@ class Tape:
     first chunk is 32 KiB and each next one twice the last, up to 1 MiB,
     so a small trace reserves little more than it records. A
     Program built from the records replays in this storage, so a traced
-    graph is held once.
+    graph is held once, and the backward calls bound for the tape read the
+    outputs where they lie.
     """
 
     def __init__(self):
         self.records: list[TapeRecord] = []
-        self.plan = None  # ((id(output), len(records)), _plan(self, output)) of the last backward pass
+        self.plan = None  # ((id(output), len(records)), *_plan(self, output)) of the last backward pass
+        self.bound = None  # _bind(self, output, ...) for that output, from its second pass
         self.free = np.empty(0)  # the unused tail of the last chunk
         self.chunk = _CHUNK >> 5  # float64 values in the next chunk
 
@@ -335,116 +339,166 @@ def _fw_layer_norm_rows(arrays, attrs, out, batch=0):
 
 
 # ---------------------------------------------------------------------------
-# backward rules: (record, upstream grad) -> one gradient per input; matmul
-# and multiply skip the product (None) for an input the record does not need
+# backward bind rules: (record, k, g, out, take=np.empty) -> call. Each binds
+# the NumPy work that makes input k's gradient from the upstream gradient g
+# to the arrays it reads, as a call with no arguments that writes the
+# gradient into `out`, a C-contiguous float64 array of that input's shape,
+# and returns it; given out=None, the call returns a new one. take(shape)
+# gives a rule's temporaries, which only its call uses. A rule reads the
+# record's operands, output and saved values through the record when it
+# binds, except layer norm's saved row scales and a slice's bounds, which
+# its call reads when it runs.
 
-def _sum_to(g, shape):
-    """g summed over the leading axes that broadcasting added to `shape` or stretched."""
-    extra = g.ndim - len(shape)
-    axes = (*range(extra), *(extra + i for i, n in enumerate(shape[:-2]) if n == 1 < g.shape[extra + i]))
-    return np.add.reduce(g, axis=axes).reshape(shape) if axes else g
-
-
-def _bw_matmul(r, g):
+def _bw_matmul(r, k, g, out, take=np.empty):
+    """a's gradient g @ b^T, or b's a^T @ g, summed over the leading axes
+    that broadcasting added to that operand or stretched: the product has
+    g's leading axes."""
     a, b = (t.data for t in r.inputs)
-    need_a, need_b = r.needs
-    return [_sum_to(g @ b.mT, a.shape) if need_a else None, _sum_to(a.mT @ g, b.shape) if need_b else None]
+    x, y = (g, b.mT) if k == 0 else (a.mT, g)
+    shape = (a, b)[k].shape
+    if shape[:-2] == g.shape[:-2]:
+        return partial(np.matmul, x, y, out)
+    prod, extra = (*g.shape[:-2], *shape[-2:]), g.ndim - len(shape)
+    axes = (*range(extra), *(extra + i for i, n in enumerate(shape[:-2]) if n == 1 < prod[extra + i]))
+    return partial(_matmul_sum, x, y, take(prod), axes, *_reduced_into(prod, axes, shape, out))
 
 
-def _bw_add(r, g):
-    return [g, g]
+def _matmul_sum(x, y, prod, axes, out, view):
+    np.add.reduce(np.matmul(x, y, prod), axes, None, view)
+    return out
 
 
-def _bw_subtract(r, g):
-    return [g, -g]
+def _reduced_into(shape, axes, target, out):
+    """out, or a new array of shape `target`, and its view as the sum of an
+    array of `shape` over `axes`."""
+    out = np.empty(target) if out is None else out
+    return out, out.reshape([n for i, n in enumerate(shape) if i not in axes])
 
 
-def _bw_multiply(r, g):
-    a, b = (t.data for t in r.inputs)
-    need_a, need_b = r.needs
-    return [g * b if need_a else None, g * a if need_b else None]
+def _bw_add(r, k, g, out, take=np.empty):
+    return partial(np.positive, g, out)
 
 
-def _bw_scalar_multiply(r, g):
-    return [g * r.attrs["scalar"]]
+def _bw_subtract(r, k, g, out, take=np.empty):
+    return partial(np.negative if k else np.positive, g, out)
 
 
-def _bw_relu(r, g):
-    # Subgradient 0 at exactly 0.
-    x = r.inputs[0].data
-    return [g * (x > 0.0)]
+def _bw_multiply(r, k, g, out, take=np.empty):
+    return partial(np.multiply, g, r.inputs[1 - k].data, out)
 
 
-def _bw_sigmoid(r, g):
+def _bw_scalar_multiply(r, k, g, out, take=np.empty):
+    return partial(np.multiply, g, r.attrs["scalar"], out)
+
+
+def _relu_grad(g, x, out):
+    # Subgradient 0 at exactly 0: g times the mask, as 1.0 and 0.0.
+    return np.multiply(g, np.greater(x, 0.0, out=out), out=out)
+
+
+def _bw_relu(r, k, g, out, take=np.empty):
+    return partial(_relu_grad, g, r.inputs[0].data, out)
+
+
+def _sigmoid_grad(g, s, out, tmp):
+    out = np.multiply(g, s, out)
+    return np.multiply(out, np.subtract(1.0, s, tmp), out)
+
+
+def _bw_sigmoid(r, k, g, out, take=np.empty):
     s = r.output.data
-    return [g * s * (1.0 - s)]
+    return partial(_sigmoid_grad, g, s, out, take(s.shape))
 
 
-def _bw_tanh(r, g):
-    t = r.output.data
-    return [g * (1.0 - t * t)]
+def _tanh_grad(g, t, out):
+    tt = np.multiply(t, t, out)
+    return np.multiply(g, np.subtract(1.0, tt, tt), tt)
 
 
-def _bw_exp(r, g):
-    return [g * r.output.data]
+def _bw_tanh(r, k, g, out, take=np.empty):
+    return partial(_tanh_grad, g, r.output.data, out)
 
 
-def _bw_log(r, g):
-    return [g / r.inputs[0].data]
+def _bw_exp(r, k, g, out, take=np.empty):
+    return partial(np.multiply, g, r.output.data, out)
 
 
-def _bw_softmax_rows(r, g):
+def _bw_log(r, k, g, out, take=np.empty):
+    return partial(np.divide, g, r.inputs[0].data, out)
+
+
+def _softmax_grad(g, y, out, rows):
+    # The row sums are spread over the rows before the subtraction: a ufunc
+    # that broadcasts along the last axis runs through an iteration buffer.
+    gy = np.multiply(g, y, out)
+    np.copyto(gy, np.add.reduce(gy, -1, None, rows, True))
+    d = np.subtract(g, gy, gy)
+    return np.multiply(y, d, d)
+
+
+def _bw_softmax_rows(r, k, g, out, take=np.empty):
     y = r.output.data
-    return [y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))]
+    return partial(_softmax_grad, g, y, out, take((*y.shape[:-1], 1)))
 
 
-def _bw_concat_last(r, g):
-    grads = []
-    offset = 0
-    for t in r.inputs:
-        w = t.data.shape[-1]
-        grads.append(np.ascontiguousarray(g[..., offset:offset + w]))
-        offset += w
-    return grads
+def _bw_concat_last(r, k, g, out, take=np.empty):
+    start = sum(t.data.shape[-1] for t in r.inputs[:k])
+    view = g[..., start:start + r.inputs[k].data.shape[-1]]
+    return _copy(view, view.shape, out)[0]
 
 
-def _bw_slice(r, g):
+def _unslice(g, out, axis, attrs):
+    out.fill(0.0)
+    out[(slice(None),) * axis + (slice(attrs["start"], attrs["stop"]),)] = g
+    return out
+
+
+def _bw_slice(r, k, g, out, take=np.empty):
     x = r.inputs[0].data
-    out = np.zeros_like(x)
-    out[_slice_index(x.shape, r.attrs)] = g
-    return [out]
+    return partial(_unslice, g, np.empty(x.shape) if out is None else out, r.attrs["axis"] % x.ndim, r.attrs)
 
 
-def _bw_transpose_last_two(r, g):
-    return [np.ascontiguousarray(np.swapaxes(g, -1, -2))]
+def _bw_transpose_last_two(r, k, g, out, take=np.empty):
+    view = np.swapaxes(g, -1, -2)
+    return _copy(view, view.shape, out)[0]
 
 
-def _bw_sum(r, g):
+def _bw_sum(r, k, g, out, take=np.empty):
+    return _copy(g.reshape(()), r.inputs[0].data.shape, out)[0]
+
+
+def _bw_mean(r, k, g, out, take=np.empty):
     x = r.inputs[0].data
-    return [np.full_like(x, g.reshape(-1)[0])]
+    return partial(np.divide, g.reshape(()), x.size, np.empty(x.shape) if out is None else out)
 
 
-def _bw_mean(r, g):
-    x = r.inputs[0].data
-    return [np.full_like(x, g.reshape(-1)[0] / x.size)]
+def _bw_broadcast_row(r, k, g, out, take=np.empty):
+    return partial(_sum_rows, g, *_reduced_into(g.shape, (0,), r.inputs[0].data.shape, out))
 
 
-def _bw_broadcast_row(r, g):
-    x = r.inputs[0].data
-    return [np.add.reduce(g, axis=0).reshape(x.shape)]
+def _sum_rows(g, out, view):
+    np.add.reduce(g, 0, None, view)
+    return out
 
 
-def _bw_merge_heads(r, g):
+def _bw_merge_heads(r, k, g, out, take=np.empty):
     x = r.inputs[0].data
     t, w = x.shape[-2:]
-    return [np.ascontiguousarray(np.moveaxis(g.reshape(t, -1, w), 1, 0)).reshape(x.shape)]
+    return _copy(np.moveaxis(g.reshape(t, -1, w), 1, 0).reshape(x.shape), x.shape, out)[0]
 
 
-def _bw_layer_norm_rows(r, g):
-    normed, inv = r.output.data, r.saved
-    gm = np.add.reduce(g, axis=-1, keepdims=True) / g.shape[-1]
-    gn = np.add.reduce(g * normed, axis=-1, keepdims=True) / g.shape[-1]
-    return [inv * (g - gm - normed * gn)]
+def _layer_norm_grad(r, g, out, tmp, gm, gn):
+    normed, inv, n = r.output.data, r.saved, g.shape[-1]
+    np.divide(np.add.reduce(g, -1, None, gm, True), n, gm)
+    np.divide(np.add.reduce(np.multiply(g, normed, tmp), -1, None, gn, True), n, gn)
+    d = np.subtract(g, gm, out)
+    np.subtract(d, np.multiply(normed, gn, tmp), d)
+    return np.multiply(inv, d, d)
+
+
+def _bw_layer_norm_rows(r, k, g, out, take=np.empty):
+    rows = (*g.shape[:-1], 1)
+    return partial(_layer_norm_grad, r, g, out, take(g.shape), take(rows), take(rows))
 
 
 class PrimitiveKind(Enum):
@@ -677,31 +731,27 @@ def _nonfinite_output(steps) -> NonFiniteError | None:
 
 def _plan(tape: Tape, output: Tensor) -> tuple[list[tuple], int | None]:
     """Where each record input's gradient goes: its Parameter, the slot
-    (index) of the record that made it from a parameter, or nowhere (None,
-    which clears its `needs` flag); and the slot of `output`."""
+    (index) of the record that made it from a parameter, or nowhere (None:
+    a constant, whose gradient no rule computes); and the slot of `output`."""
     if not any(r.output is output or output in r.inputs for r in reversed(tape.records)):
         raise DanglingNodeError("output tensor was not recorded on this tape")
     slots, plan = {}, []  # slots keyed by the output tensors themselves
     for i, r in enumerate(tape.records):
         plan.append(tuple([t if isinstance(t, Parameter) else slots.get(t) for t in r.inputs]))
-        r.needs = tuple([d is not None for d in plan[-1]])
-        if True in r.needs:
+        if any(d is not None for d in plan[-1]):
             slots[r.output] = i
     return plan, slots.get(output)
 
 
-def backpropagate(tape: Tape, output: Tensor) -> None:
-    """Reverse-accumulate d(sum of output)/d(parameter) into parameter
-    gradients; the output's own gradient is seeded with ones.
+def _passes(r: TapeRecord, k: int) -> bool:
+    """Whether input k's gradient is the upstream gradient itself."""
+    return r.kind is PrimitiveKind.ADD or (k == 0 and r.kind is PrimitiveKind.SUBTRACT)
 
-    Walks the records in reverse by the tape's plan, made once per output
-    while the tape gains no record, with one gradient buffer per slot,
-    dropped once its record is processed; a gradient reaching a Parameter
-    is added to its gradient as it arrives."""
-    key = (id(output), len(tape.records))
-    if tape.plan is None or tape.plan[0] != key:
-        tape.plan = key, _plan(tape, output)
-    plan, out_slot = tape.plan[1]
+
+def _walk(tape: Tape, output: Tensor, plan: list[tuple], out_slot: int | None):
+    """A backward pass by the plan, in reverse record order, with one
+    gradient per slot, made by the rules' calls into new arrays and dropped
+    once its record is processed."""
     seed = np.ones_like(output.data)
     if isinstance(output, Parameter):
         output.gradient += seed
@@ -713,12 +763,162 @@ def backpropagate(tape: Tape, output: Tensor) -> None:
         if g is None:
             continue
         r = tape.records[i]
-        for dest, ig in zip(plan[i], r.kind.backward(r, g)):
+        for k, dest in enumerate(plan[i]):
+            if dest is None:
+                continue
+            ig = g if _passes(r, k) else r.kind.backward(r, k, g, None)()
             if type(dest) is int:
                 acc = grads[dest]
                 grads[dest] = ig if acc is None else acc + ig
-            elif dest is not None:
+            else:
                 dest.gradient += ig
+
+
+def _carver(flat: np.ndarray | None, need: list[int]):
+    """take(shape) for one call's temporaries: views carved in turn from
+    flat; with flat None, new arrays, whose sizes are added to need[0]."""
+    def take(shape):
+        n = math.prod(shape)
+        need[0] += n
+        return np.empty(shape) if flat is None else flat[need[0] - n:need[0]].reshape(shape)
+    return take
+
+
+def _rebound(r: TapeRecord, k: int, g: np.ndarray, out: np.ndarray, flat: np.ndarray):
+    """Input k's gradient call, bound to r's current arrays and made."""
+    return r.kind.backward(r, k, g, out, _carver(flat, [0]))()
+
+
+def _bind(tape: Tape, output: Tensor, plan: list[tuple], out_slot: int | None) -> tuple:
+    """The walk's calls, in its order, bound once: returns them, the arena
+    that holds the slots' gradients, the scratch that holds one call's
+    temporaries at a time, and the record outputs with the arrays they
+    were bound to.
+
+    A slot's gradient lives in a stretch of the arena from its first
+    contribution to the end of its record's processing. The stretches are
+    placed largest size x lifetime first, each at the lowest offset clear
+    of those placed before it that are live at some same time. A slot whose
+    one contribution passes the upstream gradient through (add, subtract's
+    first operand) is that gradient: it shares the upstream slot's stretch,
+    or is the seed, and no call copies it. A slot's first other
+    contribution is written into its stretch; every later one, and every
+    one into a parameter's gradient, is added in place (+=) in the walk's
+    order, from the scratch (or the upstream gradient, when it passes).
+    Parameters and record outputs are read where they lie when the calls
+    are bound. Any other operand (a data leaf, which Program.run rebinds, a
+    constant) is read when its call runs: a call of a record that has one
+    binds itself again each time."""
+    records, n = tape.records, len(plan)
+    outputs = [r.output for r in records]
+    made = set(outputs)
+    # The walk's contributions in its order, and the count of each slot's.
+    contributions, count, reached = [], [0] * n, {out_slot}
+    for i in range(n - 1, -1, -1):
+        if i in reached:
+            for k, dest in enumerate(plan[i]):
+                if dest is not None:
+                    contributions.append((i, k, dest))
+                    if type(dest) is int:
+                        reached.add(dest)
+                        count[dest] += 1
+    # Each slot's stretch [size, first, last, offset]: the times (n - 1 -
+    # record index) of its first contribution and of the last processing
+    # that reads it, and its place in the arena.
+    stretch = {}
+    for i, k, dest in contributions:
+        if type(dest) is not int or dest in stretch:
+            continue
+        if count[dest] == 1 and _passes(records[i], k):
+            s = stretch[dest] = stretch.get(i)  # None: the seed
+            if s is not None:
+                s[2] = max(s[2], n - 1 - dest)
+        else:
+            stretch[dest] = [records[dest].output.data.size, n - 1 - i, n - 1 - dest, 0]
+    placed, top = [], 0
+    for s in sorted({id(s): s for s in stretch.values() if s is not None}.values(),
+                    key=lambda s: -s[0] * (s[2] - s[1] + 1)):
+        for p in sorted((p for p in placed if p[1] <= s[2] and s[1] <= p[2]), key=lambda p: p[3]):
+            if p[3] - s[3] >= s[0]:
+                break
+            s[3] = max(s[3], p[3] + p[0])
+        placed.append(s)
+        top = max(top, s[3] + s[0])
+    arena, seed = np.empty(top), np.ones_like(output.data)
+    grads = {j: seed if s is None else arena[s[3]:s[3] + s[0]].reshape(records[j].output.data.shape)
+             for j, s in stretch.items()}
+    grads[out_slot] = seed
+
+    def fixed(t):
+        return isinstance(t, Parameter) or t in made
+
+    def calls_into(scratch):
+        """The calls, with their temporaries in scratch, and the most scratch
+        one call takes; with scratch None, only the most (each call is bound
+        with new temporaries and dropped)."""
+        calls = [partial(operator.iadd, output.gradient, seed)] if isinstance(output, Parameter) else []
+        most, written = 0, set()
+        for i, k, dest in contributions:
+            r, g, slot = records[i], grads[i], type(dest) is int
+            acc = grads[dest] if slot else dest.gradient
+            if slot and dest not in written:
+                written.add(dest)
+                if count[dest] == 1 and _passes(r, k):
+                    continue  # the upstream gradient itself
+                into, then = acc, []
+            elif _passes(r, k):
+                into, then = None, [partial(operator.iadd, acc, g)]
+            else:
+                shape = r.inputs[k].data.shape
+                into = np.empty(shape) if scratch is None else scratch[:math.prod(shape)].reshape(shape)
+                then = [partial(operator.iadd, acc, into)]
+            if into is not None:
+                start = 0 if into is acc else into.size
+                need = [start]
+                call = r.kind.backward(r, k, g, into, _carver(scratch, need))
+                if scratch is not None and not all(map(fixed, r.inputs)):
+                    call = partial(_rebound, r, k, g, into, scratch[start:])
+                then.insert(0, call)
+                most = max(most, need[0])
+            if scratch is not None:
+                calls += then
+        return calls, most
+
+    scratch = np.empty(calls_into(None)[1])
+    return calls_into(scratch)[0], arena, scratch, outputs, [t.data for t in outputs]
+
+
+def _moved(outputs: list[Tensor], arrays: list[np.ndarray]) -> bool:
+    """Whether some output has been rebound since its array was bound (a
+    Program rebinds its unplanned records' outputs at every run)."""
+    return not all(map(operator.is_, map(_DATA, outputs), arrays))
+
+
+_DATA = operator.attrgetter("data")
+
+
+def backpropagate(tape: Tape, output: Tensor) -> None:
+    """Reverse-accumulate d(sum of output)/d(parameter) into parameter
+    gradients; the output's own gradient is seeded with ones.
+
+    The first pass from an output walks the records in reverse by the
+    tape's plan, made once per output while the tape gains no record, with
+    each rule's call bound as it runs into a new array (_walk). Every later
+    pass from the same output runs the walk's calls, bound once, in the
+    walk's order, into one arena whose stretches are shared by slots whose
+    gradients are never live at once (_bind); they are bound again first if
+    a record's output has been rebound since. Each pass adds into the
+    parameters' gradients, and every gradient and every sum is the walk's,
+    bit for bit."""
+    key = (id(output), len(tape.records))
+    if tape.plan is None or tape.plan[0] != key:
+        tape.plan, tape.bound = (key, *_plan(tape, output)), None
+        _walk(tape, output, *tape.plan[1:])
+        return
+    if tape.bound is None or _moved(*tape.bound[3:]):
+        tape.bound = _bind(tape, output, *tape.plan[1:])
+    for call in tape.bound[0]:
+        call()
 
 
 # ---------------------------------------------------------------------------

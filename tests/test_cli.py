@@ -294,10 +294,15 @@ def _keys(node: dict, prefix: str):
 SET_KEYS = [*_keys(cli.default_config()["train"], "train"), *_keys(cli.default_config()["model"], "model"),
             *_keys(cli.default_config()["synthetic"], "synthetic")]
 
+def _json_containers(children):
+    # A named function: Hypothesis reads a lambda's source when the test runs.
+    return st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=2)
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text() | st.integers()
     | st.integers(min_value=-(1 << 1100), max_value=1 << 1100),
-    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=2),
+    _json_containers,
     max_leaves=6,
 )
 

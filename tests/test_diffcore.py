@@ -1,4 +1,4 @@
-import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -603,14 +603,18 @@ def test_gradcheck_replay_runs_no_single_call_rule(monkeypatch):
     assert sizes == [len(tape.records) - 1, len(tape.records)]
 
 
-def _tanh_one_minus_t(r, g):
-    return [g * (1.0 - r.output.data)]
+def _tanh_one_minus_t(r, k, g, out, take=np.empty):
+    return partial(np.multiply, g, 1.0 - r.output.data, out)
 
 
-def _layer_norm_without_gm(r, g):
+def _layer_norm_without_gm(r, k, g, out, take=np.empty):
     normed, inv = r.output.data, r.saved
-    gn = np.add.reduce(g * normed, axis=-1, keepdims=True) / g.shape[-1]
-    return [inv * (g - normed * gn)]
+
+    def call():
+        gn = np.add.reduce(g * normed, axis=-1, keepdims=True) / g.shape[-1]
+        return inv * (g - normed * gn)
+
+    return call
 
 
 @pytest.mark.parametrize("kind,backward,failing", [
@@ -654,35 +658,31 @@ def test_gradcheck_report_format():
 
 
 def test_constant_operand_gradient_released_at_once(monkeypatch):
-    """A gradient reaching a constant (an operand no record outputs) is not
-    kept until backprop ends: one its rule computes anyway (subtract's) is
-    dropped as soon as it is returned, and matmul, told by the backward
-    plan that the operand needs none, does not compute it."""
+    """A gradient reaching a constant (an operand no record outputs) is
+    never made, so it is never kept: neither the walk nor the calls bound
+    for the next pass bind a rule for it. Matmul's rule is bound only for
+    the operand that a parameter reaches, and subtract's for neither
+    operand (its first passes the upstream gradient through)."""
     w = dc.Parameter("w", np.ones((4, 4)))
     with dc.Tape() as tape:
         h = dc.subtract(dc.matmul(dc.Tensor(np.ones((3, 4))), w.value), dc.Tensor(np.ones((3, 4))))
         out = dc.mean_all(dc.subtract(dc.matmul(dc.Tensor(np.ones((2, 3))), h), dc.Tensor(np.ones((2, 4)))))
-    matmul, subtract = dc.PrimitiveKind.MATMUL.backward, dc.PrimitiveKind.SUBTRACT.backward
-    matmul_constant_grads, subtract_constant_grads, alive_at_call = [], [], []
+    bound = []
 
-    def spy_matmul(record, g):
-        grads = matmul(record, g)
-        matmul_constant_grads.append(grads[0])
-        return grads
+    def spy(rule):
+        def bind(r, k, g, out, take=np.empty):
+            bound.append((tape.records.index(r), k))
+            return rule(r, k, g, out, take)
+        return bind
 
-    def spy_subtract(record, g):
-        alive_at_call.append([ref() is not None for ref in subtract_constant_grads])
-        grads = subtract(record, g)
-        subtract_constant_grads.append(weakref.ref(grads[1]))
-        return grads
-
-    monkeypatch.setattr(dc.PrimitiveKind.MATMUL, "backward", spy_matmul)
-    monkeypatch.setattr(dc.PrimitiveKind.SUBTRACT, "backward", spy_subtract)
+    for kind in (dc.PrimitiveKind.MATMUL, dc.PrimitiveKind.SUBTRACT):
+        monkeypatch.setattr(kind, "backward", spy(kind.backward))
     dc.backpropagate(tape, out)
-    assert alive_at_call == [[], [False]]
-    assert matmul_constant_grads == [None, None]
-    assert [r.needs for r in tape.records] == [(False, True), (True, False), (False, True), (True, False), (True,)]
-    assert np.array_equal(w.gradient, np.full((4, 4), 0.75))
+    assert bound == [(2, 1), (0, 1)]
+    bound.clear()
+    dc.backpropagate(tape, out)  # binds its calls
+    assert {b for b in bound} == {(2, 1), (0, 1)}
+    assert np.array_equal(w.gradient, np.full((4, 4), 1.5))
 
 
 def test_unreferenced_intermediate_allowed():
@@ -803,7 +803,9 @@ def test_program_is_bound_when_built():
     their segment's checked stretch of the tape's storage, holding the
     traced values bit for bit (the unplanned tanh is in none), and
     backpropagating through them gives the gradients of a twin tape never
-    built into a program."""
+    built into a program. So do the calls that the second backward pass
+    binds, once a run has rebound the unplanned tanh's output: they are
+    bound again."""
     rng = np.random.default_rng(60)
     p_values, q_values = rng.standard_normal((3, 4)), rng.standard_normal((4, 5))
     p, q = dc.Parameter("p", p_values), dc.Parameter("q", q_values)
@@ -831,6 +833,21 @@ def test_program_is_bound_when_built():
     assert p.gradient.tobytes() == twin_p.gradient.tobytes()
     assert q.gradient.tobytes() == twin_q.gradient.tobytes()
     assert p.gradient.any() and q.gradient.any()
+
+    dc.backpropagate(tape, out)
+    bound = tape.bound
+    p.data[...] = twin_p.data[...] = p_values + 0.5
+    program.run()
+    assert tanh.output.data is not traced[tape.records.index(tanh)]
+    for param in (p, q, twin_p, twin_q):
+        param.gradient.fill(0.0)
+    dc.backpropagate(tape, out)
+    assert tape.bound is not bound
+    with dc.Tape() as twin:
+        twin_out = _cut_graph(twin_p, twin_q)
+    dc.backpropagate(twin, twin_out)
+    assert p.gradient.tobytes() == twin_p.gradient.tobytes()
+    assert q.gradient.tobytes() == twin_q.gradient.tobytes()
 
 
 def test_run_until_a_cut_leaves_the_later_segments_unrun():
@@ -936,8 +953,7 @@ def _forward_and_grad(fn, x, g):
     with dc.Tape() as tape:
         out = fn(dc.Tensor(x))
     record = tape.records[-1]
-    (grad,) = record.kind.backward(record, g)
-    return out.data, grad
+    return out.data, record.kind.backward(record, 0, g, None)()
 
 
 @pytest.mark.parametrize("shape", [(1, 7), (3, 5), (60, 32), (60, 128), (60, 360)])
@@ -1042,10 +1058,11 @@ def _graphs(draw):
     return (rows, cols), n_params, steps, sinks, dangling, draw(st.integers(0, 2**32 - 1))
 
 
-def _graph_builder(graph, params, dangling=()):
+def _graph_builder(graph, params, dangling=(), extra=lambda last: ()):
     """build() of a drawn graph; each index in `dangling` adds two records
-    that read that node and that nothing reads. Step k's constant operand
-    is a plain Tensor, the same one in every build."""
+    that read that node and that nothing reads, and extra(last node) gives
+    more terms of the scalar. Step k's constant operand is a plain Tensor,
+    the same one in every build."""
     shape, _, steps, sinks, _, seed = graph
     rng = np.random.default_rng(seed)
     projections = [dc.Tensor(w) for w in rng.standard_normal((len(sinks), *shape))]
@@ -1060,6 +1077,7 @@ def _graph_builder(graph, params, dangling=()):
             dc.multiply(dc.exp(dc.tanh(nodes[i])), nodes[i])
         reduce = (dc.sum_all, dc.mean_all)
         terms = [reduce[k % 2](dc.multiply(nodes[i], w)) for k, (i, w) in enumerate(zip(sinks, projections))]
+        terms += extra(nodes[-1])
         total = terms[0]
         for term in terms[1:]:
             total = dc.add(total, term)
@@ -1095,11 +1113,15 @@ def _backward_passes(params, build, passes=1):
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(graph=_graphs())
 def test_random_graph_gradients(graph):
-    """On drawn graphs with fan-out, multiply(a, a), add's aliased [g, g]
-    and a parameter several records read: the tape gradient passes the
-    finite-difference check at its defaults, a second backward pass adds
-    bit for bit what the first added, onto it, and records that nothing
-    reads leave the gradients bit-identical."""
+    """On drawn graphs with fan-out, multiply(a, a), add(a, a) and a
+    parameter several records read: the tape gradient passes the
+    finite-difference check at its defaults, a second backward pass (the
+    walk's calls, bound) adds bit for bit what the first (the walk) added,
+    onto it, and records that nothing reads leave the gradients
+    bit-identical. Replayed on new values, with the parameters and a stack
+    of them viewing one buffer, a data leaf and a settable slice of a table,
+    the second and third backward passes give a fresh tape's walk's
+    gradients, bit for bit."""
     shape, n_params, steps, _, dangling, seed = graph
     reads = [sum(i in inputs for _, inputs in steps) for i in range(n_params)]
     assume(max(reads) >= 2)
@@ -1132,3 +1154,39 @@ def test_random_graph_gradients(graph):
         assert np.array_equal(twice, expect)
     (with_dangling,) = _backward_passes(params, _graph_builder(graph, params, dangling))
     assert all(np.array_equal(a[0], b[0]) for a, b in zip(first, with_dangling))
+
+    # The parameters as views of one buffer, which a stack of them views too,
+    # as the model's attention heads are; the last node times a data leaf and
+    # times the row of a table that a settable slice picks.
+    values, gradients = np.stack([p.data for p in params]), np.zeros((n_params, *shape))
+    viewed = [dc.Parameter(p.id, values[i], gradients[i]) for i, p in enumerate(params)]
+    stack, weight = dc.Parameter("stack", values, gradients), dc.Tensor(rng.standard_normal(values.shape))
+    table, leaf = dc.Parameter("table", rng.uniform(-1.0, 1.0, (3, shape[1]))), dc.Tensor(rng.standard_normal(shape))
+    row = [0]
+
+    def extra(last):
+        picked = dc.broadcast_row(dc.slice_axis(table, 0, row[0], row[0] + 1), shape[0])
+        return [dc.sum_all(dc.multiply(last, leaf)), dc.mean_all(dc.multiply(last, picked)),
+                dc.mean_all(dc.multiply(stack, weight))]
+
+    build = _graph_builder(graph, viewed, extra=extra)
+    with dc.Tape() as tape:
+        out = build()
+    picks = [r for r in tape.records if r.kind is dc.PrimitiveKind.SLICE and r.inputs[0] is table]
+    program = dc.Program(tape.records, [leaf], picks)
+
+    def backward(tape, out):
+        gradients.fill(0.0)
+        table.gradient.fill(0.0)
+        dc.backpropagate(tape, out)
+        return gradients.tobytes(), table.gradient.tobytes()
+
+    for run, row[0] in enumerate((0, 2, 1)):
+        if run:
+            program.run([rng.standard_normal(shape)], start=row[0], stop=row[0] + 1)
+        replayed = backward(tape, out)
+        assert (tape.bound is None) == (run == 0)
+        with dc.Tape() as fresh:
+            fresh_out = build()
+        assert fresh_out.data.tobytes() == out.data.tobytes()
+        assert replayed == backward(fresh, fresh_out)

@@ -454,6 +454,17 @@ def _two_length_rows(seed=30):
     return rows
 
 
+def _three_length_rows():
+    """_two_length_rows, then four sequences of 3 frames, both speakers."""
+    rng = np.random.default_rng(36)
+    rows = _two_length_rows()
+    for i, speaker in enumerate((0, 1, 1, 0)):
+        features = FeatureSequence(rng.standard_normal((3, 6)))
+        motion = MotionSequence(0.1 * rng.standard_normal((3, 4, 3)), 25.0)
+        rows.append(SequenceRecord(speaker, features, motion, "train", f"seq{8 + i}"))
+    return rows
+
+
 _REPLAY_MODEL = ModelConfig(d=8, audio_dim=6, vertex_count=4, n_speakers=2, max_frames=8,
                             fusion_heads=2, self_heads=2, squeeze_ratio=4, ff_dim=12)
 
@@ -470,16 +481,20 @@ def _replay_configs():
 
 @pytest.mark.parametrize("model_cfg, cfg", [pytest.param(m, c, id=name) for name, m, c in _replay_configs()])
 def test_replayed_steps_equal_fresh_traces(model_cfg, cfg):
-    """Two epochs over two sequence lengths and both speakers: steps that
+    """Steps over three sequence lengths and both speakers: steps that
     replay the program of the step before them give the same loss bundles,
     parameters and Adam moments, bit for bit, as steps that each trace
-    anew; steps of both lengths replay."""
-    rows = _two_length_rows()
-    order = np.random.default_rng(31).permutation(2 * len(rows)) % len(rows)
+    anew. A drawn order over two lengths comes first, then runs of one
+    length broken by steps that switch it, so that, at every length, a
+    replay's backward pass runs the calls bound for its tape (from the
+    tape's third step on) as well as the walk (its first two)."""
+    rows = _three_length_rows()
+    order = [*np.random.default_rng(31).permutation(16) % 8,
+             0, 2, 4, 6, 1, 3, 5, 8, 9, 10, 11, 0, 1, 8, 2, 3, 9, 5, 7, 1, 3, 6, 4, 2]
     runs = []
     for fresh in (False, True):
         params, state = ModelParams(model_cfg, np.random.default_rng(32)), dt.TrainState()
-        bundles, replayed = [], set()
+        bundles, replayed, bound = [], set(), set()
         for i in order:
             if fresh:
                 state.program = None
@@ -487,11 +502,81 @@ def test_replayed_steps_equal_fresh_traces(model_cfg, cfg):
             bundles.append(dt.train_step(params, rows[i], cfg, state))
             if state.program is kept:
                 replayed.add(rows[i].motion.frames)
-        runs.append((bundles, params.values, state.moments, replayed))
-    (bundles, values, moments, replayed), (fresh_bundles, fresh_values, fresh_moments, fresh_replayed) = runs
-    assert replayed == {5, 8} and not fresh_replayed
+            if state.program.tape.bound is not None:
+                bound.add(rows[i].motion.frames)
+        runs.append((bundles, params.values, state.moments, replayed, bound))
+    (bundles, values, moments, replayed, bound), (fresh_bundles, fresh_values, fresh_moments, *fresh_reuse) = runs
+    assert replayed == bound == {3, 5, 8} and fresh_reuse == [set(), set()]
     assert bundles == fresh_bundles
     assert np.array_equal(values, fresh_values) and np.array_equal(moments, fresh_moments)
+
+
+def test_replayed_backward_allocates_almost_nothing(monkeypatch):
+    """From the third step of a default-scale program on (T=60, V=120, 32
+    bands, d=32, default weights: 245 records), the step's backward pass
+    allocates under 64 KiB under tracemalloc: it runs the calls bound at
+    the second into an arena and a scratch. The arena is no larger than the
+    most gradient bytes live at once: a slot's, from its first
+    contribution until its record is processed, a slot whose one
+    contribution passes the upstream gradient through (add, subtract's
+    first operand) sharing the upstream slot's bytes. The walk allocates
+    every gradient (0.78 MB at its peak), and a buffer kept for every slot
+    would hold 5.8 MB."""
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    params = ModelParams(ModelConfig(audio_dim=32, vertex_count=120, n_speakers=8, max_frames=60), rng)
+    seqs = [SequenceRecord(s % 8, FeatureSequence(rng.standard_normal((60, 32))),
+                           MotionSequence(0.1 * rng.standard_normal((60, 120, 3)), 25.0), "train", f"seq{s}")
+            for s in range(5)]
+    real, allocated = dt.dc.backpropagate, []
+
+    def backpropagate(tape, output):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        real(tape, output)
+        allocated.append(tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(dt.dc, "backpropagate", backpropagate)
+    state = dt.TrainState()
+    tracemalloc.start()
+    try:
+        for seq in seqs:
+            dt.train_step(params, seq, dt.TrainConfig(), state)
+    finally:
+        tracemalloc.stop()
+    tape = state.program.tape
+    assert len(tape.records) == 245 and allocated[0] > 5e5
+    assert max(allocated[2:]) < 64 << 10, allocated
+    assert tape.bound[1].nbytes <= _live_gradient_peak(tape) < 6e5
+
+
+def _live_gradient_peak(tape):
+    """The most bytes that the slots' gradients of a backward pass by the
+    tape's plan hold at once (see test_replayed_backward_allocates_almost_nothing)."""
+    _, plan, out_slot = tape.plan
+    records, reached, contributions = tape.records, {out_slot}, []
+    for i in range(len(plan) - 1, -1, -1):
+        if i in reached:
+            for k, dest in enumerate(plan[i]):
+                if type(dest) is int:
+                    contributions.append((i, k, dest))
+                    reached.add(dest)
+    counts = [sum(d == dest for _, _, d in contributions) for dest in range(len(plan))]
+    owner, spans = {}, {}  # slot -> the slot whose bytes it holds; those bytes' [size, first, last] record
+    for i, k, dest in contributions:
+        if dest in owner:
+            continue
+        kind = records[i].kind
+        passes = kind is dt.dc.PrimitiveKind.ADD or (k == 0 and kind is dt.dc.PrimitiveKind.SUBTRACT)
+        if counts[dest] == 1 and passes:
+            owner[dest] = owner.get(i)  # None: the seed's
+            if owner[dest] is not None:
+                spans[owner[dest]][2] = min(spans[owner[dest]][2], dest)
+        else:
+            owner[dest] = dest
+            spans[dest] = [records[dest].output.data.nbytes, i, dest]
+    return max(sum(size for size, first, last in spans.values() if last <= t <= first) for t in range(len(plan)))
 
 
 def test_step_program_is_bound_once_and_kept_per_length():

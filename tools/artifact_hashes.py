@@ -7,7 +7,7 @@ under OUT_DIR (which must not exist yet), then prints one sorted
 `sha256  relative/path` line per file written. Run it against two
 checkouts and compare the output: equal lines prove the two write the same
 bytes for training logs and checkpoints (with and without grad_clip, with
-the tied codec), ablation outputs, gradcheck's stdout, generation at T=60
+the tied codec, with the kernel-weighted CCRL anchors), ablation outputs, gradcheck's stdout, generation at T=60
 and T=240 in both directions, and a grouped eval decode (the 4 test
 sequences share a length). BLAS runs on one thread, as perfbench pins it.
 """
@@ -34,7 +34,8 @@ LONG = ["--set", "model.max_frames=240"]
 def commands(out: Path) -> list[list[str]]:
     data, long = out / "data", out / "data240"
     runs = {"plain": [], "clip": ["--set", "train.grad_clip=0.5"], "long": LONG,
-            "tied": ["--set", "model.share_transpose_codec=true", *LONG]}
+            "tied": ["--set", "model.share_transpose_codec=true", *LONG],
+            "kernel": ["--set", "train.ccrl.anchor_weighting=kernel", "--set", "train.ccrl.sigma=0.5"]}
     cmds = [["synth", "--out", data],
             ["synth", "--out", long, "--set", "synthetic.frames=240", "--set", "synthetic.n_sequences=4"]]
     cmds += [["train", "--data", data / "manifest.json", "--out", out / name, *TRAIN, *extra]
